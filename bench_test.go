@@ -210,8 +210,11 @@ func BenchmarkTraceGenerationSharded(b *testing.B) {
 	}
 }
 
-// BenchmarkTraceGeneration gauges the trace generator itself (the
-// reproduction's Pin substitute).
+// BenchmarkTraceGeneration gauges trace emission (the reproduction's Pin
+// substitute) from an already-built TPC-B database: it times neither
+// database population nor the shard warm-up, which are most of what a
+// sharded request pays. BenchmarkShard and BenchmarkPopulate* in
+// internal/workload time those.
 func BenchmarkTraceGeneration(b *testing.B) {
 	w := addict.NewTPCB(1, 0.25)
 	b.ResetTimer()

@@ -14,6 +14,23 @@ import (
 	"addict/internal/sweep"
 )
 
+// Coordinator slow-client bounds: a worker that stalls inside a request
+// header, or parks an idle keep-alive connection, is disconnected instead of
+// holding a goroutine and a socket for the rest of the sweep.
+const (
+	coordinatorReadHeaderTimeout = 5 * time.Second
+	coordinatorIdleTimeout       = 60 * time.Second
+)
+
+// newCoordinatorServer builds the coordinator's http.Server around handler.
+func newCoordinatorServer(handler http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           handler,
+		ReadHeaderTimeout: coordinatorReadHeaderTimeout,
+		IdleTimeout:       coordinatorIdleTimeout,
+	}
+}
+
 // DistSummary is the coordinator's progress/counter snapshot: units
 // completed, leases granted, requeues after worker crashes, straggler
 // re-dispatches, and per-worker counters including each worker's
@@ -87,7 +104,7 @@ func (e *Engine) SweepDistributed(ctx context.Context, out io.Writer, spec Sweep
 	if err != nil {
 		return DistSummary{}, fmt.Errorf("addict: dist listen: %w", err)
 	}
-	srv := &http.Server{Handler: c.Handler()}
+	srv := newCoordinatorServer(c.Handler())
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
 	addr := ln.Addr().String()

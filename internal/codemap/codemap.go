@@ -94,9 +94,7 @@ func (s Segment) EmitRange(rec trace.Recorder, from, to int) {
 	if from < 0 || to > s.NBlocks || from > to {
 		panic(fmt.Sprintf("codemap: range [%d,%d) out of bounds for %s (%d blocks)", from, to, s.Name, s.NBlocks))
 	}
-	for i := from; i < to; i++ {
-		rec.Instr(s.Base + uint64(i)*trace.BlockSize)
-	}
+	rec.InstrRange(s.Base+uint64(from)*trace.BlockSize, to-from)
 }
 
 // EmitLoop records `times` iterations over blocks [from, to) — the emission

@@ -98,7 +98,9 @@ func WriteProfile(w io.Writer, p *Profile) error {
 
 // ReadProfile deserializes a profile written by WriteProfile. The NoMigrate
 // filter is not persisted (it only affects profiling, which already
-// happened).
+// happened). It accepts only the canonical encoding WriteProfile produces —
+// transaction types in ascending order, each operation once per type, no
+// trailing bytes — so every accepted input re-encodes to itself.
 func ReadProfile(r io.Reader) (*Profile, error) {
 	br := bufio.NewReader(r)
 	magic := make([]byte, 4)
@@ -137,11 +139,16 @@ func ReadProfile(r io.Reader) (*Profile, error) {
 	if err := read(&nTypes); err != nil {
 		return nil, err
 	}
+	var prevType trace.TxnType
 	for i := 0; i < int(nTypes); i++ {
 		var tt uint16
 		if err := read(&tt); err != nil {
 			return nil, err
 		}
+		if i > 0 && trace.TxnType(tt) <= prevType {
+			return nil, fmt.Errorf("core: profile transaction type %d out of order after %d", tt, prevType)
+		}
+		prevType = trace.TxnType(tt)
 		tp := &TxnProfile{Type: trace.TxnType(tt), Ops: make(map[trace.OpType]*OpProfile)}
 		if tp.Name, err = readStr(br); err != nil {
 			return nil, err
@@ -161,6 +168,9 @@ func ReadProfile(r io.Reader) (*Profile, error) {
 				return nil, err
 			}
 			o := &OpProfile{Op: trace.OpType(op)}
+			if _, dup := tp.Ops[o.Op]; dup {
+				return nil, fmt.Errorf("core: profile repeats operation %v of transaction %q", o.Op, tp.Name)
+			}
 			var sc, in, alt uint32
 			if err := read(&sc); err != nil {
 				return nil, err
@@ -186,6 +196,12 @@ func ReadProfile(r io.Reader) (*Profile, error) {
 			tp.OpOrder = append(tp.OpOrder, o.Op)
 		}
 		p.Txns[tp.Type] = tp
+	}
+	if _, err := br.ReadByte(); err != io.EOF {
+		if err == nil {
+			err = fmt.Errorf("core: trailing data after profile")
+		}
+		return nil, err
 	}
 	return p, nil
 }

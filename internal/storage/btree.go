@@ -22,6 +22,12 @@ type BTree struct {
 	size   int
 
 	splits, merges, rootSplits uint64
+
+	// pathBuf and frameBuf back the slices descend returns. Every caller
+	// is done with one descent's path before the next descent of the same
+	// tree starts, so the buffers are reused instead of reallocated.
+	pathBuf  []*bnode
+	frameBuf []*frame
 }
 
 // bnode is an index node. Key slots are addressed at byte offset
@@ -155,9 +161,12 @@ func childIndex(keys []uint64, key uint64) int {
 // descend walks from the root to the leaf for key, pinning every node on
 // the path. Callers must unpin via releasePath. The instrumented per-level
 // work is: style prologue, buffer-pool find, binary search, child select.
+// The returned slices alias the tree's descent buffers and stay valid only
+// until the next descent.
 func (t *BTree) descend(key uint64, st descentStyle) (path []*bnode, frames []*frame) {
 	m := t.m
 	pid := t.root
+	path, frames = t.pathBuf[:0], t.frameBuf[:0]
 	for {
 		st.seg.EmitRange(m.rec, st.prologue[0], st.prologue[1])
 		f := m.bp.find(m, pid)
@@ -168,6 +177,7 @@ func (t *BTree) descend(key uint64, st descentStyle) (path []*bnode, frames []*f
 		path = append(path, n)
 		frames = append(frames, f)
 		if n.leaf {
+			t.pathBuf, t.frameBuf = path, frames
 			return path, frames
 		}
 		// Internal search: find the child. The binary-search emission uses

@@ -1,6 +1,9 @@
 package storage
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // LockMode is the requested access mode.
 type LockMode uint8
@@ -20,16 +23,45 @@ func (m LockMode) String() string {
 }
 
 // lockName identifies a lockable object: a (space, key) pair where space is
-// a table or index ID and key is a record key or page number.
+// a table or index ID and key is a record key or page number. space is
+// widened to 64 bits so the struct has no padding and hashes as one
+// 16-byte word.
 type lockName struct {
-	space uint32
+	space uint64
 	key   uint64
 }
 
-// lockEntry tracks the holders of one lock.
+// heldLock is one acquisition recorded in Txn.locks: the lock's name and
+// its table entry, so commit-time release needs no table lookup.
+type heldLock struct {
+	name  lockName
+	entry *lockEntry
+}
+
+// lockEntry tracks the holders of one lock. Trace generation runs one
+// transaction at a time, so a lock almost always has exactly one holder:
+// holders starts on the entry's inline array and only a shared lock held
+// by several transactions spills to the heap.
 type lockEntry struct {
 	mode    LockMode
-	holders map[uint64]int // txn id → acquisition count
+	holders []lockHolder
+	inline  [1]lockHolder
+}
+
+// lockHolder is one transaction's hold on a lock.
+type lockHolder struct {
+	txn   uint64
+	count int // acquisitions not yet released
+}
+
+// holder returns the index of txn in e.holders, or -1.
+func (e *lockEntry) holder(txn uint64) int {
+	for i, h := range e.holders {
+		if h.txn == txn {
+			return i
+		}
+	}
+	return -1
 }
 
 // lockManager is a hash-partitioned S/X lock table. Trace generation is
@@ -39,6 +71,7 @@ type lockEntry struct {
 // conflict behaviour directly.
 type lockManager struct {
 	table map[lockName]*lockEntry
+	free  []*lockEntry // released entries, reused by later acquisitions
 
 	acquires, releases, conflicts uint64
 }
@@ -68,7 +101,7 @@ func lockHeaderAddr() uint64 { return LockBase + LockBuckets*64 }
 //	         style fast path, Section 4.1)
 //	[95,120) conflict/queue path
 func (lm *lockManager) acquire(m *Manager, txn *Txn, space uint32, key uint64, mode LockMode) bool {
-	name := lockName{space: space, key: key}
+	name := lockName{space: uint64(space), key: key}
 	m.seg.lockAcquire.EmitRange(m.rec, 0, 30)
 	m.dataRead(lockHeaderAddr())
 	m.seg.lockAcquire.EmitLoop(m.rec, 30, 50, 1)
@@ -76,12 +109,12 @@ func (lm *lockManager) acquire(m *Manager, txn *Txn, space uint32, key uint64, m
 
 	e, ok := lm.table[name]
 	if !ok {
-		e = &lockEntry{mode: mode, holders: map[uint64]int{txn.id: 1}}
+		e = lm.newEntry(mode, txn.id)
 		lm.table[name] = e
-		lm.granted(m, txn, name)
+		lm.granted(m, txn, name, e)
 		return true
 	}
-	if n, holds := e.holders[txn.id]; holds {
+	if i := e.holder(txn.id); i >= 0 {
 		// Re-entrant acquisition; upgrade S→X only when sole holder.
 		if mode == LockX && e.mode == LockS {
 			if len(e.holders) > 1 {
@@ -90,23 +123,39 @@ func (lm *lockManager) acquire(m *Manager, txn *Txn, space uint32, key uint64, m
 			}
 			e.mode = LockX
 		}
-		e.holders[txn.id] = n + 1
-		lm.granted(m, txn, name)
+		e.holders[i].count++
+		lm.granted(m, txn, name, e)
 		return true
 	}
 	if e.mode == LockS && mode == LockS {
-		e.holders[txn.id] = 1
-		lm.granted(m, txn, name)
+		e.holders = append(e.holders, lockHolder{txn: txn.id, count: 1})
+		lm.granted(m, txn, name, e)
 		return true
 	}
 	lm.conflict(m)
 	return false
 }
 
-func (lm *lockManager) granted(m *Manager, txn *Txn, name lockName) {
+// newEntry returns an entry held once by txn in mode, reusing a released
+// entry when one is available.
+func (lm *lockManager) newEntry(mode LockMode, txn uint64) *lockEntry {
+	var e *lockEntry
+	if n := len(lm.free); n > 0 {
+		e = lm.free[n-1]
+		lm.free = lm.free[:n-1]
+	} else {
+		e = new(lockEntry)
+	}
+	e.mode = mode
+	e.inline[0] = lockHolder{txn: txn, count: 1}
+	e.holders = e.inline[:1]
+	return e
+}
+
+func (lm *lockManager) granted(m *Manager, txn *Txn, name lockName, e *lockEntry) {
 	m.seg.lockAcquire.EmitRange(m.rec, 50, 95)
 	m.dataWrite(lockBucketAddr(name))
-	txn.locks = append(txn.locks, name)
+	txn.locks = append(txn.locks, heldLock{name: name, entry: e})
 	lm.acquires++
 }
 
@@ -120,24 +169,24 @@ func (lm *lockManager) conflict(m *Manager) {
 // subsequent ones run only its hot loop — modeling the i-cache-resident
 // release walk.
 func (lm *lockManager) releaseAll(m *Manager, txn *Txn) {
-	for i, name := range txn.locks {
+	for i, l := range txn.locks {
 		if i == 0 {
 			m.seg.lockRelease.EmitAll(m.rec)
 		} else {
 			m.seg.lockRelease.EmitRange(m.rec, 0, 12)
 		}
-		m.dataWrite(lockBucketAddr(name))
-		e, ok := lm.table[name]
-		if !ok {
-			panic(fmt.Sprintf("storage: releasing unknown lock %+v", name))
+		m.dataWrite(lockBucketAddr(l.name))
+		e := l.entry
+		h := e.holder(txn.id)
+		if h < 0 {
+			panic(fmt.Sprintf("storage: releasing lock %+v not held by txn %d", l.name, txn.id))
 		}
-		if n := e.holders[txn.id]; n > 1 {
-			e.holders[txn.id] = n - 1
-		} else {
-			delete(e.holders, txn.id)
+		if e.holders[h].count--; e.holders[h].count == 0 {
+			e.holders = slices.Delete(e.holders, h, h+1)
 		}
 		if len(e.holders) == 0 {
-			delete(lm.table, name)
+			delete(lm.table, l.name)
+			lm.free = append(lm.free, e)
 		}
 		lm.releases++
 	}
@@ -146,10 +195,9 @@ func (lm *lockManager) releaseAll(m *Manager, txn *Txn) {
 
 // heldBy reports whether txn holds a lock on (space, key).
 func (lm *lockManager) heldBy(txnID uint64, space uint32, key uint64) bool {
-	e, ok := lm.table[lockName{space: space, key: key}]
+	e, ok := lm.table[lockName{space: uint64(space), key: key}]
 	if !ok {
 		return false
 	}
-	_, holds := e.holders[txnID]
-	return holds
+	return e.holder(txnID) >= 0
 }

@@ -6,7 +6,7 @@ import "addict/internal/trace"
 // strict two-phase locking), and the last LSN written.
 type Txn struct {
 	id      uint64
-	locks   []lockName
+	locks   []heldLock
 	lastLSN uint64
 	done    bool
 }

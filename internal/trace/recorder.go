@@ -1,6 +1,9 @@
 package trace
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Recorder receives the memory events produced by an executing transaction.
 // The storage manager calls it from every instrumented routine; trace
@@ -17,6 +20,12 @@ type Recorder interface {
 	OpEnd(op OpType)
 	// Instr records the fetch of one 64-byte instruction block.
 	Instr(blockAddr uint64)
+	// InstrRange records the straight-line fetch of n consecutive
+	// instruction blocks starting at base. It must be equivalent to
+	// Instr(base + i*BlockSize) for i in [0, n); n <= 0 records nothing.
+	// Code-range emission (codemap.Segment) goes through it, so a recorder
+	// pays per range rather than per block where it can.
+	InstrRange(base uint64, n int)
 	// Data records a data access to the 64-byte block containing addr.
 	Data(addr uint64, write bool)
 }
@@ -24,8 +33,14 @@ type Recorder interface {
 // Buffer is a Recorder that accumulates events into Trace values.
 // It is not safe for concurrent use; trace generation is deterministic and
 // single-goroutine (DESIGN.md Section 2).
+//
+// The open transaction's events collect in one scratch slice that the
+// buffer reuses across transactions; TxnEnd copies them into the trace at
+// exact size, so a trace never holds append's capacity slack and the
+// scratch slice stops regrowing once it fits the longest transaction.
 type Buffer struct {
 	cur    *Trace
+	events []Event // the open transaction's events (reused scratch)
 	done   []*Trace
 	curOp  OpType
 	inTxn  bool
@@ -48,7 +63,7 @@ func (b *Buffer) TxnBegin(tt TxnType, name string) {
 	}
 	b.inTxn = true
 	b.cur = &Trace{Type: tt, TypeName: name}
-	b.cur.Events = append(b.cur.Events, Event{Kind: KindTxnBegin, Aux: uint16(tt)})
+	b.events = append(b.events[:0], Event{Kind: KindTxnBegin, Aux: uint16(tt)})
 }
 
 // TxnEnd implements Recorder.
@@ -61,7 +76,13 @@ func (b *Buffer) TxnEnd() {
 		b.violation("TxnEnd with open operation")
 		return
 	}
-	b.cur.Events = append(b.cur.Events, Event{Kind: KindTxnEnd})
+	b.events = append(b.events, Event{Kind: KindTxnEnd})
+	// Copy out at exact size. The make+copy pair over plain local names is
+	// the form the compiler fuses into one unzeroed allocation.
+	scratch := b.events
+	events := make([]Event, len(scratch))
+	copy(events, scratch)
+	b.cur.Events = events
 	b.done = append(b.done, b.cur)
 	b.cur = nil
 	b.inTxn = false
@@ -75,7 +96,7 @@ func (b *Buffer) OpBegin(op OpType) {
 	}
 	b.inOp = true
 	b.curOp = op
-	b.cur.Events = append(b.cur.Events, Event{Kind: KindOpBegin, Op: op})
+	b.events = append(b.events, Event{Kind: KindOpBegin, Op: op})
 }
 
 // OpEnd implements Recorder.
@@ -85,7 +106,7 @@ func (b *Buffer) OpEnd(op OpType) {
 		return
 	}
 	b.inOp = false
-	b.cur.Events = append(b.cur.Events, Event{Kind: KindOpEnd, Op: op})
+	b.events = append(b.events, Event{Kind: KindOpEnd, Op: op})
 }
 
 // Instr implements Recorder.
@@ -93,7 +114,21 @@ func (b *Buffer) Instr(blockAddr uint64) {
 	if !b.inTxn {
 		return // population and background work are not traced
 	}
-	b.cur.Events = append(b.cur.Events, Event{Kind: KindInstr, Addr: blockAddr &^ (BlockSize - 1)})
+	b.events = append(b.events, Event{Kind: KindInstr, Addr: blockAddr &^ (BlockSize - 1)})
+}
+
+// InstrRange implements Recorder: one capacity check, then the run.
+func (b *Buffer) InstrRange(base uint64, n int) {
+	if !b.inTxn || n <= 0 {
+		return
+	}
+	base &^= BlockSize - 1
+	start := len(b.events)
+	b.events = slices.Grow(b.events, n)[:start+n]
+	run := b.events[start:]
+	for i := range run {
+		run[i] = Event{Kind: KindInstr, Addr: base + uint64(i)*BlockSize}
+	}
 }
 
 // Data implements Recorder.
@@ -105,7 +140,7 @@ func (b *Buffer) Data(addr uint64, write bool) {
 	if write {
 		k = KindDataWrite
 	}
-	b.cur.Events = append(b.cur.Events, Event{Kind: k, Addr: addr &^ (BlockSize - 1)})
+	b.events = append(b.events, Event{Kind: k, Addr: addr &^ (BlockSize - 1)})
 }
 
 // Take returns the completed traces and resets the buffer's completed list.
@@ -143,6 +178,9 @@ func (Discard) OpEnd(OpType) {}
 
 // Instr implements Recorder.
 func (Discard) Instr(uint64) {}
+
+// InstrRange implements Recorder.
+func (Discard) InstrRange(uint64, int) {}
 
 // Data implements Recorder.
 func (Discard) Data(uint64, bool) {}

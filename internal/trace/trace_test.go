@@ -299,6 +299,7 @@ func TestDiscardIsNoop(t *testing.T) {
 	d.TxnBegin(0, "x")
 	d.OpBegin(OpIndexProbe)
 	d.Instr(0x1000)
+	d.InstrRange(0x1000, 8)
 	d.Data(0x2000, true)
 	d.OpEnd(OpIndexProbe)
 	d.TxnEnd()

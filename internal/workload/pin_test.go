@@ -1,0 +1,119 @@
+package workload_test
+
+import (
+	"context"
+	"fmt"
+	"testing"
+
+	"addict/internal/workload"
+	"addict/internal/workload/synth"
+)
+
+// The generated bytes are the reproduction's contract: profiles, goldens and
+// persisted trace windows all derive from them, and a store serves windows
+// an older build wrote, so no speed-up of the generation path (storage
+// manager, code map, trace recorder) may change a single event.
+// These constants were computed before the generation path was optimized
+// and must never be regenerated to make a change pass; a mismatch means the
+// change altered the traces or the storage manager's behaviour.
+
+const (
+	pinSeed      = 42
+	pinScale     = 0.05
+	pinShardSize = workload.DefaultShardSize
+	pinShards    = 2
+)
+
+// managerState is the end state of one shard's storage manager after its
+// warm-up and traced window.
+type managerState struct {
+	pages, logBytes               uint64
+	acquires, releases, conflicts uint64
+}
+
+func (s managerState) String() string {
+	return fmt.Sprintf("{%d, %d, %d, %d, %d}", s.pages, s.logBytes, s.acquires, s.releases, s.conflicts)
+}
+
+var pinned = []struct {
+	name   string
+	digest uint64
+	shards [pinShards]managerState
+}{
+	{"TPC-B", 0xc4ab4503f450c249, [pinShards]managerState{{236, 2008244, 11593, 11593, 0}, {236, 2008244, 11593, 11593, 0}}},
+	{"TPC-C", 0x64e787d4881e60eb, [pinShards]managerState{{493, 4912068, 19569, 19569, 0}, {491, 4843133, 18898, 18898, 0}}},
+	{"TPC-E", 0xd2076b3d30ada6fb, [pinShards]managerState{{186, 1404356, 8993, 8993, 0}, {186, 1409012, 8980, 8980, 0}}},
+	{"synth:zipf-hot-rw", 0x4435984c0aeacc4e, [pinShards]managerState{{428, 3494928, 18758, 18758, 0}, {428, 3483216, 18719, 18719, 0}}},
+	{"synth:uniform-ro", 0xc31131610abbccf4, [pinShards]managerState{{212, 1605312, 8120, 8120, 0}, {212, 1605312, 8085, 8085, 0}}},
+}
+
+// shardBuilder returns the per-shard constructor of the named workload's
+// sharded recipe (the build function the registry's GenerateSharded uses).
+func shardBuilder(t *testing.T, name string) func(shard int) *workload.Benchmark {
+	t.Helper()
+	if synth.IsName(name) {
+		spec, err := synth.ParseName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		build, err := synth.ShardBuilder(spec, pinSeed, pinScale, pinShardSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return build
+	}
+	build, err := workload.Builder(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return func(shard int) *workload.Benchmark {
+		return build(workload.ShardSeed(pinSeed, shard), pinScale)
+	}
+}
+
+// TestPinnedGenerationDigests freezes the trace-set digest and every
+// shard's storage-manager end state for the three TPC benchmarks and two
+// synthetic presets, two shards each. The digest is checked on both the
+// registry path every consumer uses and the explicit shard recipe whose
+// managers are inspected.
+func TestPinnedGenerationDigests(t *testing.T) {
+	n := pinShards * pinShardSize
+	for _, p := range pinned {
+		t.Run(p.name, func(t *testing.T) {
+			res, err := workload.Resolve(p.name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			set, err := res.GenerateSharded(context.Background(), pinSeed, pinScale, 0, n, pinShardSize, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := set.Digest(); got != p.digest {
+				t.Errorf("registry digest = %#x, want %#x", got, p.digest)
+			}
+
+			build := shardBuilder(t, p.name)
+			var benches [pinShards]*workload.Benchmark
+			recipe, err := workload.GenerateSetShardedWithCtx(context.Background(), func(shard int) *workload.Benchmark {
+				b := build(shard)
+				benches[shard] = b
+				return b
+			}, 0, n, pinShardSize, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := recipe.Digest(); got != p.digest {
+				t.Errorf("shard-recipe digest = %#x, want %#x", got, p.digest)
+			}
+			var got [pinShards]managerState
+			for s, b := range benches {
+				m := b.Manager()
+				got[s] = managerState{pages: m.PagesAllocated(), logBytes: m.LogBytes()}
+				got[s].acquires, got[s].releases, got[s].conflicts = m.LockStats()
+			}
+			if got != p.shards {
+				t.Errorf("manager end states = {%v, %v}, want {%v, %v}", got[0], got[1], p.shards[0], p.shards[1])
+			}
+		})
+	}
+}

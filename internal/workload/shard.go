@@ -17,9 +17,14 @@ import (
 // reported number byte-stable.
 
 // DefaultShardSize is the number of traces per generation shard. 256 keeps
-// the paper-faithful 1000-trace sets at 4-way generation parallelism while
-// amortizing the fixed per-shard cost (database population + ShardWarmup)
-// to roughly the warm-up's own size.
+// the paper-faithful 1000-trace sets at 4-way generation parallelism. It
+// does not amortize the fixed per-shard cost: database population
+// dominates every shard. At scale 0.5 on a 2-vCPU Xeon host
+// (BenchmarkPopulate*, BenchmarkShard), population takes ~70–230 ms, 12×
+// (TPC-C) to 60× (TPC-B) the ShardWarmup transactions' 3–10 ms, while
+// emitting the 256 traced transactions takes ~17–50 ms; population is
+// 65–90% of a shard. The size is part of the shard recipe, so changing it
+// changes the generated traces.
 const DefaultShardSize = 256
 
 // ShardWarmup is the number of untraced transactions every shard executes

@@ -529,6 +529,21 @@ func GenerateSetSharded(spec Spec, seed int64, scale float64, baseShard, n, shar
 // GenerateSetShardedCtx is GenerateSetSharded with cooperative cancellation
 // between shards (the same contract as workload.GenerateSetShardedWithCtx).
 func GenerateSetShardedCtx(ctx context.Context, spec Spec, seed int64, scale float64, baseShard, n, shardSize, workers int) (*trace.Set, error) {
+	build, err := ShardBuilder(spec, seed, scale, shardSize)
+	if err != nil {
+		return nil, err
+	}
+	return workload.GenerateSetShardedWithCtx(ctx, build, baseShard, n, shardSize, workers)
+}
+
+// ShardBuilder validates spec and returns the per-shard constructor of its
+// sharded recipe — the build argument GenerateSetShardedCtx hands to
+// workload.GenerateSetShardedWithCtx. Shard s gets seed ShardSeed(seed, s)
+// and starts its global stream position at s*shardSize - ShardWarmup, so
+// its traced window lines up with the phase schedule.
+//
+// shardSize <= 0 selects workload.DefaultShardSize.
+func ShardBuilder(spec Spec, seed int64, scale float64, shardSize int) (func(shard int) *workload.Benchmark, error) {
 	spec = spec.withDefaults()
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -536,7 +551,7 @@ func GenerateSetShardedCtx(ctx context.Context, spec Spec, seed int64, scale flo
 	if shardSize <= 0 {
 		shardSize = workload.DefaultShardSize
 	}
-	return workload.GenerateSetShardedWithCtx(ctx, func(shard int) *workload.Benchmark {
+	return func(shard int) *workload.Benchmark {
 		start := int64(shard)*int64(shardSize) - workload.ShardWarmup
 		b, err := newBench(spec, workload.ShardSeed(seed, shard), scale, start)
 		if err != nil {
@@ -545,5 +560,5 @@ func GenerateSetShardedCtx(ctx context.Context, spec Spec, seed int64, scale flo
 			panic(err)
 		}
 		return b
-	}, baseShard, n, shardSize, workers)
+	}, nil
 }
