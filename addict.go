@@ -26,34 +26,35 @@
 // Engine method is context-first and cancellable between work items —
 // generation shards, sweep units, bench cells, experiment sections — so a
 // Ctrl-C (via signal.NotifyContext, as all four cmds wire it) unwinds a
-// pipeline promptly with a clean partial result. The v1 free functions
-// remain as deprecated wrappers, each building a throwaway session per
-// call; DESIGN.md §8 has the v1→v2 migration table.
+// pipeline promptly with a clean partial result. Each operation has one
+// entry point; DESIGN.md §8 maps the free functions removed from earlier
+// versions to their Engine replacements.
 //
 // # Parallel experiment engine
 //
-// The evaluation harness runs either serially (RunAllExperiments) or on a
-// bounded worker pool (RunAllExperimentsParallel); the two produce
-// byte-identical reports. The determinism guarantee rests on three legs:
-// trace generation is sharded — an N-trace request splits into fixed-size
-// shards, each produced by an independent benchmark instance seeded from
-// (seed, shard) by a splittable PRNG, so the merged set never depends on
-// the worker count; shared artifacts (trace sets, profiles, replay
-// results) are single-flight memoized in a concurrency-safe workbench; and
-// the simulator itself is a deterministic discrete-event engine with a
-// total (time, thread-ID) order. ScheduleAll replays a trace set under the
-// paper's four mechanisms concurrently, and GenerateTracesSharded exposes the
-// worker-count-independent trace generator; cmd/addict-bench drives the
-// pool via its -parallel flag.
+// Engine.Experiments runs the evaluation harness either serially (one
+// worker) or on a bounded worker pool; the two produce byte-identical
+// reports. The determinism guarantee rests on three legs: trace generation
+// is sharded — an N-trace request splits into fixed-size shards, each
+// produced by an independent benchmark instance seeded from (seed, shard)
+// by a splittable PRNG, so the merged set never depends on the worker
+// count; shared artifacts (trace sets, profiles, replay results) are
+// single-flight memoized in a concurrency-safe workbench; and the
+// simulator itself is a deterministic discrete-event engine with a total
+// (time, thread-ID) order. Engine.ScheduleAll and Engine.ScheduleSet
+// replay under the paper's four mechanisms concurrently, and
+// Engine.GenerateTraces exposes the worker-count-independent trace
+// generator; cmd/addict-bench drives the pool via its -parallel flag.
 //
 // # Parameter sweeps
 //
-// RunSweep executes a declarative sensitivity grid (SweepSpec) — axes over
-// machine parameters, workloads, mechanisms, thread counts, and admission
-// limits — on the same pool with the same byte-identity guarantee,
-// streaming results as an aligned table, CSV, or JSON lines. The figure
-// pipeline and the sweep pipeline share one execution path (the figure
-// runners are presets over sweep units); cmd/addict-sweep is the CLI.
+// Engine.Sweep executes a declarative sensitivity grid (SweepSpec) — axes
+// over machine parameters, workloads, mechanisms, thread counts, and
+// admission limits — on the same pool with the same byte-identity
+// guarantee, streaming results as an aligned table, CSV, or JSON lines.
+// The figure pipeline and the sweep pipeline share one execution path (the
+// figure runners are presets over sweep units); cmd/addict-sweep is the
+// CLI.
 //
 // # Synthetic workloads
 //
@@ -66,14 +67,13 @@
 // ("synth:<preset>[+z<theta>][+w<frac>][+h<keys>]", see
 // ParseSynthWorkload) in sweep grids, bench configs, and cmd/tracegen
 // -synth; generation is sharded and byte-identical for every worker count
-// (GenerateSynthTracesSharded), phase schedules included.
+// (Engine.SynthTraces), phase schedules included.
 //
 // See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 // paper-versus-measured record of every table and figure.
 package addict
 
 import (
-	"context"
 	"io"
 	"sort"
 
@@ -129,7 +129,7 @@ const (
 )
 
 // Mechanisms lists the paper's four mechanisms in its presentation order —
-// the figure experiments' evaluation axis (and ScheduleAll's).
+// the figure experiments' evaluation axis (and Engine.ScheduleAll's).
 var Mechanisms = sched.Mechanisms
 
 // AllMechanisms lists every implemented mechanism family: the paper's four
@@ -259,39 +259,8 @@ func SynthBenchmark(spec SynthSpec, seed int64, scale float64) (*Workload, error
 	return synth.New(spec, seed, scale)
 }
 
-// GenerateSynthTracesSharded generates n traces of a synthetic workload as
-// independent warm-started shards on up to `workers` goroutines (workers
-// < 1 selects runtime.GOMAXPROCS(0)). The result is byte-identical for
-// every worker count — the same contract as GenerateTracesSharded, with
-// phase schedules following the absolute trace index so multi-phase specs
-// shard deterministically too.
-//
-// Deprecated: use Engine.SynthTraces, which adds cancellation and session
-// artifact reuse. This wrapper builds a throwaway session per call.
-func GenerateSynthTracesSharded(spec SynthSpec, seed int64, scale float64, n, workers int) (*TraceSet, error) {
-	e := NewEngine(WithSeed(seed), WithScale(scale), WithWorkers(workers))
-	return e.SynthTraces(context.Background(), spec, n)
-}
-
 // GenerateTraces collects n transaction traces from the workload.
 func GenerateTraces(w *Workload, n int) *TraceSet { return workload.GenerateSet(w, n) }
-
-// GenerateTracesSharded generates n traces of a registry workload name
-// ("TPC-B", "TPC-C", "TPC-E", or an encoded "synth:" name) as independent
-// warm-started shards on up to `workers` goroutines (workers < 1 selects
-// runtime.GOMAXPROCS(0), like every parallel entry point of this package).
-// The result is byte-identical for every worker count: shard s is seeded
-// deterministically from (seed, s) by a splittable PRNG and populates its
-// own database, so shards neither share state nor depend on completion
-// order.
-//
-// Deprecated: use Engine.GenerateTraces, which adds cancellation and
-// session artifact reuse. This wrapper builds a throwaway session per
-// call.
-func GenerateTracesSharded(name string, seed int64, scale float64, n, workers int) (*TraceSet, error) {
-	e := NewEngine(WithSeed(seed), WithScale(scale), WithWorkers(workers))
-	return e.GenerateTraces(context.Background(), name, n)
-}
 
 // StreamTraces generates n traces one at a time without retaining them —
 // the memory-bounded path for large stability runs.
@@ -335,21 +304,6 @@ func Schedule(mech Mechanism, s *TraceSet, opts Options) (Result, error) {
 	return sched.Run(mech, s, cfg)
 }
 
-// ScheduleAll replays a trace set under every mechanism (Baseline, STREX,
-// SLICC, ADDICT) concurrently on up to `workers` goroutines (workers < 1
-// selects runtime.GOMAXPROCS(0)) and returns the per-mechanism results.
-// Each replay builds its own simulated machine and scheduler state over
-// the shared read-only trace set and profile, so the results are identical
-// to four serial Schedule calls. Options.Profile is required (ADDICT needs
-// its migration points).
-//
-// Deprecated: use Engine.ScheduleSet (for caller-supplied sets) or
-// Engine.ScheduleAll (for session-cached workload windows), which add
-// cancellation. This wrapper builds a throwaway session per call.
-func ScheduleAll(s *TraceSet, opts Options, workers int) (map[Mechanism]Result, error) {
-	return NewEngine(WithWorkers(workers)).ScheduleSet(context.Background(), s, opts)
-}
-
 // AnalyzePower computes the activity-based power report of a run.
 func AnalyzePower(r Result) PowerReport { return power.Analyze(r, power.DefaultWeights()) }
 
@@ -360,69 +314,9 @@ func DefaultExperimentParams() ExperimentParams { return exp.DefaultParams() }
 // QuickExperimentParams returns a reduced setup for fast runs.
 func QuickExperimentParams() ExperimentParams { return exp.QuickParams() }
 
-// NewEngineFromParams translates an explicit evaluation-parameter struct
-// into a session — the bridge for callers that already hold an
-// ExperimentParams (the cmds, the deprecated experiment wrappers). Every
-// field is taken verbatim — including a zero StabilityTraces, which
-// WithTraceWindows would otherwise default — so the session reproduces
-// the parameter struct's v1 behavior exactly. Extra options (WithStore,
-// WithProgress, ...) apply after the parameter translation.
-func NewEngineFromParams(p ExperimentParams, workers int, opts ...EngineOption) *Engine {
-	e := NewEngine(append([]EngineOption{
-		WithSeed(p.Seed), WithScale(p.Scale),
-		WithTraceWindows(p.ProfileTraces, p.EvalTraces, p.StabilityTraces),
-		WithMachine(p.Machine), WithWorkers(workers)}, opts...)...)
-	e.stabilityTraces = p.StabilityTraces
-	return e
-}
-
-// RunAllExperiments regenerates every table and figure of the paper's
-// evaluation serially, writing the report to out.
-//
-// Deprecated: use Engine.Experiments, which adds cancellation and session
-// artifact reuse. This wrapper builds a throwaway single-worker session
-// per call; the output is byte-identical.
-func RunAllExperiments(out io.Writer, p ExperimentParams) {
-	_ = NewEngineFromParams(p, 1).Experiments(context.Background(), out)
-}
-
-// RunAllExperimentsParallel regenerates the full report on a bounded worker
-// pool (workers < 1 selects runtime.GOMAXPROCS(0)). The output is
-// byte-identical to RunAllExperiments: independent experiment units run
-// concurrently, each renderer buffers its output, and the buffers are
-// emitted in the serial presentation order.
-//
-// Deprecated: use Engine.Experiments. This wrapper builds a throwaway
-// session per call.
-func RunAllExperimentsParallel(out io.Writer, p ExperimentParams, workers int) {
-	_ = NewEngineFromParams(p, workers).Experiments(context.Background(), out)
-}
-
-// RunExperiment runs a single experiment by id ("table1", "fig1" ...
-// "fig9", "ablations", "synthchar") serially.
-//
-// Deprecated: use Engine.Experiments with an explicit id list. This
-// wrapper builds a throwaway single-worker session per call.
-func RunExperiment(id string, out io.Writer, p ExperimentParams) error {
-	return NewEngineFromParams(p, 1).Experiments(context.Background(), out, id)
-}
-
-// RunExperimentParallel runs a single experiment by id with up to `workers`
-// goroutines of generation/replay parallelism (workers < 1 selects
-// runtime.GOMAXPROCS(0)). Output is identical to the serial run.
-//
-// Deprecated: use Engine.Experiments with an explicit id list. This
-// wrapper builds a throwaway session per call.
-func RunExperimentParallel(id string, out io.Writer, p ExperimentParams, workers int) error {
-	return NewEngineFromParams(p, workers).Experiments(context.Background(), out, id)
-}
-
 // ExperimentIDs lists the available experiment ids, sorted.
 func ExperimentIDs() []string {
-	ids := make([]string, 0, len(exp.Experiments))
-	for id := range exp.Experiments {
-		ids = append(ids, id)
-	}
+	ids := exp.IDs()
 	sort.Strings(ids)
 	return ids
 }
@@ -455,19 +349,6 @@ func MeasureSweepMetrics(r Result) SweepMetrics { return sweep.Measure(r) }
 // reject unknown names before admitting a run.
 func ValidateWorkload(name string) error { return workload.Validate(name) }
 
-// RunSweep expands the spec into experiment units, executes them on up to
-// `workers` goroutines (workers < 1 selects runtime.GOMAXPROCS(0)), and
-// streams results to out in the given format, in grid-expansion order. The
-// output is byte-identical for every worker count — the same determinism
-// contract as the figure pipeline, which shares this execution path.
-//
-// Deprecated: use Engine.Sweep, which adds cancellation and session
-// artifact reuse across repeated sweeps. This wrapper builds a throwaway
-// session per call.
-func RunSweep(out io.Writer, spec SweepSpec, format string, workers int) error {
-	return NewEngine(WithWorkers(workers)).Sweep(context.Background(), out, spec, format)
-}
-
 // ExpandSweep resolves a sweep grid into its units without running them —
 // for previewing unit counts and IDs before committing to a long sweep.
 func ExpandSweep(spec SweepSpec) ([]SweepUnit, error) { return spec.Expand() }
@@ -489,16 +370,6 @@ type BenchFile = bench.File
 
 // DefaultBenchConfig returns the standard benchmark-harness setup.
 func DefaultBenchConfig() BenchConfig { return bench.DefaultConfig() }
-
-// RunBench executes the replay-core benchmark harness, streaming one
-// progress line per cell to progress when non-nil.
-//
-// Deprecated: use Engine.Bench (with WithProgress for the per-cell
-// lines), which adds cancellation and session artifact reuse. This
-// wrapper builds a throwaway session per call.
-func RunBench(cfg BenchConfig, progress io.Writer) (*BenchReport, error) {
-	return NewEngine(WithProgress(progress)).Bench(context.Background(), cfg)
-}
 
 // BenchGateConfig scopes a bench regression gate: a per-cell budget on
 // machine-independent normalized ratios (the primary check) and an

@@ -128,7 +128,7 @@ func TestGenerateTracesShardedWorkerIndependent(t *testing.T) {
 // under `go test -race`.
 func TestConcurrentWorkbenchAndSchedule(t *testing.T) {
 	p := exp.Params{Seed: 5, Scale: 0.05, ProfileTraces: 50, EvalTraces: 50, StabilityTraces: 60, Machine: sim.Shallow()}
-	wb := exp.NewParallelWorkbench(p, 4)
+	wb := exp.NewWorkbench(context.Background(), p, 4)
 
 	w := addict.NewTPCE(7, 0.05)
 	profSet := addict.GenerateTraces(w, 50)

@@ -35,7 +35,7 @@ var sharedBench *exp.Workbench
 func bench(b *testing.B) *exp.Workbench {
 	b.Helper()
 	if sharedBench == nil {
-		sharedBench = exp.NewWorkbench(benchParams())
+		sharedBench = exp.NewWorkbench(context.Background(), benchParams(), 1)
 	}
 	return sharedBench
 }
@@ -175,7 +175,9 @@ func BenchmarkAblations(b *testing.B) {
 func BenchmarkRunAllSerial(b *testing.B) {
 	p := benchParams()
 	for i := 0; i < b.N; i++ {
-		exp.RunAll(io.Discard, p)
+		if err := exp.Run(context.Background(), io.Discard, p, 1, nil); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -191,7 +193,9 @@ func BenchmarkRunAllParallel(b *testing.B) {
 	p := benchParams()
 	workers := runtime.GOMAXPROCS(0)
 	for i := 0; i < b.N; i++ {
-		exp.RunAllParallel(io.Discard, p, workers)
+		if err := exp.Run(context.Background(), io.Discard, p, workers, nil); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -151,11 +151,15 @@ func main() {
 		p.Seed = *seed
 	}
 
-	var engOpts []addict.EngineOption
+	engOpts := []addict.EngineOption{
+		addict.WithSeed(p.Seed), addict.WithScale(p.Scale),
+		addict.WithTraceWindows(p.ProfileTraces, p.EvalTraces, p.StabilityTraces),
+		addict.WithMachine(p.Machine), addict.WithWorkers(*parallel),
+	}
 	if *storeDir != "" {
 		engOpts = append(engOpts, addict.WithStore(*storeDir, *storeBudget))
 	}
-	eng := addict.NewEngineFromParams(p, *parallel, engOpts...)
+	eng := addict.NewEngine(engOpts...)
 	if err := eng.StoreErr(); err != nil {
 		fmt.Fprintln(os.Stderr, "addict-bench:", err)
 		os.Exit(1)

@@ -60,7 +60,9 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	eng := addict.NewEngineFromParams(p, 1)
+	eng := addict.NewEngine(addict.WithSeed(p.Seed), addict.WithScale(p.Scale),
+		addict.WithTraceWindows(p.ProfileTraces, p.EvalTraces, p.StabilityTraces),
+		addict.WithMachine(p.Machine), addict.WithWorkers(1))
 	if err := eng.Experiments(ctx, out, ids...); err != nil {
 		if ctx.Err() != nil {
 			out.Flush()

@@ -274,7 +274,7 @@ func (e *Engine) GenerateTraces(ctx context.Context, workloadName string, n int)
 // same shard recipe as GenerateTraces (phase schedules follow the absolute
 // trace index, so multi-phase specs shard deterministically too).
 func (e *Engine) SynthTraces(ctx context.Context, spec SynthSpec, n int) (*TraceSet, error) {
-	return synth.GenerateSetShardedCtx(ctx, spec, e.seed, e.scale, 0, n, workload.DefaultShardSize, e.workers)
+	return synth.GenerateSetSharded(ctx, spec, e.seed, e.scale, 0, n, workload.DefaultShardSize, e.workers)
 }
 
 // Sweep expands a declarative grid and executes it on the session workers,
@@ -291,7 +291,7 @@ func (e *Engine) Sweep(ctx context.Context, out io.Writer, spec SweepSpec, forma
 	}
 	e.inheritBase(&spec.Seed, &spec.Scale, &spec.ProfileTraces, &spec.EvalTraces)
 	arts := e.artifactsFor(spec.Seed, spec.Scale, spec.ProfileTraces, spec.EvalTraces)
-	return sweep.RunWith(ctx, spec, em, e.workers, arts)
+	return sweep.Run(ctx, spec, em, e.workers, arts)
 }
 
 // artifactsFor picks the artifact cache for a run with the given resolved
@@ -361,7 +361,7 @@ func (e *Engine) BenchProgress(ctx context.Context, cfg BenchConfig, progress io
 		resolved.Workers = e.workers
 	}
 	arts := e.artifactsFor(resolved.Seed, resolved.Scale, resolved.ProfileTraces, resolved.EvalTraces)
-	return bench.RunWith(ctx, resolved, progress, arts)
+	return bench.Run(ctx, resolved, progress, arts)
 }
 
 // GateBench runs the benchmark harness on the session (see Bench) and
@@ -398,17 +398,9 @@ func (e *Engine) GateBench(ctx context.Context, cfg BenchConfig, baseline *Bench
 // renders the full report (every table and figure, byte-identical for
 // every worker count); with ids it runs those experiments in the given
 // order ("table1", "fig1" ... "fig9", "ablations", "synthchar" — see
-// ExperimentIDs). Cancellation stops the run between experiment units and
-// leaves a clean partial report.
+// ExperimentIDs). An unknown id is an error before anything is written.
+// Cancellation stops the run between experiment units and leaves a clean
+// partial report.
 func (e *Engine) Experiments(ctx context.Context, out io.Writer, ids ...string) error {
-	p := e.ExperimentParams()
-	if len(ids) == 0 {
-		return exp.RunAllParallelWith(ctx, out, p, e.workers, e.wb)
-	}
-	for _, id := range ids {
-		if err := exp.RunExperimentWith(ctx, id, out, p, e.wb); err != nil {
-			return err
-		}
-	}
-	return nil
+	return exp.Run(ctx, out, e.ExperimentParams(), e.workers, e.wb, ids...)
 }

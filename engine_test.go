@@ -1,14 +1,9 @@
 package addict
 
-// Internal test file (package addict, not addict_test): the differential
-// tests below deliberately exercise the deprecated v1 wrappers, which
-// in-package use keeps out of SA1019's scope.
-
 import (
 	"bytes"
 	"context"
 	"sort"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -35,73 +30,72 @@ func TestExperimentIDsSorted(t *testing.T) {
 	}
 }
 
-// TestEngineMatchesDeprecatedSweep: the deprecated RunSweep wrapper, the
-// pre-session execution path (sweep.Run), and Engine.Sweep must emit
-// byte-identical tables for the same grid.
-func TestEngineMatchesDeprecatedSweep(t *testing.T) {
+// TestEngineSweepMatchesSweepRun: the session-free execution path
+// (sweep.Run with a nil cache) and Engine.Sweep must emit byte-identical
+// output for the same grid.
+func TestEngineSweepMatchesSweepRun(t *testing.T) {
 	spec := SweepSpec{
 		Seed: 7, Scale: 0.05, ProfileTraces: 40, EvalTraces: 40,
 		Workloads:  []string{"TPC-B"},
 		Mechanisms: []string{"Baseline", "ADDICT"},
 		Threads:    []int{2, 4},
 	}
+	ctx := context.Background()
 	for _, format := range []string{"table", "csv", "jsonl"} {
-		var v1, v1direct, v2 bytes.Buffer
-		if err := RunSweep(&v1, spec, format, 2); err != nil {
-			t.Fatal(err)
-		}
-		em, err := sweep.NewEmitter(format, &v1direct)
+		var direct, session bytes.Buffer
+		em, err := sweep.NewEmitter(format, &direct)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := sweep.Run(spec, em, 2); err != nil {
+		if err := sweep.Run(ctx, spec, em, 2, nil); err != nil {
 			t.Fatal(err)
 		}
-		if err := NewEngine(WithWorkers(2)).Sweep(context.Background(), &v2, spec, format); err != nil {
+		if err := NewEngine(WithWorkers(2)).Sweep(ctx, &session, spec, format); err != nil {
 			t.Fatal(err)
 		}
-		if v1.Len() == 0 {
+		if direct.Len() == 0 {
 			t.Fatalf("%s: empty sweep output", format)
 		}
-		if !bytes.Equal(v1.Bytes(), v2.Bytes()) {
-			t.Errorf("%s: deprecated RunSweep and Engine.Sweep diverge", format)
-		}
-		if !bytes.Equal(v1direct.Bytes(), v2.Bytes()) {
-			t.Errorf("%s: pre-session sweep.Run and Engine.Sweep diverge", format)
+		if !bytes.Equal(direct.Bytes(), session.Bytes()) {
+			t.Errorf("%s: sweep.Run and Engine.Sweep diverge", format)
 		}
 	}
 }
 
-// TestEngineMatchesDeprecatedExperiments: the deprecated experiment
-// wrappers and Engine.Experiments must render byte-identical reports —
+// TestEngineExperimentsWorkerIndependent: Engine.Experiments must render
+// byte-identical output on one worker (the in-order loop) and on a pool —
 // single experiments and the full report alike.
-func TestEngineMatchesDeprecatedExperiments(t *testing.T) {
-	e := tinyEngine(2)
-	p := e.ExperimentParams()
+func TestEngineExperimentsWorkerIndependent(t *testing.T) {
 	ctx := context.Background()
+	for _, ids := range [][]string{{"fig1"}, nil} {
+		var serial, pooled bytes.Buffer
+		if err := tinyEngine(1).Experiments(ctx, &serial, ids...); err != nil {
+			t.Fatal(err)
+		}
+		if err := tinyEngine(4).Experiments(ctx, &pooled, ids...); err != nil {
+			t.Fatal(err)
+		}
+		if serial.Len() == 0 {
+			t.Fatalf("%v: empty report", ids)
+		}
+		if !bytes.Equal(serial.Bytes(), pooled.Bytes()) {
+			t.Errorf("%v: 1-worker and 4-worker reports diverge", ids)
+		}
+	}
+}
 
-	var v1 bytes.Buffer
-	if err := RunExperimentParallel("fig1", &v1, p, 2); err != nil {
-		t.Fatal(err)
-	}
-	var v2 bytes.Buffer
-	if err := e.Experiments(ctx, &v2, "fig1"); err != nil {
-		t.Fatal(err)
-	}
-	if v1.Len() == 0 || !bytes.Equal(v1.Bytes(), v2.Bytes()) {
-		t.Error("deprecated RunExperimentParallel and Engine.Experiments diverge on fig1")
-	}
-
-	var full1, full2 bytes.Buffer
-	RunAllExperiments(&full1, p)
-	if err := tinyEngine(4).Experiments(ctx, &full2); err != nil {
-		t.Fatal(err)
-	}
-	if full1.Len() == 0 {
-		t.Fatal("deprecated full report is empty")
-	}
-	if !bytes.Equal(full1.Bytes(), full2.Bytes()) {
-		t.Error("deprecated RunAllExperiments and Engine.Experiments diverge on the full report")
+// TestEngineExperimentsRejectUnknownIDs: an unknown id anywhere in the
+// list is an error before any experiment renders.
+func TestEngineExperimentsRejectUnknownIDs(t *testing.T) {
+	e := tinyEngine(2)
+	for _, ids := range [][]string{{"fig99"}, {"table1", "fig99"}, {"fig99", "table1"}, {"table1", "fig1", "nope"}} {
+		var buf bytes.Buffer
+		if err := e.Experiments(context.Background(), &buf, ids...); err == nil {
+			t.Errorf("%v: unknown experiment accepted", ids)
+		}
+		if buf.Len() != 0 {
+			t.Errorf("%v: wrote %d bytes before rejecting the unknown id", ids, buf.Len())
+		}
 	}
 }
 
@@ -372,46 +366,5 @@ func TestEngineGateBench(t *testing.T) {
 	// ... and the resulting report is not comparable to the seed-5 one.
 	if _, _, err := e.GateBench(ctx, cfg, rep0, BenchGateConfig{MaxCellRegress: 0.9}); err == nil {
 		t.Error("mismatched-seed baseline accepted")
-	}
-}
-
-// TestDeprecatedWrappersStillServe keeps the v1 surface alive end to end:
-// each wrapper must produce the same artifacts as its Engine counterpart.
-func TestDeprecatedWrappersStillServe(t *testing.T) {
-	ctx := context.Background()
-	v1, err := GenerateTracesSharded("TPC-B", 5, 0.05, 30, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v2, err := NewEngine(WithSeed(5), WithScale(0.05), WithWorkers(2)).GenerateTraces(ctx, "TPC-B", 30)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v1.Digest() != v2.Digest() {
-		t.Error("GenerateTracesSharded diverges from Engine.GenerateTraces")
-	}
-
-	spec, err := ParseSynthWorkload("synth:uniform-ro")
-	if err != nil {
-		t.Fatal(err)
-	}
-	s1, err := GenerateSynthTracesSharded(spec, 5, 0.02, 20, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2, err := NewEngine(WithSeed(5), WithScale(0.02), WithWorkers(2)).SynthTraces(ctx, spec, 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s1.Digest() != s2.Digest() {
-		t.Error("GenerateSynthTracesSharded diverges from Engine.SynthTraces")
-	}
-
-	var sb strings.Builder
-	if err := RunExperiment("table1", &sb, QuickExperimentParams()); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "Table 1") {
-		t.Error("RunExperiment(table1) output missing header")
 	}
 }

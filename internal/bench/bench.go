@@ -174,27 +174,19 @@ var knownSchemas = map[string]bool{
 // Run executes the harness and returns the report. Progress lines go to
 // progress when non-nil (one per cell; measurement noise is easier to
 // diagnose when the slow cell is visible).
-func Run(cfg Config, progress io.Writer) (*Report, error) {
-	return RunCtx(context.Background(), cfg, progress)
-}
-
-// RunCtx is Run with cooperative cancellation: the harness stops between
-// trace-generation shards and between measurement cells once ctx is
-// cancelled, and returns ctx's error instead of a partial report (a
-// partial report would not be comparable to any BENCH_*.json trajectory
-// point).
-func RunCtx(ctx context.Context, cfg Config, progress io.Writer) (*Report, error) {
-	return RunWith(ctx, cfg, progress, nil)
-}
-
-// RunWith is RunCtx over a caller-supplied artifact cache (nil builds a
-// fresh one from the config) — the hook a long-lived session uses to share
-// generated traces and profiles with the harness. A cache whose base
-// parameters do not Match the resolved config is ignored (a fresh one is
-// built), so the report's metadata always describes the artifacts it was
-// measured on; measurement itself is unaffected (cells are strictly serial
-// either way).
-func RunWith(ctx context.Context, cfg Config, progress io.Writer, arts *sweep.Artifacts) (*Report, error) {
+//
+// The harness stops between trace-generation shards and between
+// measurement cells once ctx is cancelled, and returns ctx's error instead
+// of a partial report (a partial report would not be comparable to any
+// BENCH_*.json trajectory point).
+//
+// arts is the artifact cache to generate over; nil builds a fresh one from
+// the config. A long-lived session passes its own to share generated
+// traces and profiles with the harness. A cache whose base parameters do
+// not Match the resolved config is ignored (a fresh one is built), so the
+// report's metadata always describes the artifacts it was measured on;
+// measurement itself is unaffected (cells are strictly serial either way).
+func Run(ctx context.Context, cfg Config, progress io.Writer, arts *sweep.Artifacts) (*Report, error) {
 	cfg = withDefaults(cfg)
 	for _, name := range cfg.Workloads {
 		if err := sweep.ValidateWorkloadName(name); err != nil {

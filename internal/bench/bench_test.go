@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"testing"
 
@@ -79,7 +80,7 @@ func TestRunProducesReport(t *testing.T) {
 	cfg.EvalTraces = 20
 	cfg.MinRuns = 1
 	cfg.MinDuration = 1
-	rep, err := Run(cfg, nil)
+	rep, err := Run(context.Background(), cfg, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +169,7 @@ func TestRunAcceptsSynthWorkloads(t *testing.T) {
 	cfg.EvalTraces = 20
 	cfg.MinRuns = 1
 	cfg.MinDuration = 1
-	rep, err := Run(cfg, nil)
+	rep, err := Run(context.Background(), cfg, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +183,7 @@ func TestRunAcceptsSynthWorkloads(t *testing.T) {
 	}
 
 	cfg.Workloads = []string{"synth:no-such-preset"}
-	if _, err := Run(cfg, nil); err == nil {
+	if _, err := Run(context.Background(), cfg, nil, nil); err == nil {
 		t.Error("unknown synth workload accepted")
 	}
 }

@@ -221,7 +221,7 @@ func (c *Coordinator) Handler() http.Handler {
 }
 
 // Run merges worker results into the emitter in expansion order — the
-// exact loop sweep.RunWith uses, waiting on each unit's done channel in
+// exact loop sweep.Run uses, waiting on each unit's done channel in
 // grid order — so the merged output is byte-identical to a single-process
 // run of the same spec. It returns when every unit has been emitted, the
 // run aborts (retry budget exhausted, emitter failure), or ctx is

@@ -44,7 +44,7 @@ func serialBytes(t *testing.T, spec sweep.Spec, format string) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sweep.RunCtx(context.Background(), spec, em, 2); err != nil {
+	if err := sweep.Run(context.Background(), spec, em, 2, nil); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()

@@ -4,11 +4,12 @@
 // rows/series the paper reports, normalized over Baseline where the paper
 // normalizes.
 //
-// The evaluation runs either serially (RunAll) or on a bounded worker pool
-// (RunAllParallel); both produce byte-identical reports. Shared artifacts
-// live in a Workbench that is safe for concurrent use: every artifact is
-// memoized with single-flight semantics, so concurrent experiments block on
-// the first computation instead of duplicating it.
+// One ordered section table defines the report; Run renders it either as a
+// plain in-order loop (one worker) or on a bounded worker pool, and both
+// produce byte-identical reports. Shared artifacts live in a Workbench that
+// is safe for concurrent use: every artifact is memoized with single-flight
+// semantics, so concurrent experiments block on the first computation
+// instead of duplicating it.
 //
 // Every replay routes through the sweep execution path (internal/sweep):
 // a figure's per-(workload, mechanism) point is the default-load sweep
@@ -83,9 +84,8 @@ var Workloads = []string{"TPC-B", "TPC-C", "TPC-E"}
 // computed once (single-flight) no matter how many experiments request
 // them concurrently, with content independent of order, interleaving, and
 // worker count. The figure runners consume artifacts as plain values; on a
-// context-cancelled run the accessors unwind with an internal panic the
-// experiment entry points (RunAllCtx, RunAllParallelCtx, Experiments)
-// recover into an ordinary error, so a cancelled run renders nothing
+// context-cancelled run the accessors unwind with an internal panic Run
+// recovers into an ordinary error, so a cancelled run renders nothing
 // half-computed.
 type Workbench struct {
 	P      Params
@@ -95,30 +95,20 @@ type Workbench struct {
 	wb  *sweep.Workbench
 }
 
-// NewWorkbench prepares an empty workbench with serial trace generation.
-func NewWorkbench(p Params) *Workbench {
-	return NewWorkbenchCtx(context.Background(), p, 1)
-}
-
-// NewParallelWorkbench prepares an empty workbench whose trace generation
-// may use up to `workers` goroutines. Artifact content is identical for
-// every workers value (see workload.GenerateSetSharded).
-func NewParallelWorkbench(p Params, workers int) *Workbench {
-	return NewWorkbenchCtx(context.Background(), p, workers)
-}
-
-// NewWorkbenchCtx prepares a workbench whose artifact computations abort
-// between work items once ctx is cancelled.
-func NewWorkbenchCtx(ctx context.Context, p Params, workers int) *Workbench {
+// NewWorkbench prepares an empty workbench whose trace generation may use
+// up to `workers` goroutines (artifact content is identical for every
+// workers value) and whose artifact computations abort between work items
+// once ctx is cancelled.
+func NewWorkbench(ctx context.Context, p Params, workers int) *Workbench {
 	arts := sweep.NewArtifacts(p.Seed, p.Scale, p.ProfileTraces, p.EvalTraces, workers)
 	return NewWorkbenchOn(ctx, p, sweep.NewWorkbench(arts, p.Machine))
 }
 
 // NewWorkbenchOn wraps an existing session cache (sweep.Workbench) as an
-// experiment workbench — the hook the facade's Engine uses to run
-// experiments over the same artifacts its Schedule/Sweep/Bench calls
-// already computed. The caller must pass a cache built over exactly p's
-// seed, scale, trace windows, and machine.
+// experiment workbench — the hook Run uses to render experiments over the
+// same artifacts a session's Schedule/Sweep/Bench calls already computed.
+// The caller must pass a cache built over exactly p's seed, scale, trace
+// windows, and machine.
 func NewWorkbenchOn(ctx context.Context, p Params, wb *sweep.Workbench) *Workbench {
 	return &Workbench{
 		P:      p,
@@ -129,11 +119,11 @@ func NewWorkbenchOn(ctx context.Context, p Params, wb *sweep.Workbench) *Workben
 }
 
 // cancelPanic carries a context cancellation out of the value-oriented
-// figure runners; the experiment entry points recover it into an error.
+// figure runners; Run recovers it into an error.
 type cancelPanic struct{ err error }
 
-// take unwraps an artifact result: cancellation panics (recovered by the
-// entry points), any other error is a programming error and crashes —
+// take unwraps an artifact result: cancellation panics (recovered by Run),
+// any other error is a programming error and crashes —
 // matching the engine's fail-fast philosophy.
 func take[T any](w *Workbench, v T, err error) T {
 	if err != nil {

@@ -38,7 +38,7 @@ func TestTable1Renders(t *testing.T) {
 }
 
 func TestFig1ShapeHolds(t *testing.T) {
-	w := NewWorkbench(tinyParams())
+	w := NewWorkbench(context.Background(), tinyParams(), 1)
 	r := Fig1(w)
 	// Probe/scan/update/insert footprints must exist and be cache-scale.
 	for _, op := range []trace.OpType{trace.OpIndexProbe, trace.OpIndexScan, trace.OpUpdateTuple, trace.OpInsertTuple} {
@@ -70,7 +70,7 @@ func TestFig1ShapeHolds(t *testing.T) {
 }
 
 func TestFig2OverlapShape(t *testing.T) {
-	w := NewWorkbench(tinyParams())
+	w := NewWorkbench(context.Background(), tinyParams(), 1)
 	r := Fig2(w, "TPC-B")
 	// Section 2.2: instructions overlap heavily, data barely.
 	if r.MixInstr.CommonShare() < 0.5 {
@@ -99,7 +99,7 @@ func TestFig2OverlapShape(t *testing.T) {
 }
 
 func TestFig2TPCEMixLessCommonThanTxn(t *testing.T) {
-	w := NewWorkbench(tinyParams())
+	w := NewWorkbench(context.Background(), tinyParams(), 1)
 	r := Fig2(w, "TPC-E")
 	// "the instruction overlap is less in the overall TPC-E mix ...
 	// However, among same-type transactions instruction overlap is still
@@ -115,7 +115,7 @@ func TestFig2TPCEMixLessCommonThanTxn(t *testing.T) {
 }
 
 func TestFig3CommonBlocksHotter(t *testing.T) {
-	w := NewWorkbench(tinyParams())
+	w := NewWorkbench(context.Background(), tinyParams(), 1)
 	r := Fig3(w)
 	bands := r.TxnInstr
 	always := bands[len(bands)-1]
@@ -133,7 +133,7 @@ func TestFig3CommonBlocksHotter(t *testing.T) {
 }
 
 func TestFig4StabilityHigh(t *testing.T) {
-	w := NewWorkbench(tinyParams())
+	w := NewWorkbench(context.Background(), tinyParams(), 1)
 	r := Fig4(w, "TPC-B")
 	if len(r.At1k) == 0 || len(r.At10k) == 0 {
 		t.Fatal("no stability rows")
@@ -155,7 +155,7 @@ func TestFig4StabilityHigh(t *testing.T) {
 }
 
 func TestCompareShape(t *testing.T) {
-	w := NewWorkbench(tinyParams())
+	w := NewWorkbench(context.Background(), tinyParams(), 1)
 	c := Compare(w, "TPC-B")
 	if len(c.Rows) != 4 {
 		t.Fatalf("rows = %d", len(c.Rows))
@@ -201,7 +201,7 @@ func TestCompareShape(t *testing.T) {
 }
 
 func TestFig7LargerBatchesHelp(t *testing.T) {
-	w := NewWorkbench(tinyParams())
+	w := NewWorkbench(context.Background(), tinyParams(), 1)
 	r := Fig7(w, "TPC-B")
 	if len(r.Points) != len(Fig7BatchSizes) {
 		t.Fatalf("points = %d", len(r.Points))
@@ -220,7 +220,7 @@ func TestFig7LargerBatchesHelp(t *testing.T) {
 }
 
 func TestFig8aDeepHierarchySmallerWin(t *testing.T) {
-	w := NewWorkbench(tinyParams())
+	w := NewWorkbench(context.Background(), tinyParams(), 1)
 	r := Fig8a(w, "TPC-B")
 	// Section 4.6: gains shrink on the deep hierarchy (the private 256KB
 	// L2 absorbs most of the L1-I miss penalty; our whole code layout fits
@@ -235,7 +235,7 @@ func TestFig8aDeepHierarchySmallerWin(t *testing.T) {
 }
 
 func TestAblations(t *testing.T) {
-	w := NewWorkbench(tinyParams())
+	w := NewWorkbench(context.Background(), tinyParams(), 1)
 	r := Ablate(w, "TPC-B")
 	if len(r.Rows) < 3 {
 		t.Fatalf("ablation rows = %d", len(r.Rows))
@@ -248,15 +248,14 @@ func TestAblations(t *testing.T) {
 }
 
 func TestExperimentRegistryComplete(t *testing.T) {
-	for _, id := range []string{"table1", "fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8a", "fig8b", "fig9", "ablations"} {
-		if _, ok := Experiments[id]; !ok {
-			t.Errorf("experiment %q missing from registry", id)
-		}
+	want := []string{"table1", "fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8a", "fig8b", "fig9", "ablations", "synthchar"}
+	if got := IDs(); strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Errorf("IDs() = %v, want %v (presentation order)", got, want)
 	}
 }
 
-// TestExperimentRegistryRunners executes the cheap registry closures end to
-// end at micro scale (the expensive ones are covered by their dedicated
+// TestExperimentRegistryRunners runs the cheap experiments one id at a time
+// end to end at micro scale (the expensive ones are covered by their dedicated
 // tests above; this covers the registry plumbing and render paths).
 func TestExperimentRegistryRunners(t *testing.T) {
 	p := Params{
@@ -268,12 +267,8 @@ func TestExperimentRegistryRunners(t *testing.T) {
 		Machine:         sim.Shallow(),
 	}
 	for _, id := range []string{"table1", "fig1", "fig3", "fig4"} {
-		run, ok := Experiments[id]
-		if !ok {
-			t.Fatalf("missing %q", id)
-		}
 		var sb strings.Builder
-		if err := run(context.Background(), &sb, p, 2); err != nil {
+		if err := Run(context.Background(), &sb, p, 2, nil, id); err != nil {
 			t.Fatalf("experiment %q: %v", id, err)
 		}
 		if sb.Len() == 0 {
@@ -285,7 +280,7 @@ func TestExperimentRegistryRunners(t *testing.T) {
 // TestWorkbenchCaching: repeated access must reuse artifacts, and eval
 // traces must differ from profiling traces (the paper's disjoint windows).
 func TestWorkbenchCaching(t *testing.T) {
-	w := NewWorkbench(Params{Seed: 3, Scale: 0.03, ProfileTraces: 20, EvalTraces: 20, StabilityTraces: 30, Machine: sim.Shallow()})
+	w := NewWorkbench(context.Background(), Params{Seed: 3, Scale: 0.03, ProfileTraces: 20, EvalTraces: 20, StabilityTraces: 30, Machine: sim.Shallow()}, 1)
 	p1 := w.ProfileSet("TPC-B")
 	p2 := w.ProfileSet("TPC-B")
 	if p1 != p2 {

@@ -39,7 +39,7 @@ func Fig4(w *Workbench, workloadName string) Fig4Result {
 	// eval set (same shard range); the stream then continues into further
 	// shards for the large count, staying memory-bounded.
 	base := workload.NumShards(w.P.ProfileTraces, workload.DefaultShardSize)
-	err := workload.StreamShardedCtx(w.ctx, workloadName, w.P.Seed, w.P.Scale,
+	err := workload.StreamSharded(w.ctx, workloadName, w.P.Seed, w.P.Scale,
 		base, large, workload.DefaultShardSize, func(i int, t *trace.Trace) {
 			counterLarge.AddTrace(t)
 			if i < small {

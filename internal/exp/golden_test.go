@@ -29,7 +29,7 @@ var goldenIDs = []struct{ prefix, id string }{
 	{"Synthetic workloads:", "synthchar"},
 }
 
-// splitReport cuts a RunAll report into per-golden-id chunks. Every section
+// splitReport cuts a full report into per-golden-id chunks. Every section
 // starts with "\n<title>\n====...\n" (see section()); a chunk runs from the
 // newline preceding its title to the start of the next section.
 func splitReport(t *testing.T, report []byte) map[string][]byte {

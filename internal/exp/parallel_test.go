@@ -2,6 +2,7 @@ package exp
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -12,7 +13,7 @@ import (
 	"addict/internal/workload"
 )
 
-// quickSerial caches one serial RunAll(QuickParams()) report per test
+// quickSerial caches one serial (one-worker) QuickParams() report per test
 // binary; the determinism and golden tests share it instead of re-running
 // the full evaluation.
 var (
@@ -22,11 +23,18 @@ var (
 
 func serialQuickReport() []byte {
 	quickSerialOnce.Do(func() {
-		var buf bytes.Buffer
-		RunAll(&buf, QuickParams())
-		quickSerialOut = buf.Bytes()
+		quickSerialOut = report(QuickParams(), 1)
 	})
 	return quickSerialOut
+}
+
+// report renders the full report on a fresh workbench.
+func report(p Params, workers int) []byte {
+	var buf bytes.Buffer
+	if err := Run(context.Background(), &buf, p, workers, nil); err != nil {
+		panic(err)
+	}
+	return buf.Bytes()
 }
 
 // firstDiff describes the first byte position where two reports diverge.
@@ -47,9 +55,9 @@ func firstDiff(a, b []byte) string {
 	return fmt.Sprintf("length %d vs %d", len(a), len(b))
 }
 
-// TestRunAllParallelMatchesSerial is the engine's headline guarantee:
-// RunAllParallel must render a byte-identical report to serial RunAll under
-// QuickParams() for 1, 2, and 8 workers. (Under -race the comparison runs
+// TestRunAllParallelMatchesSerial is the engine's headline guarantee: the
+// pooled report must be byte-identical to the one-worker in-order loop
+// under QuickParams() for 2 and 8 workers. (Under -race the comparison runs
 // at tinyParams() to keep the 5-10x detector slowdown affordable; the
 // guarantee itself is parameter-independent.)
 func TestRunAllParallelMatchesSerial(t *testing.T) {
@@ -57,21 +65,17 @@ func TestRunAllParallelMatchesSerial(t *testing.T) {
 	var want []byte
 	if raceEnabled {
 		p = tinyParams()
-		var buf bytes.Buffer
-		RunAll(&buf, p)
-		want = buf.Bytes()
+		want = report(p, 1)
 	} else {
 		want = serialQuickReport()
 	}
 	if len(want) == 0 {
-		t.Fatal("serial RunAll produced no output")
+		t.Fatal("serial report is empty")
 	}
-	for _, workers := range []int{1, 2, 8} {
-		var buf bytes.Buffer
-		RunAllParallel(&buf, p, workers)
-		if !bytes.Equal(buf.Bytes(), want) {
-			t.Errorf("RunAllParallel(workers=%d) diverges from serial RunAll: %s",
-				workers, firstDiff(want, buf.Bytes()))
+	for _, workers := range []int{2, 8} {
+		if got := report(p, workers); !bytes.Equal(got, want) {
+			t.Errorf("report with %d workers diverges from the serial one: %s",
+				workers, firstDiff(want, got))
 		}
 	}
 }
@@ -80,9 +84,9 @@ func TestRunAllParallelMatchesSerial(t *testing.T) {
 // sets are identical whichever generation parallelism produced them.
 func TestWorkbenchShardDigestsWorkerIndependent(t *testing.T) {
 	p := tinyParams()
-	serial := NewWorkbench(p)
+	serial := NewWorkbench(context.Background(), p, 1)
 	for _, workers := range []int{2, 8} {
-		par := NewParallelWorkbench(p, workers)
+		par := NewWorkbench(context.Background(), p, workers)
 		for _, name := range Workloads {
 			if got, want := par.ProfileSet(name).Digest(), serial.ProfileSet(name).Digest(); got != want {
 				t.Errorf("%s profile set digest (workers=%d) = %#x, want %#x", name, workers, got, want)
@@ -106,7 +110,7 @@ func TestWorkbenchShardDigestsWorkerIndependent(t *testing.T) {
 // -race this is the scheduler/simulator data-race audit.
 func TestWorkbenchConcurrentSingleFlight(t *testing.T) {
 	p := Params{Seed: 5, Scale: 0.05, ProfileTraces: 60, EvalTraces: 60, StabilityTraces: 80, Machine: sim.Shallow()}
-	w := NewParallelWorkbench(p, 4)
+	w := NewWorkbench(context.Background(), p, 4)
 
 	const goroutines = 16
 	type view struct {
@@ -148,8 +152,12 @@ func TestWorkbenchConcurrentSingleFlight(t *testing.T) {
 // to the workbench path (same recipe, same bytes).
 func TestGenerateSetShardedMatchesWorkbench(t *testing.T) {
 	p := tinyParams()
-	w := NewWorkbench(p)
-	s, err := workload.GenerateSetSharded("TPC-B", p.Seed, p.Scale, 0, p.ProfileTraces, workload.DefaultShardSize, 3)
+	w := NewWorkbench(context.Background(), p, 1)
+	r, err := workload.Resolve("TPC-B")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := r.GenerateSharded(context.Background(), p.Seed, p.Scale, 0, p.ProfileTraces, workload.DefaultShardSize, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,337 +11,234 @@ import (
 	"addict/internal/sweep"
 )
 
-// RunAll executes every experiment serially and renders the full report —
-// the source of EXPERIMENTS.md's measured numbers. RunAllParallel produces
-// byte-identical output on a worker pool; this serial form is kept as the
-// reference implementation the determinism tests compare against.
-func RunAll(out io.Writer, p Params) {
-	// Background context: the legacy entry point cannot be cancelled.
-	_ = RunAllCtx(context.Background(), out, p)
+// plan binds an experiment to a workbench: it returns the experiment's
+// independent units of work, which may run concurrently and in any order,
+// and the render step that writes the experiment's sections once every
+// unit has finished.
+type plan func(w *Workbench) (units []func(), render func(io.Writer))
+
+// experiment is one entry of the report: an id and its plan.
+type experiment struct {
+	id string
+	// replays lists the mechanisms whose per-workload replays of the
+	// paper's workloads the experiment reads; a pooled run computes those
+	// first, as units of their own.
+	replays []sched.Mechanism
+	plan    plan
 }
 
-// RunAllCtx is RunAll with cooperative cancellation: once ctx is cancelled
-// the run stops between artifact computations and returns ctx's error; the
-// sections already written form a clean prefix of the report.
-func RunAllCtx(ctx context.Context, out io.Writer, p Params) (err error) {
-	defer recoverCancel(&err)
-	w := NewWorkbenchCtx(ctx, p, 1)
-
-	Table1(out, p.Machine)
-	Fig1(w).Render(out)
-	for _, name := range Workloads {
-		Fig2(w, name).Render(out)
-	}
-	Fig3(w).Render(out)
-	for _, name := range []string{"TPC-B", "TPC-C"} {
-		Fig4(w, name).Render(out)
-	}
-	var comparisons []Comparison
-	for _, name := range Workloads {
-		comparisons = append(comparisons, Compare(w, name))
-	}
-	Fig5Render(out, comparisons)
-	Fig6Render(out, comparisons)
-	for _, name := range Workloads {
-		Fig7(w, name).Render(out)
-	}
-	var deep []Fig8aResult
-	for _, name := range Workloads {
-		deep = append(deep, Fig8a(w, name))
-	}
-	Fig8aRender(out, deep)
-	Fig8bRender(out, comparisons)
-	Fig9Render(out, comparisons)
-	for _, name := range Workloads {
-		Ablate(w, name).Render(out)
-	}
-	SynthChar(w).Render(out)
-	return nil
+// experiments is the paper's evaluation report — Table 1, Figures 1-9, the
+// ablations, and the synthetic characterization — in presentation order.
+// The full report, single-experiment runs, and IDs all derive from this
+// table; it is the only place the order is written down.
+var experiments = []experiment{
+	{id: "table1", plan: func(w *Workbench) ([]func(), func(io.Writer)) {
+		return nil, func(out io.Writer) { Table1(out, w.P.Machine) }
+	}},
+	{id: "fig1", plan: rendered(nil, func(w *Workbench, _ string, out io.Writer) { Fig1(w).Render(out) })},
+	{id: "fig2", plan: rendered(Workloads, func(w *Workbench, name string, out io.Writer) { Fig2(w, name).Render(out) })},
+	{id: "fig3", plan: rendered(nil, func(w *Workbench, _ string, out io.Writer) { Fig3(w).Render(out) })},
+	{id: "fig4", plan: rendered([]string{"TPC-B", "TPC-C"}, func(w *Workbench, name string, out io.Writer) { Fig4(w, name).Render(out) })},
+	{id: "fig5", replays: sched.Mechanisms, plan: gather(Workloads, Compare, Fig5Render)},
+	{id: "fig6", replays: sched.Mechanisms, plan: gather(Workloads, Compare, Fig6Render)},
+	{id: "fig7", replays: []sched.Mechanism{sched.Baseline}, plan: rendered(Workloads, func(w *Workbench, name string, out io.Writer) { Fig7(w, name).Render(out) })},
+	{id: "fig8a", plan: gather(Workloads, Fig8a, Fig8aRender)},
+	{id: "fig8b", replays: sched.Mechanisms, plan: gather(Workloads, Compare, Fig8bRender)},
+	{id: "fig9", replays: sched.Mechanisms, plan: gather(Workloads, Compare, Fig9Render)},
+	{id: "ablations", replays: []sched.Mechanism{sched.Baseline, sched.ADDICT}, plan: rendered(Workloads, func(w *Workbench, name string, out io.Writer) { Ablate(w, name).Render(out) })},
+	// Synthetic characterization fans out per scenario (each is a full
+	// generate+profile+replay unit) and renders from the assembled rows.
+	{id: "synthchar", plan: gather(SynthWorkloads(), synthCharRow, func(out io.Writer, rows []SynthCharRow) {
+		SynthCharResult{Rows: rows}.Render(out)
+	})},
 }
 
-// RunAllParallel executes every experiment of RunAll on a bounded worker
-// pool and emits a byte-identical report. Independent experiment units —
-// per-workload replays, per-figure analyses, the per-(workload, mechanism)
-// simulations behind Figures 5/6/8b/9 — run concurrently on up to
-// `workers` goroutines (workers < 1 selects runtime.GOMAXPROCS(0)); each
-// renderer writes into a private buffer, and buffers stream to out in the
-// exact serial presentation order as soon as their section (and every
-// section before it) is ready. Determinism holds because every shared
-// artifact is single-flight memoized in the Workbench and every artifact's
+// gather plans an experiment as one unit per name, each computing a value;
+// the render step draws the values in name order.
+func gather[T any](names []string, compute func(w *Workbench, name string) T, render func(io.Writer, []T)) plan {
+	return func(w *Workbench) ([]func(), func(io.Writer)) {
+		vs := make([]T, len(names))
+		units := make([]func(), len(names))
+		for i, name := range names {
+			units[i] = func() { vs[i] = compute(w, name) }
+		}
+		return units, func(out io.Writer) { render(out, vs) }
+	}
+}
+
+// rendered plans an experiment as one unit per name (a single unit for nil
+// names), each rendering into a private buffer; the render step writes the
+// buffers in name order.
+func rendered(names []string, piece func(w *Workbench, name string, out io.Writer)) plan {
+	if names == nil {
+		names = []string{""}
+	}
+	return gather(names, func(w *Workbench, name string) []byte {
+		var buf bytes.Buffer
+		piece(w, name, &buf)
+		return buf.Bytes()
+	}, func(out io.Writer, bufs [][]byte) {
+		for _, b := range bufs {
+			out.Write(b)
+		}
+	})
+}
+
+// IDs lists the experiment ids in the report's presentation order.
+func IDs() []string {
+	ids := make([]string, len(experiments))
+	for i, s := range experiments {
+		ids[i] = s.id
+	}
+	return ids
+}
+
+// Run renders the paper's evaluation to out: the full report when ids is
+// empty, otherwise the named experiments in the given order. Every id is
+// checked before anything is rendered, so an unknown id writes nothing.
+//
+// swb is the session cache to run over (see NewWorkbenchOn); nil builds a
+// fresh one whose trace generation uses up to `workers` goroutines. With
+// workers == 1 the experiments run as a plain in-order loop — the
+// reference the determinism tests compare against. Otherwise (workers < 1
+// selects runtime.GOMAXPROCS(0)) the same experiments run on a bounded
+// worker pool: their units run concurrently, and each experiment is
+// emitted in order as soon as its units (and every experiment before it)
+// are done. The output is byte-identical for every worker count, because
+// every shared artifact is single-flight memoized in the workbench and its
 // content is independent of computation order (sharded trace generation,
 // deterministic simulation).
-func RunAllParallel(out io.Writer, p Params, workers int) {
-	_ = RunAllParallelCtx(context.Background(), out, p, workers)
-}
-
-// RunAllParallelCtx is RunAllParallel with cooperative cancellation: once
-// ctx is cancelled no new experiment unit starts and no further section is
+//
+// Once ctx is cancelled no new unit starts and no further experiment is
 // emitted; in-flight units finish (a simulation replay is not divisible)
-// and the call returns ctx's error after the pool drains. The sections
-// already written form a clean prefix of the serial report.
-func RunAllParallelCtx(ctx context.Context, out io.Writer, p Params, workers int) error {
-	workers = pool.NormWorkers(workers)
-	return runAllParallelOn(ctx, NewWorkbenchCtx(ctx, p, workers), out, p, workers)
-}
-
-// RunAllParallelWith is RunAllParallelCtx over an existing session cache
-// (see NewWorkbenchOn): the full report reuses — and leaves behind —
-// whatever artifacts the session already holds.
-func RunAllParallelWith(ctx context.Context, out io.Writer, p Params, workers int, swb *sweep.Workbench) error {
-	workers = pool.NormWorkers(workers)
-	return runAllParallelOn(ctx, NewWorkbenchOn(ctx, p, swb), out, p, workers)
-}
-
-// runAllParallelOn is the shared body of the parallel report runners.
-func runAllParallelOn(ctx context.Context, w *Workbench, out io.Writer, p Params, workers int) error {
-	fig4Workloads := []string{"TPC-B", "TPC-C"}
-	comparisons := make([]Comparison, len(Workloads))
-	deep := make([]Fig8aResult, len(Workloads))
-
-	// Jobs run on the pool in submission order; emit steps flush output in
-	// the serial presentation order, each as soon as the jobs it waits on
-	// have finished. The two orders are independent — single-flight
-	// memoization makes artifact content order-free — so jobs are
-	// submitted roughly longest-first to pack the pool (warm-up replays,
-	// then the heavy per-workload sweeps, then the small trace analyses).
-	var jobs []func()
-	type emitStep struct {
-		wait   func()
-		render func(io.Writer)
-	}
-	var emits []emitStep
-	nothing := func() {}
-
-	// done wraps a job so emit steps can wait on its completion: a
-	// cancelled run closes the done channel without running the job (the
-	// pool stops dispatching), so waiters unblock either way. Cancellation
-	// panics inside a job are recovered here — the emission loop aborts
-	// before rendering anything the job left half-built.
-	done := func(job func()) (func(), func()) {
-		ch := make(chan struct{})
-		wrapped := func() {
-			defer close(ch)
-			defer func() {
-				if r := recover(); r != nil {
-					if _, ok := r.(cancelPanic); ok {
-						return
-					}
-					panic(r)
-				}
-			}()
-			job()
+// and the call returns ctx's error. The experiments already written form a
+// clean prefix of the output.
+func Run(ctx context.Context, out io.Writer, p Params, workers int, swb *sweep.Workbench, ids ...string) error {
+	exps := experiments
+	if len(ids) > 0 {
+		exps = make([]experiment, len(ids))
+		for i, id := range ids {
+			s, ok := lookup(id)
+			if !ok {
+				return fmt.Errorf("exp: unknown experiment %q", id)
+			}
+			exps[i] = s
 		}
-		wait := func() {
+	}
+	workers = pool.NormWorkers(workers)
+	var w *Workbench
+	if swb != nil {
+		w = NewWorkbenchOn(ctx, p, swb)
+	} else {
+		w = NewWorkbench(ctx, p, workers)
+	}
+	if workers == 1 {
+		return runSerial(ctx, w, out, exps)
+	}
+	return runPooled(ctx, w, out, exps, workers)
+}
+
+// lookup finds an experiment by id.
+func lookup(id string) (experiment, bool) {
+	for _, s := range experiments {
+		if s.id == id {
+			return s, true
+		}
+	}
+	return experiment{}, false
+}
+
+// runSerial renders the experiments one after another on the calling
+// goroutine.
+func runSerial(ctx context.Context, w *Workbench, out io.Writer, exps []experiment) (err error) {
+	defer recoverCancel(&err)
+	for _, s := range exps {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		units, render := s.plan(w)
+		for _, unit := range units {
+			unit()
+		}
+		render(out)
+	}
+	return ctx.Err()
+}
+
+// runPooled runs the experiments' units on the pool and emits the
+// experiments in order.
+func runPooled(ctx context.Context, w *Workbench, out io.Writer, exps []experiment, workers int) error {
+	// Jobs run on the pool in submission order; experiments are emitted in
+	// their own order, each as soon as its units have finished. The two
+	// orders are independent — single-flight memoization makes artifact
+	// content order-free.
+	var jobs []func()
+	// submit queues a job and returns a wait for its completion. A
+	// cancelled run never dispatches the remaining jobs, so waiters also
+	// unblock on ctx. Cancellation panics inside a job are recovered here
+	// — the emission loop aborts before rendering anything the job left
+	// half-built.
+	submit := func(job func()) (wait func()) {
+		done := make(chan struct{})
+		jobs = append(jobs, func() {
+			defer close(done)
+			var cancelled error
+			defer recoverCancel(&cancelled)
+			job()
+		})
+		return func() {
 			select {
-			case <-ch:
+			case <-done:
 			case <-ctx.Done():
 			}
 		}
-		return wrapped, wait
 	}
-	// buffered returns a pool job that renders into a private buffer and
-	// queues the buffer for in-order emission once the job completes.
-	buffered := func(render func(io.Writer)) func() {
-		buf := new(bytes.Buffer)
-		job, wait := done(func() { render(buf) })
-		emits = append(emits, emitStep{wait: wait, render: func(out io.Writer) { out.Write(buf.Bytes()) }})
-		return job
+
+	// Warm-up units first: the per-(workload, mechanism) replays are the
+	// shared dependencies of every replay-reading experiment, so computing
+	// them as their own units keeps the heavy consumers from blocking on
+	// each other's single-flight computations.
+	warm := map[sched.Mechanism]bool{}
+	for _, s := range exps {
+		for _, mech := range s.replays {
+			warm[mech] = true
+		}
 	}
-	// direct renders cheap, already-computed results at emit time, after
-	// waiting for the jobs that compute its inputs.
-	direct := func(wait func(), render func(io.Writer)) {
-		emits = append(emits, emitStep{wait: wait, render: render})
-	}
-	// waitAll chains completion waits.
-	waitAll := func(waits []func()) func() {
-		return func() {
-			for _, w := range waits {
-				w()
+	for _, name := range Workloads {
+		for _, mech := range sched.Mechanisms {
+			if warm[mech] {
+				submit(func() { w.Result(name, mech) })
 			}
 		}
 	}
-
-	// Computation jobs whose results feed several renderers.
-	compareJobs := make([]func(), len(Workloads))
-	compareWaits := make([]func(), len(Workloads))
-	for i, name := range Workloads {
-		i, name := i, name
-		compareJobs[i], compareWaits[i] = done(func() { comparisons[i] = Compare(w, name) })
+	type step struct {
+		waits  []func()
+		render func(io.Writer)
 	}
-	deepJobs := make([]func(), len(Workloads))
-	deepWaits := make([]func(), len(Workloads))
-	for i, name := range Workloads {
-		i, name := i, name
-		deepJobs[i], deepWaits[i] = done(func() { deep[i] = Fig8a(w, name) })
-	}
-
-	// Emission plan, in RunAll's presentation order.
-	direct(nothing, func(out io.Writer) { Table1(out, p.Machine) })
-	fig1Job := buffered(func(out io.Writer) { Fig1(w).Render(out) })
-	fig2Jobs := make([]func(), 0, len(Workloads))
-	for _, name := range Workloads {
-		name := name
-		fig2Jobs = append(fig2Jobs, buffered(func(out io.Writer) { Fig2(w, name).Render(out) }))
-	}
-	fig3Job := buffered(func(out io.Writer) { Fig3(w).Render(out) })
-	fig4Jobs := make([]func(), 0, len(fig4Workloads))
-	for _, name := range fig4Workloads {
-		name := name
-		fig4Jobs = append(fig4Jobs, buffered(func(out io.Writer) { Fig4(w, name).Render(out) }))
-	}
-	direct(waitAll(compareWaits), func(out io.Writer) { Fig5Render(out, comparisons) })
-	direct(nothing, func(out io.Writer) { Fig6Render(out, comparisons) })
-	fig7Jobs := make([]func(), 0, len(Workloads))
-	for _, name := range Workloads {
-		name := name
-		fig7Jobs = append(fig7Jobs, buffered(func(out io.Writer) { Fig7(w, name).Render(out) }))
-	}
-	direct(waitAll(deepWaits), func(out io.Writer) { Fig8aRender(out, deep) })
-	direct(nothing, func(out io.Writer) { Fig8bRender(out, comparisons) })
-	direct(nothing, func(out io.Writer) { Fig9Render(out, comparisons) })
-	ablateJobs := make([]func(), 0, len(Workloads))
-	for _, name := range Workloads {
-		name := name
-		ablateJobs = append(ablateJobs, buffered(func(out io.Writer) { Ablate(w, name).Render(out) }))
-	}
-	// Synthetic characterization fans out per scenario (each is a full
-	// generate+profile+4-replay unit) and renders from the assembled rows.
-	synthNames := SynthWorkloads()
-	synthRows := make([]SynthCharRow, len(synthNames))
-	synthJobs := make([]func(), len(synthNames))
-	synthWaits := make([]func(), len(synthNames))
-	for i, name := range synthNames {
-		i, name := i, name
-		synthJobs[i], synthWaits[i] = done(func() { synthRows[i] = synthCharRow(w, name) })
-	}
-	direct(waitAll(synthWaits), func(out io.Writer) { SynthCharResult{Rows: synthRows}.Render(out) })
-
-	// Execution plan. Warm-up units first: the per-(workload, mechanism)
-	// replays are the shared dependencies of everything below, so
-	// computing them as their own units keeps the heavy consumers from
-	// blocking on each other's single-flight computations. The cheap
-	// early-presentation sections (Figures 1-4) come next so the report
-	// starts streaming while the heavy sweeps still run.
-	for _, name := range Workloads {
-		name := name
-		for _, mech := range allMechanisms() {
-			mech := mech
-			warm, _ := done(func() { w.Result(name, mech) })
-			jobs = append(jobs, warm)
+	steps := make([]step, len(exps))
+	for i, s := range exps {
+		units, render := s.plan(w)
+		steps[i].render = render
+		for _, unit := range units {
+			steps[i].waits = append(steps[i].waits, submit(unit))
 		}
 	}
-	jobs = append(jobs, fig1Job)
-	jobs = append(jobs, fig2Jobs...)
-	jobs = append(jobs, fig3Job)
-	jobs = append(jobs, fig4Jobs...)
-	jobs = append(jobs, fig7Jobs...)
-	jobs = append(jobs, ablateJobs...)
-	jobs = append(jobs, synthJobs...)
-	jobs = append(jobs, deepJobs...)
-	jobs = append(jobs, compareJobs...)
 
 	poolDone := make(chan struct{})
 	go func() {
 		defer close(poolDone)
 		_ = pool.RunCtx(ctx, workers, len(jobs), func(i int) { jobs[i]() })
 	}()
-	for _, emit := range emits {
-		emit.wait()
+	for _, st := range steps {
+		for _, wait := range st.waits {
+			wait()
+		}
 		if err := ctx.Err(); err != nil {
 			<-poolDone // in-flight units drain; undispatched ones never start
 			return err
 		}
-		emit.render(out)
+		st.render(out)
 	}
-	<-poolDone // warm-up jobs may still be draining after the last section
-	return ctx.Err()
-}
-
-// allMechanisms returns the evaluated mechanisms in presentation order.
-func allMechanisms() []sched.Mechanism { return sched.Mechanisms }
-
-// experimentBodies maps experiment ids to their render bodies over a
-// workbench — the single definition both the standalone runners
-// (Experiments) and session-cache runs (RunExperimentWith) share.
-var experimentBodies = map[string]func(w *Workbench, out io.Writer){
-	"table1": func(w *Workbench, out io.Writer) { Table1(out, w.P.Machine) },
-	"fig1":   func(w *Workbench, out io.Writer) { Fig1(w).Render(out) },
-	"fig2": func(w *Workbench, out io.Writer) {
-		for _, name := range Workloads {
-			Fig2(w, name).Render(out)
-		}
-	},
-	"fig3": func(w *Workbench, out io.Writer) { Fig3(w).Render(out) },
-	"fig4": func(w *Workbench, out io.Writer) {
-		for _, name := range []string{"TPC-B", "TPC-C"} {
-			Fig4(w, name).Render(out)
-		}
-	},
-	"fig5": func(w *Workbench, out io.Writer) { Fig5Render(out, compareAll(w)) },
-	"fig6": func(w *Workbench, out io.Writer) { Fig6Render(out, compareAll(w)) },
-	"fig7": func(w *Workbench, out io.Writer) {
-		for _, name := range Workloads {
-			Fig7(w, name).Render(out)
-		}
-	},
-	"fig8a": func(w *Workbench, out io.Writer) {
-		var rs []Fig8aResult
-		for _, name := range Workloads {
-			rs = append(rs, Fig8a(w, name))
-		}
-		Fig8aRender(out, rs)
-	},
-	"fig8b": func(w *Workbench, out io.Writer) { Fig8bRender(out, compareAll(w)) },
-	"fig9":  func(w *Workbench, out io.Writer) { Fig9Render(out, compareAll(w)) },
-	"ablations": func(w *Workbench, out io.Writer) {
-		for _, name := range Workloads {
-			Ablate(w, name).Render(out)
-		}
-	},
-	"synthchar": func(w *Workbench, out io.Writer) { SynthChar(w).Render(out) },
-}
-
-// Experiments maps experiment ids to their standalone context-first
-// runners. workers bounds the runner's generation and replay parallelism
-// exactly as in RunAllParallelCtx (workers < 1 selects
-// runtime.GOMAXPROCS(0)); output is identical for every worker count. A
-// cancelled run stops between artifact computations and returns ctx's
-// error.
-var Experiments = func() map[string]func(ctx context.Context, out io.Writer, p Params, workers int) error {
-	m := make(map[string]func(ctx context.Context, out io.Writer, p Params, workers int) error, len(experimentBodies))
-	for id, body := range experimentBodies {
-		body := body
-		m[id] = func(ctx context.Context, out io.Writer, p Params, workers int) error {
-			return runBody(ctx, body, NewWorkbenchCtx(ctx, p, pool.NormWorkers(workers)), out)
-		}
-	}
-	return m
-}()
-
-// RunExperimentWith runs one experiment by id over an existing session
-// cache (see NewWorkbenchOn) — the facade Engine's single-experiment path.
-func RunExperimentWith(ctx context.Context, id string, out io.Writer, p Params, swb *sweep.Workbench) error {
-	body, ok := experimentBodies[id]
-	if !ok {
-		return fmt.Errorf("exp: unknown experiment %q", id)
-	}
-	return runBody(ctx, body, NewWorkbenchOn(ctx, p, swb), out)
-}
-
-// compareAll assembles the per-workload mechanism comparisons Figures 5,
-// 6, 8b, and 9 share.
-func compareAll(w *Workbench) []Comparison {
-	var cs []Comparison
-	for _, name := range Workloads {
-		cs = append(cs, Compare(w, name))
-	}
-	return cs
-}
-
-// runBody executes a render body, recovering a cancellation unwind into
-// the returned error.
-func runBody(ctx context.Context, body func(w *Workbench, out io.Writer), w *Workbench, out io.Writer) (err error) {
-	defer recoverCancel(&err)
-	body(w, out)
+	<-poolDone // warm-up jobs may still be draining after the last experiment
 	return ctx.Err()
 }

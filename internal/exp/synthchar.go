@@ -61,8 +61,8 @@ func SynthChar(w *Workbench) SynthCharResult {
 	return res
 }
 
-// synthCharRow characterizes one scenario — the per-scenario unit
-// RunAllParallel fans out over.
+// synthCharRow characterizes one scenario — the per-scenario unit the
+// report fans out over.
 func synthCharRow(w *Workbench, name string) SynthCharRow {
 	c := CompareMechs(w, name, sched.AllMechanisms)
 	ranking := make([]sched.Mechanism, len(c.Rows))

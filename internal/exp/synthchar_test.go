@@ -2,6 +2,7 @@ package exp
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -14,7 +15,7 @@ import (
 // move the outcome, they don't just re-measure the TPC regime.
 func TestSynthCharRankingDiffersFromTPCB(t *testing.T) {
 	p := tinyParams()
-	r := SynthChar(NewParallelWorkbench(p, 4))
+	r := SynthChar(NewWorkbench(context.Background(), p, 4))
 	if len(r.Rows) < 5 {
 		t.Fatalf("characterized %d scenarios, want TPC-B + >= 4 presets", len(r.Rows))
 	}

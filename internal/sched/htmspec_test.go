@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"math/rand"
 	"testing"
 
 	"addict/internal/sim"
@@ -120,5 +121,73 @@ func TestHTMSPECFallbackAfterMaxAborts(t *testing.T) {
 	want := sim.SpecStats{CapacityAborts: 2, Fallbacks: 1}
 	if res.Spec != want {
 		t.Errorf("Spec = %+v, want %+v", res.Spec, want)
+	}
+}
+
+// TestHTMSPECConflictTableNeverInvents checks the conflict table's claim —
+// slot aliasing "can lose but never invent" conflicts — against an exact
+// per-line last-writer map. A seeded random stream of data writes and
+// region starts across several threads drives the real bookkeeping
+// (observeOne); at random points a thread validates one line, chosen from
+// the recent writes half the time so conflicts are common. The table may
+// miss a conflict the oracle sees (another line evicted the slot), but it
+// must never report one the oracle lacks.
+func TestHTMSPECConflictTableNeverInvents(t *testing.T) {
+	const (
+		threads = 6
+		lines   = 1 << 16 // 8x the table's slots, so aliasing is common
+		steps   = 200000
+	)
+	cfg := DefaultConfig(sim.Shallow())
+	h := newHTMSpecHooks(cfg)
+	h.st = make([]htmState, threads)
+	ths := make([]*sim.Thread, threads)
+	for i := range ths {
+		ths[i] = &sim.Thread{ID: i}
+		h.st[i].readSet = make([]uint64, cfg.HTMSPECReadSetLines)
+		h.st[i].writeSet = make([]uint64, cfg.HTMSPECWriteSetLines)
+	}
+
+	type write struct {
+		stamp uint64
+		owner int
+	}
+	last := make(map[uint64]write)
+	var recent [64]uint64
+	rng := rand.New(rand.NewSource(1))
+	var reported, lost int
+	for i := 0; i < steps; i++ {
+		th := ths[rng.Intn(threads)]
+		switch r := rng.Intn(1000); {
+		case r < 5:
+			h.observeOne(th, trace.Event{Kind: trace.KindOpBegin})
+		case r < 700:
+			line := uint64(rng.Intn(lines)) * 64
+			h.observeOne(th, trace.Event{Kind: trace.KindDataWrite, Addr: line})
+			last[line] = write{stamp: h.clock, owner: th.ID}
+			recent[i%len(recent)] = line
+		default:
+			line := uint64(rng.Intn(lines)) * 64
+			if rng.Intn(2) == 0 {
+				line = recent[rng.Intn(len(recent))]
+			}
+			start := h.st[th.ID].startStamp
+			got := h.conflicts([]uint64{line}, start, th.ID)
+			w, written := last[line]
+			want := written && w.stamp > start && w.owner != th.ID
+			switch {
+			case got && !want:
+				t.Fatalf("step %d: thread %d line %#x: table reports a conflict the oracle lacks (start %d, last write %+v)",
+					i, th.ID, line, start, w)
+			case got:
+				reported++
+			case want:
+				lost++
+			}
+		}
+	}
+	t.Logf("conflicts: %d reported, %d lost to slot aliasing", reported, lost)
+	if reported == 0 || lost == 0 {
+		t.Errorf("stream exercised too little: %d reported, %d lost (want both > 0)", reported, lost)
 	}
 }

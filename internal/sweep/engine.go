@@ -310,23 +310,17 @@ func RunUnit(ctx context.Context, a *Artifacts, u Unit) (Metrics, error) {
 // execution order never affects content (deterministic simulation over
 // single-flight, order-free artifacts) and emission order is fixed by the
 // grid, not by completion.
-func Run(spec Spec, em Emitter, workers int) error {
-	return RunCtx(context.Background(), spec, em, workers)
-}
-
-// RunCtx is Run with cooperative cancellation: once ctx is cancelled no new
-// unit starts and no further row is emitted, and the call returns ctx's
-// error — the rows already streamed form a clean prefix of the full sweep.
-func RunCtx(ctx context.Context, spec Spec, em Emitter, workers int) error {
-	return RunWith(ctx, spec, em, workers, nil)
-}
-
-// RunWith is RunCtx over a caller-supplied artifact cache (nil builds a
-// fresh one from the spec) — the hook a long-lived session uses to share
-// one cache across repeated sweeps. A cache whose base parameters do not
-// Match the spec's resolved parameters is ignored (a fresh one is built),
-// so a mismatched cache can never silently substitute its own artifacts.
-func RunWith(ctx context.Context, spec Spec, em Emitter, workers int, arts *Artifacts) error {
+//
+// Once ctx is cancelled no new unit starts and no further row is emitted,
+// and the call returns ctx's error — the rows already streamed form a
+// clean prefix of the full sweep.
+//
+// arts is the artifact cache to run over; nil builds a fresh one from the
+// spec. A long-lived session passes its own to share one cache across
+// repeated sweeps. A cache whose base parameters do not Match the spec's
+// resolved parameters is ignored (a fresh one is built), so a mismatched
+// cache can never silently substitute its own artifacts.
+func Run(ctx context.Context, spec Spec, em Emitter, workers int, arts *Artifacts) error {
 	units, err := spec.Expand()
 	if err != nil {
 		return err

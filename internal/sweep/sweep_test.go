@@ -38,7 +38,7 @@ func runToBytes(t *testing.T, spec Spec, format string, workers int) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Run(spec, em, workers); err != nil {
+	if err := Run(context.Background(), spec, em, workers, nil); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()

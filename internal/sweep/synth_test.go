@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 )
@@ -89,7 +90,7 @@ func TestSynthWorkloadNamesAcceptedInWorkloadsAxis(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Run(s, em, 2); err != nil {
+	if err := Run(context.Background(), s, em, 2, nil); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "synth:uniform-ro/Baseline/") {
@@ -98,7 +99,7 @@ func TestSynthWorkloadNamesAcceptedInWorkloadsAxis(t *testing.T) {
 
 	s.Workloads = []string{"synth:bogus"}
 	em, _ = NewEmitter("csv", &buf)
-	if err := Run(s, em, 1); err == nil {
+	if err := Run(context.Background(), s, em, 1, nil); err == nil {
 		t.Error("unknown synth workload accepted by Run")
 	}
 }

@@ -94,7 +94,7 @@ func TestPinnedGenerationDigests(t *testing.T) {
 
 			build := shardBuilder(t, p.name)
 			var benches [pinShards]*workload.Benchmark
-			recipe, err := workload.GenerateSetShardedWithCtx(context.Background(), func(shard int) *workload.Benchmark {
+			recipe, err := workload.GenerateSetShardedWith(context.Background(), func(shard int) *workload.Benchmark {
 				b := build(shard)
 				benches[shard] = b
 				return b

@@ -70,7 +70,7 @@ func Resolve(name string) (Resolved, error) {
 				return build(seed, scale), nil
 			},
 			GenerateSharded: func(ctx context.Context, seed int64, scale float64, baseShard, n, shardSize, workers int) (*trace.Set, error) {
-				return GenerateSetShardedWithCtx(ctx, func(shard int) *Benchmark {
+				return GenerateSetShardedWith(ctx, func(shard int) *Benchmark {
 					return build(ShardSeed(seed, shard), scale)
 				}, baseShard, n, shardSize, workers)
 			},

@@ -24,12 +24,18 @@ func TestResolveTPCMatchesDirectPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := workload.GenerateSetSharded("TPC-B", 11, 0.05, 0, 30, workload.DefaultShardSize, 1)
+	build, err := workload.Builder("TPC-B")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := workload.GenerateSetShardedWith(context.Background(), func(shard int) *workload.Benchmark {
+		return build(workload.ShardSeed(11, shard), 0.05)
+	}, 0, 30, workload.DefaultShardSize, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.Digest() != want.Digest() {
-		t.Error("registry TPC-B generation diverges from workload.GenerateSetSharded")
+		t.Error("registry TPC-B generation diverges from the shard recipe over workload.Builder")
 	}
 }
 
@@ -49,7 +55,7 @@ func TestResolveSynthMatchesDirectPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := synth.GenerateSetSharded(spec, 7, 0.02, 1, 20, workload.DefaultShardSize, 1)
+	want, err := synth.GenerateSetSharded(context.Background(), spec, 7, 0.02, 1, 20, workload.DefaultShardSize, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

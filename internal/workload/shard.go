@@ -96,31 +96,26 @@ func shardBenchmark(build func(int64, float64) *Benchmark, seed int64, scale flo
 	return warmStart(build(ShardSeed(seed, shard), scale))
 }
 
-// GenerateSetShardedWith is the generalized sharded generator every
-// by-name entry point (and the synthetic-workload compiler in
+// GenerateSetShardedWith is the sharded generator every by-name entry
+// point (Resolve's GenerateSharded, and the synthetic-workload compiler in
 // workload/synth) builds on: build constructs one shard's benchmark from
 // its absolute shard index, and this function applies the rest of the
 // shard recipe — ShardWarmup untraced transactions, counts[s] traced
-// transactions, merge in shard order. The result depends only on (build,
-// baseShard, n, shardSize), never on workers; build must itself be a pure
+// transactions, merge in shard order. Shard s (counting from baseShard)
+// runs on up to `workers` goroutines; the result depends only on (build,
+// baseShard, n, shardSize), never on workers. build must itself be a pure
 // function of the shard index for the byte-identity guarantee to hold
-// (derive per-shard randomness from ShardSeed).
+// (derive per-shard randomness from ShardSeed). Disjoint trace windows —
+// the paper's "first 1000" vs "next 1000" (Section 4.1) — are expressed as
+// disjoint shard ranges via baseShard.
+//
+// Generation stops between shards once ctx is cancelled, and the call
+// returns ctx's error instead of a partial set. A single shard
+// (ShardWarmup untraced + up to shardSize traced transactions) is the
+// cancellation granularity of every trace-generation pipeline.
 //
 // shardSize <= 0 selects DefaultShardSize; workers < 1 runs serially.
-func GenerateSetShardedWith(build func(shard int) *Benchmark, baseShard, n, shardSize, workers int) *trace.Set {
-	// Background context: this legacy entry point cannot be cancelled, so
-	// the error branch is unreachable.
-	s, _ := GenerateSetShardedWithCtx(context.Background(), build, baseShard, n, shardSize, workers)
-	return s
-}
-
-// GenerateSetShardedWithCtx is GenerateSetShardedWith with cooperative
-// cancellation: shard generation stops between shards once ctx is
-// cancelled, and the call returns ctx's error instead of a partial set. A
-// single shard (ShardWarmup untraced + up to shardSize traced
-// transactions) is the cancellation granularity of every trace-generation
-// pipeline.
-func GenerateSetShardedWithCtx(ctx context.Context, build func(shard int) *Benchmark, baseShard, n, shardSize, workers int) (*trace.Set, error) {
+func GenerateSetShardedWith(ctx context.Context, build func(shard int) *Benchmark, baseShard, n, shardSize, workers int) (*trace.Set, error) {
 	counts := shardCounts(n, shardSize)
 	parts := make([]*trace.Set, len(counts))
 	err := pool.RunCtx(ctx, workers, len(counts), func(s int) {
@@ -133,40 +128,15 @@ func GenerateSetShardedWithCtx(ctx context.Context, build func(shard int) *Bench
 	return trace.MergeSets(parts...), nil
 }
 
-// GenerateSetSharded generates n traces of the named benchmark as
-// independent shards executed on up to `workers` goroutines, and merges
-// them in shard order. Shard s (counting from baseShard) populates its own
-// database and generates its traces with seed ShardSeed(seed, baseShard+s):
-// the result depends only on (name, seed, scale, baseShard, n, shardSize),
-// never on workers. Disjoint trace windows — the paper's "first 1000" vs
-// "next 1000" (Section 4.1) — are expressed as disjoint shard ranges via
-// baseShard.
-//
-// shardSize <= 0 selects DefaultShardSize; workers < 1 runs serially.
-func GenerateSetSharded(name string, seed int64, scale float64, baseShard, n, shardSize, workers int) (*trace.Set, error) {
-	build, err := Builder(name)
-	if err != nil {
-		return nil, err
-	}
-	return GenerateSetShardedWith(func(shard int) *Benchmark {
-		return build(ShardSeed(seed, shard), scale)
-	}, baseShard, n, shardSize, workers), nil
-}
-
-// StreamSharded generates n traces with exactly the same sharded recipe as
-// GenerateSetSharded but hands each trace to fn and discards it — the
-// memory-bounded path for the stability experiment (Section 4.2), which
-// replays 10x more traces than it could hold. Shards are processed
-// serially in shard order, so fn observes the same trace sequence the
-// merged set would contain.
-func StreamSharded(name string, seed int64, scale float64, baseShard, n, shardSize int, fn func(i int, t *trace.Trace)) error {
-	return StreamShardedCtx(context.Background(), name, seed, scale, baseShard, n, shardSize, fn)
-}
-
-// StreamShardedCtx is StreamSharded with cooperative cancellation between
-// shards: once ctx is cancelled no further shard is generated and the call
-// returns ctx's error (fn has then seen a prefix of the stream).
-func StreamShardedCtx(ctx context.Context, name string, seed int64, scale float64, baseShard, n, shardSize int, fn func(i int, t *trace.Trace)) error {
+// StreamSharded generates n traces of the named benchmark with exactly the
+// same sharded recipe as GenerateSetShardedWith but hands each trace to fn
+// and discards it — the memory-bounded path for the stability experiment
+// (Section 4.2), which replays 10x more traces than it could hold. Shards
+// are processed serially in shard order, so fn observes the same trace
+// sequence the merged set would contain. Once ctx is cancelled no further
+// shard is generated and the call returns ctx's error (fn has then seen a
+// prefix of the stream).
+func StreamSharded(ctx context.Context, name string, seed int64, scale float64, baseShard, n, shardSize int, fn func(i int, t *trace.Trace)) error {
 	build, err := Builder(name)
 	if err != nil {
 		return err

@@ -1,6 +1,20 @@
 package workload
 
-import "testing"
+import (
+	"context"
+	"testing"
+
+	"addict/internal/trace"
+)
+
+// generateSharded generates through the registry's by-name entry point.
+func generateSharded(name string, seed int64, scale float64, baseShard, n, shardSize, workers int) (*trace.Set, error) {
+	r, err := Resolve(name)
+	if err != nil {
+		return nil, err
+	}
+	return r.GenerateSharded(context.Background(), seed, scale, baseShard, n, shardSize, workers)
+}
 
 // TestShardSeedDistinct: neighbouring (seed, shard) pairs must yield
 // distinct, well-mixed shard seeds (the splitmix64 step).
@@ -41,7 +55,7 @@ func TestNumShards(t *testing.T) {
 // the merged trace set's digest must be identical for every worker count.
 func TestShardedGenerationWorkerIndependent(t *testing.T) {
 	for _, name := range []string{"TPC-B", "TPC-C", "TPC-E"} {
-		ref, err := GenerateSetSharded(name, 9, 0.05, 0, 40, 16, 1)
+		ref, err := generateSharded(name, 9, 0.05, 0, 40, 16, 1)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -50,7 +64,7 @@ func TestShardedGenerationWorkerIndependent(t *testing.T) {
 		}
 		want := ref.Digest()
 		for _, workers := range []int{2, 3, 8} {
-			s, err := GenerateSetSharded(name, 9, 0.05, 0, 40, 16, workers)
+			s, err := generateSharded(name, 9, 0.05, 0, 40, 16, workers)
 			if err != nil {
 				t.Fatalf("%s workers=%d: %v", name, workers, err)
 			}
@@ -64,11 +78,11 @@ func TestShardedGenerationWorkerIndependent(t *testing.T) {
 // TestShardedGenerationWindowsDisjoint: distinct baseShard ranges must
 // produce different traces (the paper's "first 1000" vs "next 1000").
 func TestShardedGenerationWindowsDisjoint(t *testing.T) {
-	a, err := GenerateSetSharded("TPC-B", 9, 0.05, 0, 24, 8, 2)
+	a, err := generateSharded("TPC-B", 9, 0.05, 0, 24, 8, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := GenerateSetSharded("TPC-B", 9, 0.05, NumShards(24, 8), 24, 8, 2)
+	b, err := generateSharded("TPC-B", 9, 0.05, NumShards(24, 8), 24, 8, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +97,7 @@ func TestShardedGenerationWindowsDisjoint(t *testing.T) {
 // TestShardedGenerationValidTraces: merged shard output must satisfy the
 // trace structural invariants end to end.
 func TestShardedGenerationValidTraces(t *testing.T) {
-	s, err := GenerateSetSharded("TPC-C", 9, 0.05, 0, 20, 8, 4)
+	s, err := generateSharded("TPC-C", 9, 0.05, 0, 20, 8, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +109,7 @@ func TestShardedGenerationValidTraces(t *testing.T) {
 }
 
 func TestShardedGenerationUnknownWorkload(t *testing.T) {
-	if _, err := GenerateSetSharded("TPC-Z", 1, 1, 0, 10, 8, 2); err == nil {
+	if _, err := generateSharded("TPC-Z", 1, 1, 0, 10, 8, 2); err == nil {
 		t.Error("unknown workload must error")
 	}
 }

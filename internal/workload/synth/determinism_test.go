@@ -2,6 +2,7 @@ package synth
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"addict/internal/trace"
@@ -26,7 +27,7 @@ func encode(t *testing.T, s *trace.Set) []byte {
 func TestSynthWorkerCountByteIdentity(t *testing.T) {
 	for _, name := range Presets() {
 		spec, _ := Preset(name)
-		ref, err := GenerateSetSharded(spec, 9, 0.02, 0, 40, 16, 1)
+		ref, err := GenerateSetSharded(context.Background(), spec, 9, 0.02, 0, 40, 16, 1)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -35,7 +36,7 @@ func TestSynthWorkerCountByteIdentity(t *testing.T) {
 		}
 		want := encode(t, ref)
 		for _, workers := range []int{2, 3, 8} {
-			s, err := GenerateSetSharded(spec, 9, 0.02, 0, 40, 16, workers)
+			s, err := GenerateSetSharded(context.Background(), spec, 9, 0.02, 0, 40, 16, workers)
 			if err != nil {
 				t.Fatalf("%s workers=%d: %v", name, workers, err)
 			}
@@ -50,11 +51,11 @@ func TestSynthWorkerCountByteIdentity(t *testing.T) {
 // windows of a synthetic workload must differ, like the TPC path's.
 func TestSynthShardedWindowsDisjoint(t *testing.T) {
 	spec, _ := Preset("zipf-hot-rw")
-	a, err := GenerateSetSharded(spec, 9, 0.02, 0, 24, 8, 2)
+	a, err := GenerateSetSharded(context.Background(), spec, 9, 0.02, 0, 24, 8, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := GenerateSetSharded(spec, 9, 0.02, workload.NumShards(24, 8), 24, 8, 2)
+	b, err := GenerateSetSharded(context.Background(), spec, 9, 0.02, workload.NumShards(24, 8), 24, 8, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,11 +74,11 @@ func TestSynthShardedWindowsDisjoint(t *testing.T) {
 // phase B write-heavy.
 func TestSynthPhasePositionIndependentOfSharding(t *testing.T) {
 	spec, _ := Preset("phase-shift")
-	big, err := GenerateSetSharded(spec, 4, 0.02, 0, 64, 64, 1) // one shard
+	big, err := GenerateSetSharded(context.Background(), spec, 4, 0.02, 0, 64, 64, 1) // one shard
 	if err != nil {
 		t.Fatal(err)
 	}
-	small, err := GenerateSetSharded(spec, 4, 0.02, 0, 64, 16, 4) // four shards
+	small, err := GenerateSetSharded(context.Background(), spec, 4, 0.02, 0, 64, 16, 4) // four shards
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,7 +27,7 @@ func init() {
 					return New(spec, seed, scale)
 				},
 				GenerateSharded: func(ctx context.Context, seed int64, scale float64, baseShard, n, shardSize, workers int) (*trace.Set, error) {
-					return GenerateSetShardedCtx(ctx, spec, seed, scale, baseShard, n, shardSize, workers)
+					return GenerateSetSharded(ctx, spec, seed, scale, baseShard, n, shardSize, workers)
 				},
 			}, nil
 		},

@@ -513,8 +513,9 @@ func (w *bench) scan(txn *storage.Txn, tbl *storage.Table, p phaseParams) {
 
 // GenerateSetSharded generates n traces of the synthetic workload as
 // independent warm-started shards on up to `workers` goroutines, merged in
-// shard order — the synth counterpart of workload.GenerateSetSharded, with
-// the identical byte-identity contract: shard s draws its randomness from
+// shard order — the synth counterpart of the TPC path through
+// workload.GenerateSetShardedWith, with the identical byte-identity and
+// cancellation contract: shard s draws its randomness from
 // workload.ShardSeed(seed, s) and populates its own database, and the
 // phase schedule follows the absolute trace index s*shardSize + i, so the
 // result depends only on (spec, seed, scale, baseShard, n, shardSize),
@@ -522,23 +523,17 @@ func (w *bench) scan(txn *storage.Txn, tbl *storage.Table, p phaseParams) {
 //
 // shardSize <= 0 selects workload.DefaultShardSize; workers < 1 runs
 // serially.
-func GenerateSetSharded(spec Spec, seed int64, scale float64, baseShard, n, shardSize, workers int) (*trace.Set, error) {
-	return GenerateSetShardedCtx(context.Background(), spec, seed, scale, baseShard, n, shardSize, workers)
-}
-
-// GenerateSetShardedCtx is GenerateSetSharded with cooperative cancellation
-// between shards (the same contract as workload.GenerateSetShardedWithCtx).
-func GenerateSetShardedCtx(ctx context.Context, spec Spec, seed int64, scale float64, baseShard, n, shardSize, workers int) (*trace.Set, error) {
+func GenerateSetSharded(ctx context.Context, spec Spec, seed int64, scale float64, baseShard, n, shardSize, workers int) (*trace.Set, error) {
 	build, err := ShardBuilder(spec, seed, scale, shardSize)
 	if err != nil {
 		return nil, err
 	}
-	return workload.GenerateSetShardedWithCtx(ctx, build, baseShard, n, shardSize, workers)
+	return workload.GenerateSetShardedWith(ctx, build, baseShard, n, shardSize, workers)
 }
 
 // ShardBuilder validates spec and returns the per-shard constructor of its
-// sharded recipe — the build argument GenerateSetShardedCtx hands to
-// workload.GenerateSetShardedWithCtx. Shard s gets seed ShardSeed(seed, s)
+// sharded recipe — the build argument GenerateSetSharded hands to
+// workload.GenerateSetShardedWith. Shard s gets seed ShardSeed(seed, s)
 // and starts its global stream position at s*shardSize - ShardWarmup, so
 // its traced window lines up with the phase schedule.
 //
