@@ -6,6 +6,11 @@
 // shapes requests and decodes replies, so it is safe to share one Client
 // across goroutines.
 //
+// The exported request and reply types are the serve wire format's one
+// declaration: cmd/addict-serve encodes its replies with them, and the
+// HTTP plumbing (retry, error mapping) is internal/wire's, shared with the
+// distributed-sweep workers.
+//
 // Design follows the thin-client/server-owned-engine split: requests are
 // plain values, replies are decoded into exported wire structs, and a busy
 // server (admission limit reached) surfaces as *BusyError carrying the
@@ -20,50 +25,26 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
-	"strconv"
-	"strings"
-	"time"
 
 	"addict"
-	"addict/internal/pool"
+	"addict/internal/wire"
 )
 
 // BusyError reports a 429 from the admission limiter: the server is at its
 // concurrent-run capacity. RetryAfter is the server's hint, floored at one
-// second — even when the header is missing or unparseable — so a caller
-// that sleeps for RetryAfter before retrying can never spin in a hot loop
-// against a server that just declared itself overloaded.
-type BusyError struct {
-	RetryAfter time.Duration
-}
-
-func (e *BusyError) Error() string {
-	return fmt.Sprintf("addict-serve busy (retry after %s)", e.RetryAfter)
-}
+// second, so a caller that sleeps for it never spins in a hot loop.
+type BusyError = wire.BusyError
 
 // StatusError reports any other non-2xx reply, with the server's error
 // text when the body carried one.
-type StatusError struct {
-	Code    int
-	Message string
-}
-
-func (e *StatusError) Error() string {
-	if e.Message != "" {
-		return fmt.Sprintf("addict-serve: %s (HTTP %d)", e.Message, e.Code)
-	}
-	return fmt.Sprintf("addict-serve: HTTP %d", e.Code)
-}
+type StatusError = wire.StatusError
 
 // Client talks to one addict-serve base URL. The zero value is not usable;
 // construct with New.
 type Client struct {
-	base    string
-	hc      *http.Client
-	retries int
-	backoff time.Duration
+	base string
+	tr   wire.Transport
 }
 
 // Option configures a Client.
@@ -73,21 +54,16 @@ type Option func(*Client)
 // http.DefaultClient). Streaming endpoints hold the connection for the
 // length of the run, so a client with a short Timeout will truncate long
 // sweeps — prefer per-call contexts for deadlines.
-func WithHTTPClient(hc *http.Client) Option { return func(c *Client) { c.hc = hc } }
+func WithHTTPClient(hc *http.Client) Option { return func(c *Client) { c.tr.HTTP = hc } }
 
 // WithRetries sets how many times a request is re-sent after a transport
 // failure (connection refused/reset before a reply arrives; default 2).
 // HTTP-level failures — 429 included — are never retried automatically.
-func WithRetries(n int) Option { return func(c *Client) { c.retries = n } }
+func WithRetries(n int) Option { return func(c *Client) { c.tr.Retries = n } }
 
 // New builds a client for a base URL ("http://127.0.0.1:8414").
 func New(base string, opts ...Option) *Client {
-	c := &Client{
-		base:    trimSlash(base),
-		hc:      http.DefaultClient,
-		retries: 2,
-		backoff: 100 * time.Millisecond,
-	}
+	c := &Client{base: trimSlash(base), tr: wire.Transport{Retries: 2}}
 	for _, opt := range opts {
 		opt(c)
 	}
@@ -106,131 +82,25 @@ func trimSlash(s string) string {
 	return s
 }
 
-// do sends one request, retrying transport failures on the shared
-// pool.Backoff schedule (the same one the distributed workers use, capped
-// at 5s). Bodies are byte slices, so every attempt replays the same
-// bytes. The response is returned undrained; callers own Body.Close.
-func (c *Client) do(ctx context.Context, method, path string, body []byte) (*http.Response, error) {
-	var lastErr error
-	for attempt := 0; attempt <= c.retries; attempt++ {
-		if attempt > 0 {
-			select {
-			case <-time.After(pool.Backoff(attempt, c.backoff, 5*time.Second)):
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
-		}
-		req, err := http.NewRequestWithContext(ctx, method, c.base+path, bytes.NewReader(body))
-		if err != nil {
-			return nil, err
-		}
-		if body != nil {
-			req.Header.Set("Content-Type", "application/json")
-		}
-		resp, err := c.hc.Do(req)
-		if err == nil {
-			return resp, nil
-		}
-		lastErr = err
-		// The caller's context ending is final; transport hiccups retry.
-		if ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-	}
-	return nil, lastErr
-}
-
-// errFromResponse maps a non-2xx reply to a typed error, draining the body.
-func errFromResponse(resp *http.Response) error {
-	defer resp.Body.Close()
-	var wire struct {
-		Error string `json:"error"`
-	}
-	data, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
-	_ = json.Unmarshal(data, &wire)
-	if resp.StatusCode == http.StatusTooManyRequests {
-		return &BusyError{RetryAfter: parseRetryAfter(resp.Header.Get("Retry-After"), time.Now())}
-	}
-	return &StatusError{Code: resp.StatusCode, Message: wire.Error}
-}
-
-// parseRetryAfter interprets a 429's Retry-After header as a backoff
-// duration. Both RFC 9110 forms are accepted — delta-seconds and HTTP-date
-// — and every other outcome (missing header, garbage, negative seconds, a
-// date already past) is floored at one second: a zero backoff turns any
-// sleep-and-retry loop around BusyError into a hot loop hammering a server
-// that just said it is overloaded.
-func parseRetryAfter(h string, now time.Time) time.Duration {
-	const floor = time.Second
-	h = strings.TrimSpace(h)
-	if secs, err := strconv.Atoi(h); err == nil {
-		if d := time.Duration(secs) * time.Second; d > floor {
-			return d
-		}
-		return floor
-	}
-	if t, err := http.ParseTime(h); err == nil {
-		if d := t.Sub(now); d > floor {
-			return d
-		}
-		return floor
-	}
-	return floor
-}
-
-// getJSON GETs path and decodes the JSON reply into out.
-func (c *Client) getJSON(ctx context.Context, path string, out any) error {
-	resp, err := c.do(ctx, http.MethodGet, path, nil)
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return errFromResponse(resp)
-	}
-	defer resp.Body.Close()
-	return json.NewDecoder(resp.Body).Decode(out)
-}
-
-// postJSON POSTs a JSON body to path and decodes the JSON reply into out.
-func (c *Client) postJSON(ctx context.Context, path string, in, out any) error {
-	body, err := json.Marshal(in)
-	if err != nil {
-		return err
-	}
-	resp, err := c.do(ctx, http.MethodPost, path, body)
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return errFromResponse(resp)
-	}
-	defer resp.Body.Close()
-	return json.NewDecoder(resp.Body).Decode(out)
-}
-
 // Health checks the daemon's liveness endpoint.
 func (c *Client) Health(ctx context.Context) error {
-	resp, err := c.do(ctx, http.MethodGet, "/healthz", nil)
+	resp, err := c.tr.Do(ctx, http.MethodGet, c.base+"/healthz", nil)
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return &StatusError{Code: resp.StatusCode}
-	}
-	return nil
+	return resp.Body.Close()
 }
 
 // Workloads lists every workload name the server resolves: the TPC
 // benchmarks plus the encoded synthetic presets.
 func (c *Client) Workloads(ctx context.Context) ([]string, error) {
-	var wire struct {
+	var reply struct {
 		Workloads []string `json:"workloads"`
 	}
-	if err := c.getJSON(ctx, "/v1/workloads", &wire); err != nil {
+	if err := c.tr.GetJSON(ctx, c.base+"/v1/workloads", &reply); err != nil {
 		return nil, err
 	}
-	return wire.Workloads, nil
+	return reply.Workloads, nil
 }
 
 // ProfileSummary is the serving view of an Algorithm 1 profile: how many
@@ -252,7 +122,7 @@ func (c *Client) Profile(ctx context.Context, workload string) (*ProfileSummary,
 		Workload string `json:"workload"`
 	}{workload}
 	out := &ProfileSummary{}
-	if err := c.postJSON(ctx, "/v1/profile", in, out); err != nil {
+	if err := c.tr.PostJSON(ctx, c.base+"/v1/profile", in, out); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -274,7 +144,7 @@ func (c *Client) Schedule(ctx context.Context, workload, mechanism string) (*Sch
 		Mechanism string `json:"mechanism"`
 	}{workload, mechanism}
 	out := &ScheduleResult{}
-	if err := c.postJSON(ctx, "/v1/schedule", in, out); err != nil {
+	if err := c.tr.PostJSON(ctx, c.base+"/v1/schedule", in, out); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -325,12 +195,9 @@ func (c *Client) sweep(ctx context.Context, spec addict.SweepSpec, dist *DistReq
 	if err != nil {
 		return 0, err
 	}
-	resp, err := c.do(ctx, http.MethodPost, "/v1/sweep", body)
+	resp, err := c.tr.Do(ctx, http.MethodPost, c.base+"/v1/sweep", body)
 	if err != nil {
 		return 0, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return 0, errFromResponse(resp)
 	}
 	defer resp.Body.Close()
 	n := 0
@@ -387,12 +254,9 @@ func (c *Client) Bench(ctx context.Context, req BenchRequest, onProgress func(li
 	if err != nil {
 		return nil, err
 	}
-	resp, err := c.do(ctx, http.MethodPost, "/v1/bench", body)
+	resp, err := c.tr.Do(ctx, http.MethodPost, c.base+"/v1/bench", body)
 	if err != nil {
 		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, errFromResponse(resp)
 	}
 	defer resp.Body.Close()
 	sc := bufio.NewScanner(resp.Body)
@@ -423,62 +287,26 @@ func (c *Client) Bench(ctx context.Context, req BenchRequest, onProgress func(li
 	return nil, errors.New("client: bench stream ended without a report")
 }
 
-// CacheCounters mirrors the server's cache statistics (resident weight in
-// approximate bytes, entries, hits/misses/evictions). Store is the
-// on-disk artifact store layered under the engine cache; nil when the
+// CacheCounters is the server's cache statistics on the wire (resident
+// weight in approximate bytes, entries, hits/misses/evictions). Store is
+// the on-disk artifact store layered under the engine cache; nil when the
 // server runs memory-only.
-type CacheCounters struct {
-	Hits      uint64 `json:"hits"`
-	Misses    uint64 `json:"misses"`
-	Evictions uint64 `json:"evictions"`
-	Entries   int64  `json:"entries"`
-	Bytes     int64  `json:"bytes"`
+type CacheCounters = addict.CacheStats
 
-	Store *StoreCounters `json:"store,omitempty"`
-}
-
-// StoreCounters mirrors the server's on-disk artifact store statistics
-// (addict.StoreStats on the wire): read outcomes, persisted entries,
-// quarantined corruption, GC pressure, and the resident set.
-type StoreCounters struct {
-	Hits           uint64 `json:"hits"`
-	Misses         uint64 `json:"misses"`
-	Writes         uint64 `json:"writes"`
-	VerifyFailures uint64 `json:"verify_failures"`
-	GCEvictions    uint64 `json:"gc_evictions"`
-	WriteErrors    uint64 `json:"write_errors"`
-	Entries        int64  `json:"entries"`
-	Bytes          int64  `json:"bytes"`
-}
+// StoreCounters is the server's on-disk artifact store statistics: read
+// outcomes, persisted entries, quarantined corruption, GC pressure, and
+// the resident set.
+type StoreCounters = addict.StoreStats
 
 // DistWorkerCounters is one worker's slice of the server's most recent
 // distributed sweep: units leased/completed, leases lost to its crashes
 // (requeued), compute failures it reported, discarded duplicate results,
 // and its self-reported artifact-store counters.
-type DistWorkerCounters struct {
-	Name       string         `json:"name,omitempty"`
-	Leased     uint64         `json:"leased"`
-	Completed  uint64         `json:"completed"`
-	Requeued   uint64         `json:"requeued"`
-	Failed     uint64         `json:"failed"`
-	Duplicates uint64         `json:"duplicates"`
-	Store      *StoreCounters `json:"store,omitempty"`
-}
+type DistWorkerCounters = addict.DistWorkerCounters
 
-// DistCounters mirrors the coordinator summary of the server's most
-// recent distributed sweep (addict.DistSummary on the wire).
-type DistCounters struct {
-	Units      int                           `json:"units"`
-	Completed  int                           `json:"completed"`
-	Leases     uint64                        `json:"leases"`
-	Requeues   uint64                        `json:"requeues"`
-	Failures   uint64                        `json:"failures"`
-	Duplicates uint64                        `json:"duplicates"`
-	Stragglers uint64                        `json:"straggler_redispatches"`
-	Workers    map[string]DistWorkerCounters `json:"workers"`
-	Done       bool                          `json:"done"`
-	Abort      string                        `json:"abort,omitempty"`
-}
+// DistCounters is the coordinator summary of the server's most recent
+// distributed sweep.
+type DistCounters = addict.DistSummary
 
 // ServerMetrics is the /debug/vars snapshot: per-endpoint request and
 // computation counters, coalescing and admission counters, and the engine
@@ -500,7 +328,7 @@ type ServerMetrics struct {
 // Metrics fetches the server's expvar snapshot.
 func (c *Client) Metrics(ctx context.Context) (*ServerMetrics, error) {
 	out := &ServerMetrics{}
-	if err := c.getJSON(ctx, "/debug/vars", out); err != nil {
+	if err := c.tr.GetJSON(ctx, c.base+"/debug/vars", out); err != nil {
 		return nil, err
 	}
 	return out, nil

@@ -8,36 +8,6 @@ import (
 	"time"
 )
 
-func TestParseRetryAfter(t *testing.T) {
-	now := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
-	cases := []struct {
-		name   string
-		header string
-		want   time.Duration
-	}{
-		{"missing", "", time.Second},
-		{"garbage", "soon", time.Second},
-		{"zero seconds", "0", time.Second},
-		{"negative seconds", "-5", time.Second},
-		{"one second", "1", time.Second},
-		{"delta seconds", "7", 7 * time.Second},
-		{"padded delta", "  30  ", 30 * time.Second},
-		{"fractional is not delta-seconds", "2.5", time.Second},
-		{"http date ahead", now.Add(90 * time.Second).Format(http.TimeFormat), 90 * time.Second},
-		{"http date past", now.Add(-time.Hour).Format(http.TimeFormat), time.Second},
-		{"http date now", now.Format(http.TimeFormat), time.Second},
-		{"rfc850 date ahead", now.Add(2 * time.Minute).Format("Monday, 02-Jan-06 15:04:05 GMT"), 2 * time.Minute},
-		{"malformed date", "Mon, 99 Xxx 2026 12:00:00 GMT", time.Second},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			if got := parseRetryAfter(tc.header, now); got != tc.want {
-				t.Errorf("parseRetryAfter(%q) = %v, want %v", tc.header, got, tc.want)
-			}
-		})
-	}
-}
-
 // TestBusyErrorFloor locks the hot-loop fix end to end: whatever a 429
 // carries in Retry-After — nothing, garbage, or a date — the BusyError a
 // caller sleeps on is never below one second.

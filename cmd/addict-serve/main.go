@@ -13,28 +13,8 @@ import (
 
 	"addict"
 	"addict/cmd/internal/sigctx"
+	"addict/internal/wire"
 )
-
-// Slow-client bounds. A client that stalls inside its request header, or
-// parks an idle keep-alive connection, is disconnected instead of holding a
-// goroutine and a socket indefinitely. Response writes stay unbounded:
-// /v1/bench and /v1/sweep stream for as long as the run takes.
-const (
-	readHeaderTimeout = 5 * time.Second
-	idleTimeout       = 60 * time.Second
-)
-
-// newHTTPServer builds the daemon's http.Server around handler. Every
-// request context descends from ctx (the signal context): SIGINT cancels
-// in-flight runs, which unwind between work items.
-func newHTTPServer(ctx context.Context, handler http.Handler) *http.Server {
-	return &http.Server{
-		Handler:           handler,
-		BaseContext:       func(net.Listener) context.Context { return ctx },
-		ReadHeaderTimeout: readHeaderTimeout,
-		IdleTimeout:       idleTimeout,
-	}
-}
 
 func main() {
 	addr := flag.String("addr", "127.0.0.1:8414", "listen address")
@@ -83,7 +63,9 @@ func main() {
 	fmt.Printf("addict-serve: listening on http://%s (seed %d, scale %g, %d traces)\n",
 		ln.Addr(), *seed, *scale, *traces)
 
-	srv := newHTTPServer(ctx, s.handler())
+	// Request contexts descend from the signal context: SIGINT cancels
+	// in-flight runs, which unwind between work items.
+	srv := wire.NewServer(ctx, s.handler())
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.Serve(ln) }()
 

@@ -24,7 +24,9 @@ import (
 	"time"
 
 	"addict"
+	"addict/client"
 	"addict/internal/pool"
+	"addict/internal/wire"
 )
 
 // errBusy marks a request refused by the admission limiter; handlers map
@@ -156,34 +158,17 @@ func (s *server) fail(w http.ResponseWriter, err error) {
 			secs = 1
 		}
 		w.Header().Set("Retry-After", strconv.Itoa(secs))
-		writeError(w, http.StatusTooManyRequests, err.Error())
+		wire.WriteError(w, http.StatusTooManyRequests, err.Error())
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 		// The client is (usually) gone; the write is best-effort, the
 		// counter is the observable part.
 		s.runsCancelled.Add(1)
-		writeError(w, http.StatusServiceUnavailable, "run cancelled")
+		wire.WriteError(w, http.StatusServiceUnavailable, "run cancelled")
 	case errors.As(err, &se):
-		writeError(w, se.code, se.msg)
+		wire.WriteError(w, se.code, se.msg)
 	default:
-		writeError(w, http.StatusInternalServerError, err.Error())
+		wire.WriteError(w, http.StatusInternalServerError, err.Error())
 	}
-}
-
-func writeError(w http.ResponseWriter, code int, msg string) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(struct {
-		Error string `json:"error"`
-	}{msg})
-}
-
-func decodeJSON(r *http.Request, into any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(into); err != nil {
-		return badRequest("bad request body: %v", err)
-	}
-	return nil
 }
 
 // respond serves one deterministic endpoint through the response cache:
@@ -193,7 +178,6 @@ func decodeJSON(r *http.Request, into any) error {
 // is evicted; surviving waiters retry and one becomes the new leader.
 func (s *server) respond(w http.ResponseWriter, r *http.Request, endpoint, key, contentType string,
 	compute func(ctx context.Context) ([]byte, error)) {
-	s.reqs.Add(endpoint, 1)
 	led := false
 	body, err := s.resp.Do(r.Context(), key, func() ([]byte, error) {
 		led = true
@@ -238,16 +222,14 @@ func (s *server) handleWorkloads(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *server) handleProfile(w http.ResponseWriter, r *http.Request) {
+	s.reqs.Add("profile", 1)
 	var req struct {
 		Workload string `json:"workload"`
 	}
-	if err := decodeJSON(r, &req); err != nil {
-		s.reqs.Add("profile", 1)
-		s.fail(w, err)
+	if !wire.Decode(w, r, &req) {
 		return
 	}
 	if err := addict.ValidateWorkload(req.Workload); err != nil {
-		s.reqs.Add("profile", 1)
 		s.fail(w, badRequest("%v", err))
 		return
 	}
@@ -264,12 +246,9 @@ func (s *server) handleProfile(w http.ResponseWriter, r *http.Request) {
 					points += len(op.Seq)
 				}
 			}
-			return json.Marshal(struct {
-				Workload        string `json:"workload"`
-				TxnTypes        int    `json:"txn_types"`
-				Ops             int    `json:"ops"`
-				MigrationPoints int    `json:"migration_points"`
-			}{req.Workload, len(p.Txns), ops, points})
+			return json.Marshal(client.ProfileSummary{
+				Workload: req.Workload, TxnTypes: len(p.Txns), Ops: ops, MigrationPoints: points,
+			})
 		})
 }
 
@@ -285,23 +264,20 @@ func parseMechanism(name string) (addict.Mechanism, error) {
 }
 
 func (s *server) handleSchedule(w http.ResponseWriter, r *http.Request) {
+	s.reqs.Add("schedule", 1)
 	var req struct {
 		Workload  string `json:"workload"`
 		Mechanism string `json:"mechanism"`
 	}
-	if err := decodeJSON(r, &req); err != nil {
-		s.reqs.Add("schedule", 1)
-		s.fail(w, err)
+	if !wire.Decode(w, r, &req) {
 		return
 	}
 	if err := addict.ValidateWorkload(req.Workload); err != nil {
-		s.reqs.Add("schedule", 1)
 		s.fail(w, badRequest("%v", err))
 		return
 	}
 	mech, err := parseMechanism(req.Mechanism)
 	if err != nil {
-		s.reqs.Add("schedule", 1)
 		s.fail(w, err)
 		return
 	}
@@ -312,35 +288,26 @@ func (s *server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 			if err != nil {
 				return nil, err
 			}
-			return json.Marshal(struct {
-				Workload  string              `json:"workload"`
-				Mechanism string              `json:"mechanism"`
-				Metrics   addict.SweepMetrics `json:"metrics"`
-			}{req.Workload, req.Mechanism, addict.MeasureSweepMetrics(res)})
+			return json.Marshal(client.ScheduleResult{
+				Workload: req.Workload, Mechanism: req.Mechanism, Metrics: addict.MeasureSweepMetrics(res),
+			})
 		})
 }
 
-// distWire is the optional distributed-execution block of a sweep
-// request: spin a coordinator inside the serving process, contribute
-// LocalWorkers in-process workers, and let remote addict-sweep -join
-// processes share the grid through the listen address.
-type distWire struct {
-	Listen       string `json:"listen,omitempty"`
-	LocalWorkers int    `json:"local_workers,omitempty"`
-}
-
+// handleSweep runs a grid serially, or distributed when the request
+// carries a dist block: a coordinator inside the serving process, its
+// LocalWorkers in-process workers, and remote addict-sweep -join processes
+// sharing the grid through the listen address.
 func (s *server) handleSweep(w http.ResponseWriter, r *http.Request) {
+	s.reqs.Add("sweep", 1)
 	var req struct {
-		Spec addict.SweepSpec `json:"spec"`
-		Dist *distWire        `json:"dist,omitempty"`
+		Spec addict.SweepSpec    `json:"spec"`
+		Dist *client.DistRequest `json:"dist,omitempty"`
 	}
-	if err := decodeJSON(r, &req); err != nil {
-		s.reqs.Add("sweep", 1)
-		s.fail(w, err)
+	if !wire.Decode(w, r, &req) {
 		return
 	}
 	if _, err := addict.ExpandSweep(req.Spec); err != nil {
-		s.reqs.Add("sweep", 1)
 		s.fail(w, badRequest("%v", err))
 		return
 	}
@@ -352,7 +319,6 @@ func (s *server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	// (and a cached grid is never re-coordinated).
 	canon, err := json.Marshal(req.Spec)
 	if err != nil {
-		s.reqs.Add("sweep", 1)
 		s.fail(w, err)
 		return
 	}
@@ -386,24 +352,6 @@ func (s *server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		})
 }
 
-// benchWire is the bench request's wire form; it deliberately exposes
-// only measurement scope — seed, scale, and trace windows are session
-// properties (they define what the artifact cache holds).
-type benchWire struct {
-	Workloads     []string `json:"workloads,omitempty"`
-	Mechanisms    []string `json:"mechanisms,omitempty"`
-	MinRuns       int      `json:"min_runs,omitempty"`
-	MinDurationMS int      `json:"min_duration_ms,omitempty"`
-}
-
-// benchEvent is one NDJSON line of the bench stream.
-type benchEvent struct {
-	Type   string              `json:"type"`
-	Line   string              `json:"line,omitempty"`
-	Report *addict.BenchReport `json:"report,omitempty"`
-	Error  string              `json:"error,omitempty"`
-}
-
 // progressWriter turns the engine's per-cell progress lines into
 // "progress" NDJSON events, flushing each so clients see them live.
 type progressWriter struct {
@@ -425,13 +373,13 @@ func (p *progressWriter) Write(b []byte) (int, error) {
 			p.w.Header().Set("Content-Type", "application/x-ndjson")
 			p.wrote = true
 		}
-		if err := writeEvent(p.w, benchEvent{Type: "progress", Line: line}); err != nil {
+		if err := writeEvent(p.w, client.BenchEvent{Type: "progress", Line: line}); err != nil {
 			return len(b), err
 		}
 	}
 }
 
-func writeEvent(w http.ResponseWriter, ev benchEvent) error {
+func writeEvent(w http.ResponseWriter, ev client.BenchEvent) error {
 	data, err := json.Marshal(ev)
 	if err != nil {
 		return err
@@ -447,9 +395,11 @@ func writeEvent(w http.ResponseWriter, ev benchEvent) error {
 
 func (s *server) handleBench(w http.ResponseWriter, r *http.Request) {
 	s.reqs.Add("bench", 1)
-	var req benchWire
-	if err := decodeJSON(r, &req); err != nil {
-		s.fail(w, err)
+	// Seed, scale, and trace windows are session properties (they define
+	// what the artifact cache holds), so the request scopes only what to
+	// measure and how long.
+	var req client.BenchRequest
+	if !wire.Decode(w, r, &req) {
 		return
 	}
 	for _, name := range req.Workloads {
@@ -501,7 +451,7 @@ func (s *server) handleBench(w http.ResponseWriter, r *http.Request) {
 			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 				s.runsCancelled.Add(1)
 			}
-			_ = writeEvent(w, benchEvent{Type: "error", Error: err.Error()})
+			_ = writeEvent(w, client.BenchEvent{Type: "error", Error: err.Error()})
 			return
 		}
 		s.fail(w, err)
@@ -513,5 +463,5 @@ func (s *server) handleBench(w http.ResponseWriter, r *http.Request) {
 	if !pw.wrote {
 		w.Header().Set("Content-Type", "application/x-ndjson")
 	}
-	_ = writeEvent(w, benchEvent{Type: "report", Report: report})
+	_ = writeEvent(w, client.BenchEvent{Type: "report", Report: report})
 }

@@ -5,18 +5,22 @@ import (
 	"errors"
 	"io"
 	"net"
-	"net/http"
 	"testing"
 	"time"
+
+	"addict"
+	"addict/internal/wire"
 )
 
 // TestStalledHeaderDisconnected: a client that sends part of a request
-// header and then stalls is disconnected once readHeaderTimeout expires, so
-// it cannot hold a connection (or ever reach a handler and an admission
-// slot) indefinitely.
+// header to the daemon and then stalls is disconnected once
+// wire.ReadHeaderTimeout expires, so it cannot hold a connection (or ever
+// reach a handler and an admission slot) indefinitely. The server is built
+// the way main builds it.
 func TestStalledHeaderDisconnected(t *testing.T) {
 	t.Parallel()
-	srv := newHTTPServer(context.Background(), http.NotFoundHandler())
+	s := newServer(addict.NewEngine(addict.WithScale(0.05)), 1, time.Second, 0)
+	srv := wire.NewServer(context.Background(), s.handler())
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -33,14 +37,14 @@ func TestStalledHeaderDisconnected(t *testing.T) {
 	if _, err := io.WriteString(conn, "POST /v1/schedule HTTP/1.1\r\nHost: stall\r\nContent-Ty"); err != nil {
 		t.Fatal(err)
 	}
-	conn.SetReadDeadline(start.Add(readHeaderTimeout + 5*time.Second))
+	conn.SetReadDeadline(start.Add(wire.ReadHeaderTimeout + 5*time.Second))
 	_, err = io.Copy(io.Discard, conn) // returns at EOF: the server closed
 	elapsed := time.Since(start)
 	var ne net.Error
 	if errors.As(err, &ne) && ne.Timeout() {
 		t.Fatalf("stalled connection still open after %v", elapsed)
 	}
-	if elapsed < readHeaderTimeout/2 {
-		t.Fatalf("connection closed after %v, before the %v header timeout could fire", elapsed, readHeaderTimeout)
+	if elapsed < wire.ReadHeaderTimeout/2 {
+		t.Fatalf("connection closed after %v, before the %v header timeout could fire", elapsed, wire.ReadHeaderTimeout)
 	}
 }

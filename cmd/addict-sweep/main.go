@@ -38,7 +38,6 @@ package main
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -49,6 +48,7 @@ import (
 
 	"addict"
 	"addict/cmd/internal/sigctx"
+	"addict/internal/wire"
 )
 
 // axisHelp documents every -grid axis.
@@ -114,13 +114,8 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		dec := json.NewDecoder(bytes.NewReader(data))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&spec); err != nil {
+		if err := wire.Unmarshal(data, &spec); err != nil {
 			fatal(fmt.Errorf("%s: %w", *specPath, err))
-		}
-		if dec.More() {
-			fatal(fmt.Errorf("%s: trailing data after the spec object", *specPath))
 		}
 	}
 	if *grid != "" {

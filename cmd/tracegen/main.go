@@ -22,8 +22,6 @@
 package main
 
 import (
-	"bytes"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -32,6 +30,7 @@ import (
 
 	"addict"
 	"addict/cmd/internal/sigctx"
+	"addict/internal/wire"
 )
 
 func main() {
@@ -121,13 +120,8 @@ func loadSynthSpec(arg string) (addict.SynthSpec, error) {
 		return addict.ParseSynthWorkload(arg)
 	}
 	var spec addict.SynthSpec
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
+	if err := wire.Unmarshal(data, &spec); err != nil {
 		return addict.SynthSpec{}, fmt.Errorf("%s: %w", arg, err)
-	}
-	if dec.More() {
-		return addict.SynthSpec{}, fmt.Errorf("%s: trailing data after the spec object", arg)
 	}
 	return spec, nil
 }

@@ -6,30 +6,18 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"net/http"
 	"sync"
 	"time"
 
 	"addict/internal/dist"
 	"addict/internal/sweep"
+	"addict/internal/wire"
 )
 
-// Coordinator slow-client bounds: a worker that stalls inside a request
-// header, or parks an idle keep-alive connection, is disconnected instead of
-// holding a goroutine and a socket for the rest of the sweep.
-const (
-	coordinatorReadHeaderTimeout = 5 * time.Second
-	coordinatorIdleTimeout       = 60 * time.Second
-)
-
-// newCoordinatorServer builds the coordinator's http.Server around handler.
-func newCoordinatorServer(handler http.Handler) *http.Server {
-	return &http.Server{
-		Handler:           handler,
-		ReadHeaderTimeout: coordinatorReadHeaderTimeout,
-		IdleTimeout:       coordinatorIdleTimeout,
-	}
-}
+// distLinger bounds how long the worker endpoint keeps answering "done"
+// after the merged report is complete, so remote workers polling at their
+// own cadence exit cleanly instead of hitting a closed port.
+const distLinger = 2 * time.Second
 
 // DistSummary is the coordinator's progress/counter snapshot: units
 // completed, leases granted, requeues after worker crashes, straggler
@@ -55,17 +43,11 @@ type DistConfig struct {
 	// coordinator (they share the session's store directory and worker
 	// bound). 0 means the grid waits entirely for remote workers.
 	LocalWorkers int
-	// Lease-protocol knobs; zero values select the internal/dist defaults
-	// (60s leases, batch 2, 3 retries, straggler re-dispatch at half a
-	// lease). See internal/dist.Options.
-	LeaseTimeout   time.Duration
-	LeaseBatch     int
-	MaxRetries     int
-	StragglerAfter time.Duration
-	// ShutdownLinger keeps the worker endpoint answering "done" after the
-	// merged report is complete, so remote workers polling at their own
-	// cadence exit cleanly instead of hitting a closed port (default 2s).
-	ShutdownLinger time.Duration
+	// LeaseTimeout is how long a worker may hold a unit before it is
+	// presumed crashed and the unit requeued (0 = 60s). The rest of the
+	// lease protocol runs on internal/dist defaults: batch 2, 3 retries
+	// per failing unit, straggler re-dispatch at half a lease.
+	LeaseTimeout time.Duration
 }
 
 // SweepDistributed executes a sweep grid across processes: this session
@@ -86,12 +68,7 @@ func (e *Engine) SweepDistributed(ctx context.Context, out io.Writer, spec Sweep
 		return DistSummary{}, err
 	}
 	e.inheritBase(&spec.Seed, &spec.Scale, &spec.ProfileTraces, &spec.EvalTraces)
-	c, err := dist.NewCoordinator(spec, dist.Options{
-		LeaseTimeout:   cfg.LeaseTimeout,
-		LeaseBatch:     cfg.LeaseBatch,
-		MaxRetries:     cfg.MaxRetries,
-		StragglerAfter: cfg.StragglerAfter,
-	})
+	c, err := dist.NewCoordinator(spec, dist.Options{LeaseTimeout: cfg.LeaseTimeout})
 	if err != nil {
 		return DistSummary{}, err
 	}
@@ -104,7 +81,9 @@ func (e *Engine) SweepDistributed(ctx context.Context, out io.Writer, spec Sweep
 	if err != nil {
 		return DistSummary{}, fmt.Errorf("addict: dist listen: %w", err)
 	}
-	srv := newCoordinatorServer(c.Handler())
+	// Background, not ctx: after a cancel the endpoint must still answer
+	// lease requests, so workers learn the run aborted.
+	srv := wire.NewServer(context.Background(), c.Handler())
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
 	addr := ln.Addr().String()
@@ -154,11 +133,7 @@ func (e *Engine) SweepDistributed(ctx context.Context, out io.Writer, spec Sweep
 	// asks), so workers polling on their own cadence exit 0 instead of
 	// dialing a closed port. Local workers drain through the same path.
 	wg.Wait()
-	linger := cfg.ShutdownLinger
-	if linger <= 0 {
-		linger = 2 * time.Second
-	}
-	for deadline := time.Now().Add(linger); time.Now().Before(deadline) && !c.AllReleased(); {
+	for deadline := time.Now().Add(distLinger); time.Now().Before(deadline) && !c.AllReleased(); {
 		time.Sleep(20 * time.Millisecond)
 	}
 	srv.Close()

@@ -2,17 +2,16 @@ package dist
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
-	"sort"
 	"sync"
 	"time"
 
 	"addict/internal/pool"
 	"addict/internal/store"
 	"addict/internal/sweep"
+	"addict/internal/wire"
 )
 
 // Options tune the coordinator's lease protocol. The zero value means
@@ -103,8 +102,7 @@ type WorkerCounters struct {
 	Store *store.Stats `json:"store,omitempty"`
 }
 
-// Summary is the coordinator's progress/counter snapshot, served on
-// GET /dist/v1/summary and exposed via Vars for expvar publication.
+// Summary is the coordinator's progress/counter snapshot (Coordinator.Summary).
 type Summary struct {
 	Units      int                       `json:"units"`
 	Completed  int                       `json:"completed"`
@@ -213,10 +211,9 @@ func (c *Coordinator) AllReleased() bool {
 // ready to mount on any mux or serve directly.
 func (c *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc(pathJoin, c.handleJoin)
-	mux.HandleFunc(pathLease, c.handleLease)
-	mux.HandleFunc(pathComplete, c.handleComplete)
-	mux.HandleFunc(pathSummary, c.handleSummary)
+	mux.HandleFunc("POST "+pathJoin, c.handleJoin)
+	mux.HandleFunc("POST "+pathLease, c.handleLease)
+	mux.HandleFunc("POST "+pathComplete, c.handleComplete)
 	return mux
 }
 
@@ -310,15 +307,9 @@ func (c *Coordinator) Summary() Summary {
 	return s
 }
 
-// Vars returns the summary as an expvar-compatible Func for publication
-// under the serving process's metrics map.
-func (c *Coordinator) Vars() func() any {
-	return func() any { return c.Summary() }
-}
-
 func (c *Coordinator) handleJoin(w http.ResponseWriter, r *http.Request) {
 	var req joinRequest
-	if !decodeJSON(w, r, &req) {
+	if !wire.Decode(w, r, &req) {
 		return
 	}
 	c.mu.Lock()
@@ -326,7 +317,7 @@ func (c *Coordinator) handleJoin(w http.ResponseWriter, r *http.Request) {
 	id := fmt.Sprintf("w%d", c.nextWorker)
 	c.workers[id] = &WorkerCounters{Name: req.Name}
 	c.mu.Unlock()
-	writeJSON(w, joinResponse{
+	wire.WriteJSON(w, joinResponse{
 		WorkerID: id,
 		Spec:     c.spec,
 		Units:    len(c.units),
@@ -336,14 +327,14 @@ func (c *Coordinator) handleJoin(w http.ResponseWriter, r *http.Request) {
 
 func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	var req leaseRequest
-	if !decodeJSON(w, r, &req) {
+	if !wire.Decode(w, r, &req) {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	wc := c.workers[req.WorkerID]
 	if wc == nil {
-		httpError(w, http.StatusForbidden, "unknown worker %q (join first)", req.WorkerID)
+		wire.WriteError(w, http.StatusForbidden, fmt.Sprintf("unknown worker %q (join first)", req.WorkerID))
 		return
 	}
 	if req.Store != nil {
@@ -352,12 +343,12 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	}
 	if c.abortMsg != "" {
 		c.released[req.WorkerID] = true
-		writeJSON(w, leaseResponse{Abort: c.abortMsg})
+		wire.WriteJSON(w, leaseResponse{Abort: c.abortMsg})
 		return
 	}
 	if c.remaining == 0 {
 		c.released[req.WorkerID] = true
-		writeJSON(w, leaseResponse{Done: true})
+		wire.WriteJSON(w, leaseResponse{Done: true})
 		return
 	}
 	now := c.now()
@@ -425,14 +416,14 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	if len(grant) > 0 {
 		c.leases += uint64(len(grant))
 		wc.Leased += uint64(len(grant))
-		writeJSON(w, leaseResponse{Units: grant})
+		wire.WriteJSON(w, leaseResponse{Units: grant})
 		return
 	}
 	wait := c.opts.PollInterval
 	if backoffWait >= 0 && backoffWait < wait {
 		wait = backoffWait
 	}
-	writeJSON(w, leaseResponse{WaitMillis: int(wait.Milliseconds()) + 1})
+	wire.WriteJSON(w, leaseResponse{WaitMillis: int(wait.Milliseconds()) + 1})
 }
 
 // expireLocked requeues units whose every lease has passed its deadline —
@@ -464,27 +455,27 @@ func (c *Coordinator) expireLocked(now time.Time) {
 
 func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 	var req completeRequest
-	if !decodeJSON(w, r, &req) {
+	if !wire.Decode(w, r, &req) {
 		return
 	}
 	if req.Index < 0 || req.Index >= len(c.units) {
-		httpError(w, http.StatusBadRequest, "unit index %d out of range", req.Index)
+		wire.WriteError(w, http.StatusBadRequest, fmt.Sprintf("unit index %d out of range", req.Index))
 		return
 	}
 	if req.ID != c.units[req.Index].ID {
-		httpError(w, http.StatusBadRequest, "unit %d id mismatch: got %q want %q",
-			req.Index, req.ID, c.units[req.Index].ID)
+		wire.WriteError(w, http.StatusBadRequest, fmt.Sprintf("unit %d id mismatch: got %q want %q",
+			req.Index, req.ID, c.units[req.Index].ID))
 		return
 	}
 	if req.Error == "" && req.Metrics == nil {
-		httpError(w, http.StatusBadRequest, "completion carries neither metrics nor error")
+		wire.WriteError(w, http.StatusBadRequest, "completion carries neither metrics nor error")
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	wc := c.workers[req.WorkerID]
 	if wc == nil {
-		httpError(w, http.StatusForbidden, "unknown worker %q (join first)", req.WorkerID)
+		wire.WriteError(w, http.StatusForbidden, fmt.Sprintf("unknown worker %q (join first)", req.WorkerID))
 		return
 	}
 	if req.Store != nil {
@@ -499,7 +490,7 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 		// discard safe.
 		c.duplicates++
 		wc.Duplicates++
-		writeJSON(w, completeResponse{Duplicate: true})
+		wire.WriteJSON(w, completeResponse{Duplicate: true})
 		return
 	}
 	// Drop this worker's lease on the unit (expired-lease revenants have
@@ -520,12 +511,12 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 		if st.attempts > c.opts.MaxRetries {
 			c.abortLocked(fmt.Sprintf("unit %s failed %d times, giving up: %s",
 				c.units[req.Index].ID, st.attempts, req.Error))
-			writeJSON(w, completeResponse{})
+			wire.WriteJSON(w, completeResponse{})
 			return
 		}
 		st.status = unitPending
 		st.notBefore = now.Add(pool.Backoff(st.attempts, c.opts.RetryBackoff, c.opts.LeaseTimeout))
-		writeJSON(w, completeResponse{})
+		wire.WriteJSON(w, completeResponse{})
 		return
 	}
 
@@ -549,62 +540,5 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	writeJSON(w, completeResponse{})
-}
-
-func (c *Coordinator) handleSummary(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
-	writeJSON(w, c.Summary())
-}
-
-// Progress returns a one-line human summary ("done/units, workers sorted
-// by id") for log output.
-func (c *Coordinator) Progress() string {
-	s := c.Summary()
-	ids := make([]string, 0, len(s.Workers))
-	for id := range s.Workers {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	line := fmt.Sprintf("%d/%d units", s.Completed, s.Units)
-	for _, id := range ids {
-		w := s.Workers[id]
-		line += fmt.Sprintf(" %s:%d", id, w.Completed)
-	}
-	return line
-}
-
-// --- small HTTP helpers (same shape as cmd/addict-serve's, kept local so
-// internal/dist has no dependency on a main package) ---
-
-func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST only")
-		return false
-	}
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
-		return false
-	}
-	return true
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	b, err := json.Marshal(v)
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, "encode: %v", err)
-		return
-	}
-	b = append(b, '\n')
-	w.Write(b)
-}
-
-func httpError(w http.ResponseWriter, code int, format string, args ...any) {
-	http.Error(w, fmt.Sprintf(format, args...), code)
+	wire.WriteJSON(w, completeResponse{})
 }

@@ -10,17 +10,20 @@ import (
 	"addict/internal/sweep"
 )
 
-// Wire protocol (all POST, JSON bodies, mounted under /dist/v1/). Leases
-// carry unit *indexes*, not unit payloads: the coordinator ships the fully
-// resolved spec once at join, both sides expand it to the same []Unit, and
-// every subsequent message names units by (index, id). The ID doubles as
-// an end-to-end check that both expansions agree; GridHash catches version
-// skew the ID alone cannot (the ID omits seed, scale, and trace windows).
+// Wire protocol: three POST endpoints under /dist/v1/, spoken through
+// internal/wire — bodies decode under wire.Decode (1 MiB, no unknown
+// fields), errors answer {"error": msg} (400 malformed, 403 unjoined
+// worker, 405 wrong method), and workers retry transport failures only.
+// Leases carry unit *indexes*, not unit payloads: the coordinator ships the
+// fully resolved spec once at join, both sides expand it to the same
+// []Unit, and every subsequent message names units by (index, id). The ID
+// doubles as an end-to-end check that both expansions agree; GridHash
+// catches version skew the ID alone cannot (the ID omits seed, scale, and
+// trace windows).
 const (
 	pathJoin     = "/dist/v1/join"
 	pathLease    = "/dist/v1/lease"
 	pathComplete = "/dist/v1/complete"
-	pathSummary  = "/dist/v1/summary"
 )
 
 // joinRequest registers a worker with the coordinator.
@@ -45,7 +48,8 @@ type joinResponse struct {
 	GridHash string `json:"grid_hash"`
 }
 
-// leaseRequest asks for up to Max units to compute.
+// leaseRequest asks for up to Max units to compute (0 = the coordinator's
+// batch size, which is what workers send).
 type leaseRequest struct {
 	WorkerID string `json:"worker_id"`
 	Max      int    `json:"max"`

@@ -1,19 +1,15 @@
 package dist
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
-	"net/http"
 	"strings"
 	"time"
 
 	"addict/internal/pool"
 	"addict/internal/store"
 	"addict/internal/sweep"
+	"addict/internal/wire"
 )
 
 // WorkerOptions configure one worker process (or goroutine).
@@ -28,30 +24,18 @@ type WorkerOptions struct {
 	// Workers bounds artifact-generation parallelism inside this worker
 	// (values below 1 select all CPUs, the package-wide convention).
 	Workers int
-	// LeaseBatch is how many units to request per lease (0 = let the
-	// coordinator pick).
-	LeaseBatch int
-	// Retries bounds consecutive transport failures (coordinator
-	// unreachable, 5xx) before giving up; RetryBase seeds the pool.Backoff
-	// schedule between them. Defaults: 5 attempts, 200ms base.
-	Retries   int
-	RetryBase time.Duration
 	// OnLease, when set, observes each granted lease's unit IDs before
 	// computation starts — a progress hook, and the injection point the
 	// crash tests use to kill a worker mid-unit.
 	OnLease func(ids []string)
 }
 
-func (o WorkerOptions) withDefaults() WorkerOptions {
-	o.Workers = pool.NormWorkers(o.Workers)
-	if o.Retries <= 0 {
-		o.Retries = 5
-	}
-	if o.RetryBase <= 0 {
-		o.RetryBase = 200 * time.Millisecond
-	}
-	return o
-}
+// workerRetries is how many times a worker re-sends a request whose
+// transport failed (coordinator unreachable): five attempts in all, on the
+// wire backoff schedule. Coordinator replies are final — a 4xx is a
+// protocol bug or a stale worker, and its 5xx (a reply that failed to
+// encode) would repeat on every retry.
+const workerRetries = 4
 
 // Work runs one worker against the coordinator at baseURL until the grid
 // is done (returns the number of units this worker completed), the
@@ -61,12 +45,11 @@ func (o WorkerOptions) withDefaults() WorkerOptions {
 // then loops lease → sweep.RunUnit → complete. Compute failures are
 // reported, not fatal here: the coordinator owns the retry budget.
 func Work(ctx context.Context, baseURL string, opts WorkerOptions) (int, error) {
-	opts = opts.withDefaults()
 	base := strings.TrimRight(baseURL, "/")
-	hc := &http.Client{}
+	tr := wire.Transport{Retries: workerRetries}
 
 	var join joinResponse
-	if err := postJSON(ctx, hc, base+pathJoin, joinRequest{Name: opts.Name}, &join, opts); err != nil {
+	if err := tr.PostJSON(ctx, base+pathJoin, joinRequest{Name: opts.Name}, &join); err != nil {
 		return 0, fmt.Errorf("dist: join: %w", err)
 	}
 	units, err := join.Spec.Expand()
@@ -79,7 +62,7 @@ func Work(ctx context.Context, baseURL string, opts WorkerOptions) (int, error) 
 	}
 
 	arts := sweep.NewArtifacts(join.Spec.Seed, join.Spec.Scale,
-		join.Spec.ProfileTraces, join.Spec.EvalTraces, opts.Workers)
+		join.Spec.ProfileTraces, join.Spec.EvalTraces, pool.NormWorkers(opts.Workers))
 	if opts.StoreDir != "" {
 		st, err := store.Open(opts.StoreDir, opts.StoreBudget)
 		if err != nil {
@@ -100,8 +83,8 @@ func Work(ctx context.Context, baseURL string, opts WorkerOptions) (int, error) 
 			return completed, err
 		}
 		var lr leaseResponse
-		req := leaseRequest{WorkerID: join.WorkerID, Max: opts.LeaseBatch, Store: storeStats()}
-		if err := postJSON(ctx, hc, base+pathLease, req, &lr, opts); err != nil {
+		req := leaseRequest{WorkerID: join.WorkerID, Store: storeStats()}
+		if err := tr.PostJSON(ctx, base+pathLease, req, &lr); err != nil {
 			return completed, fmt.Errorf("dist: lease: %w", err)
 		}
 		switch {
@@ -150,7 +133,7 @@ func Work(ctx context.Context, baseURL string, opts WorkerOptions) (int, error) 
 				cr.Metrics = &m
 			}
 			var resp completeResponse
-			if err := postJSON(ctx, hc, base+pathComplete, cr, &resp, opts); err != nil {
+			if err := tr.PostJSON(ctx, base+pathComplete, cr, &resp); err != nil {
 				return completed, fmt.Errorf("dist: complete %s: %w", lu.ID, err)
 			}
 			if runErr == nil && !resp.Duplicate {
@@ -158,65 +141,4 @@ func Work(ctx context.Context, baseURL string, opts WorkerOptions) (int, error) 
 			}
 		}
 	}
-}
-
-// postJSON posts one JSON request and decodes the JSON response, retrying
-// transport errors and 5xx responses on the shared pool.Backoff schedule
-// (4xx is a protocol bug or a stale worker — never retried).
-func postJSON(ctx context.Context, hc *http.Client, url string, in, out any, opts WorkerOptions) error {
-	body, err := json.Marshal(in)
-	if err != nil {
-		return err
-	}
-	var last error
-	for attempt := 1; attempt <= opts.Retries; attempt++ {
-		if attempt > 1 {
-			select {
-			case <-ctx.Done():
-				return ctx.Err()
-			case <-time.After(pool.Backoff(attempt-1, opts.RetryBase, 5*time.Second)):
-			}
-		}
-		last = tryPostJSON(ctx, hc, url, body, out)
-		if last == nil {
-			return nil
-		}
-		var pe *protocolError
-		if errors.As(last, &pe) && pe.status < 500 {
-			return last
-		}
-		if ctx.Err() != nil {
-			return ctx.Err()
-		}
-	}
-	return fmt.Errorf("%w (after %d attempts)", last, opts.Retries)
-}
-
-func tryPostJSON(ctx context.Context, hc *http.Client, url string, body []byte, out any) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := hc.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return &protocolError{status: resp.StatusCode, msg: strings.TrimSpace(string(msg))}
-	}
-	return json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(out)
-}
-
-// protocolError is a non-200 coordinator response; 4xx is terminal, 5xx
-// retryable.
-type protocolError struct {
-	status int
-	msg    string
-}
-
-func (e *protocolError) Error() string {
-	return fmt.Sprintf("coordinator returned %d: %s", e.status, e.msg)
 }

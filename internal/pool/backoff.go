@@ -5,9 +5,9 @@ import "time"
 // Backoff returns the exponential retry delay for a 1-based attempt count:
 // base for the first retry, doubling per attempt, capped at max (and never
 // below base). It is the one backoff schedule the retrying layers share —
-// the HTTP client's transport retries, the distributed worker's
-// coordinator-unreachable loop, and the coordinator's failed-unit requeue
-// delay — so "bounded retry with backoff" means the same thing everywhere.
+// internal/wire's transport retries (behind both the typed client and the
+// distributed workers) and the coordinator's failed-unit requeue delay —
+// so "bounded retry with backoff" means the same thing everywhere.
 // A max of 0 means uncapped.
 func Backoff(attempt int, base, max time.Duration) time.Duration {
 	if attempt < 1 {

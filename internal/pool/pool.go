@@ -17,19 +17,16 @@ func NormWorkers(workers int) int {
 	return workers
 }
 
-// Run invokes fn(0), fn(1), ... fn(n-1) on up to `workers` goroutines and
-// returns once every call has finished. Indices are handed out in order,
-// so earlier (typically longer-running) units start first. workers <= 1
-// runs inline on the caller's goroutine. Panics inside fn propagate and
-// crash the process, matching the engine's fail-fast error philosophy.
-func Run(workers, n int, fn func(i int)) {
-	_ = RunCtx(context.Background(), workers, n, fn)
-}
-
-// RunCtx is Run with cooperative cancellation: no new index is handed out
-// once ctx is cancelled, and the call returns ctx.Err() (nil when every
-// index ran). Cancellation is checked between items only — an fn already
-// running completes normally — so fn never observes a half-executed unit.
+// RunCtx invokes fn(0), fn(1), ... fn(n-1) on up to `workers` goroutines
+// and returns once every call has finished. Indices are handed out in
+// order, so earlier (typically longer-running) units start first. workers
+// <= 1 runs inline on the caller's goroutine. Panics inside fn propagate
+// and crash the process, matching the engine's fail-fast error philosophy.
+//
+// Cancellation is cooperative: no new index is handed out once ctx is
+// cancelled, and the call returns ctx.Err() (nil when every index ran).
+// It is checked between items only — an fn already running completes
+// normally — so fn never observes a half-executed unit.
 func RunCtx(ctx context.Context, workers, n int, fn func(i int)) error {
 	if workers > n {
 		workers = n

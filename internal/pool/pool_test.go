@@ -14,7 +14,7 @@ func TestRunCoversAllIndices(t *testing.T) {
 	for _, workers := range []int{0, 1, 3, 8, 100} {
 		const n = 37
 		var hits [n]int32
-		Run(workers, n, func(i int) { atomic.AddInt32(&hits[i], 1) })
+		RunCtx(context.Background(), workers, n, func(i int) { atomic.AddInt32(&hits[i], 1) })
 		for i, h := range hits {
 			if h != 1 {
 				t.Errorf("workers=%d: index %d ran %d times, want 1", workers, i, h)
@@ -26,7 +26,7 @@ func TestRunCoversAllIndices(t *testing.T) {
 func TestRunBoundsConcurrency(t *testing.T) {
 	const workers = 3
 	var cur, max int32
-	Run(workers, 64, func(int) {
+	RunCtx(context.Background(), workers, 64, func(int) {
 		c := atomic.AddInt32(&cur, 1)
 		for {
 			m := atomic.LoadInt32(&max)
@@ -43,7 +43,7 @@ func TestRunBoundsConcurrency(t *testing.T) {
 
 func TestRunZeroItems(t *testing.T) {
 	ran := false
-	Run(4, 0, func(int) { ran = true })
+	RunCtx(context.Background(), 4, 0, func(int) { ran = true })
 	if ran {
 		t.Error("fn ran with n=0")
 	}
