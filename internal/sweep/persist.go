@@ -27,7 +27,7 @@ import (
 // Bump it when trace generation, Algorithm 1, the replay semantics, or a
 // codec changes meaning — old entries then simply miss instead of
 // masquerading as current.
-const persistVersion = "adct-v1"
+const persistVersion = "adct-v2"
 
 // diskBase renders the cache's base parameters as the shared spec prefix.
 func (a *Artifacts) diskBase() string {
@@ -65,7 +65,8 @@ func (a *Artifacts) resultEntry(name, mech, machineSig string) store.Entry {
 	}
 }
 
-// setCodec persists trace windows through the tracegen binary format.
+// setCodec persists trace windows through the run-length trace codec
+// (trace.WriteSet), the format cmd/tracegen writes.
 type setCodec struct{}
 
 func (setCodec) Encode(w io.Writer, v any) error { return trace.WriteSet(w, v.(*trace.Set)) }

@@ -99,6 +99,14 @@ func synthSet(data []byte) *Set {
 	return s
 }
 
+// oneTrace is a set header for one unnamed trace that declares n events,
+// followed by the given record bytes.
+func oneTrace(n uint32, records ...byte) []byte {
+	b := append([]byte(codecMagic), codecVersion, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0)
+	b = binary.LittleEndian.AppendUint32(b, n)
+	return append(b, records...)
+}
+
 // FuzzEventCodec is the round-trip fuzz target for the binary trace
 // format. Two properties hold for every input:
 //
@@ -119,10 +127,15 @@ func FuzzEventCodec(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("ADCT"))
 	// Header claiming 4 billion traces: must fail cleanly, not OOM.
-	hostile := append([]byte("ADCT"), 1, 0, 0, 0, 0, 0)
+	hostile := append([]byte("ADCT"), codecVersion, 0, 0, 0, 0, 0)
 	hostile = append(hostile, 0xff, 0xff, 0xff, 0xff)
 	f.Add(hostile)
 	f.Add(bytes.Repeat([]byte{0x42}, 64))
+	// Hostile records, each of which must be an error: a run opening the
+	// trace, a run past the declared event count, an unknown tag.
+	f.Add(oneTrace(2, recRun, 2))
+	f.Add(oneTrace(3, recInstr, 0, recRun, 5))
+	f.Add(oneTrace(1, 0x7f, recInstr, 0))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if s, err := ReadSet(bytes.NewReader(data)); err == nil {

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -225,37 +226,57 @@ func TestCodecRoundtrip(t *testing.T) {
 	}
 }
 
+// TestCodecRejectsGarbage: malformed input, and records that no encoder
+// writes, are errors, not silently repaired events. Each record case is
+// well formed but for the one defect its name gives.
 func TestCodecRejectsGarbage(t *testing.T) {
-	if _, err := ReadSet(bytes.NewReader([]byte("NOPE    "))); err == nil {
-		t.Error("ReadSet accepted bad magic")
-	}
-	if _, err := ReadSet(bytes.NewReader(nil)); err == nil {
-		t.Error("ReadSet accepted empty input")
-	}
-	// Truncated valid stream.
 	s := &Set{Workload: "w", TypeNames: []string{"t"}, Traces: []*Trace{mkTrace(0, []OpType{OpIndexProbe}, 4)}}
 	var buf bytes.Buffer
 	if err := WriteSet(&buf, s); err != nil {
 		t.Fatalf("WriteSet: %v", err)
 	}
-	trunc := buf.Bytes()[:buf.Len()-5]
-	if _, err := ReadSet(bytes.NewReader(trunc)); err == nil {
-		t.Error("ReadSet accepted truncated stream")
+	for name, data := range map[string][]byte{
+		"bad magic":               []byte("NOPE    "),
+		"empty input":             nil,
+		"truncated stream":        buf.Bytes()[:buf.Len()-5],
+		"version 1":               append([]byte(codecMagic), 1, 0, 0, 0, 0, 0, 0, 0, 0, 0),
+		"trailing bytes":          append(oneTrace(1, recInstr, 0), 0),
+		"run opens the trace":     oneTrace(2, recRun, 2),
+		"run after a data access": oneTrace(2, recRead, 0, recRun, 1),
+		"run past the count":      oneTrace(3, recInstr, 0, recRun, 5),
+		"empty run":               oneTrace(2, recInstr, 0, recRun, 0, recInstr, 0),
+		"unknown tag":             oneTrace(1, 0x7f, recInstr, 0),
+		"short literal":           oneTrace(1, recLiteral, 1, 2, 3),
+		"overlong varint":         oneTrace(1, append([]byte{recInstr}, bytes.Repeat([]byte{0xff}, 11)...)...),
+	} {
+		if s, err := ReadSet(bytes.NewReader(data)); err == nil {
+			t.Errorf("%s: decoded %d traces, want an error", name, len(s.Traces))
+		}
 	}
 }
 
 // TestCodecRoundtripProperty uses testing/quick to exercise the codec with
-// randomized event contents.
+// randomized event contents: memory events that mostly fetch the next
+// instruction block (runs longer than one record holds included), and
+// otherwise jump anywhere.
 func TestCodecRoundtripProperty(t *testing.T) {
-	f := func(seed int64, nEvents uint8) bool {
+	f := func(seed int64, nEvents uint16) bool {
 		rng := rand.New(rand.NewSource(seed))
 		tr := &Trace{Type: TxnType(rng.Intn(16)), TypeName: "q"}
 		tr.Events = append(tr.Events, Event{Kind: KindTxnBegin, Aux: uint16(tr.Type)})
+		var next uint64
 		for i := 0; i < int(nEvents); i++ {
-			tr.Events = append(tr.Events, Event{
-				Kind: EventKind(rng.Intn(3)), // memory kinds only
-				Addr: uint64(rng.Int63()) &^ (BlockSize - 1),
-			})
+			e := Event{Kind: KindInstr, Addr: next}
+			if rng.Intn(64) == 0 {
+				e = Event{
+					Kind: EventKind(rng.Intn(3)), // memory kinds only
+					Addr: uint64(rng.Int63()) &^ (BlockSize - 1),
+				}
+			}
+			if e.Kind == KindInstr {
+				next = e.Addr + BlockSize
+			}
+			tr.Events = append(tr.Events, e)
 		}
 		tr.Events = append(tr.Events, Event{Kind: KindTxnEnd})
 		s := &Set{Workload: "q", TypeNames: []string{"q"}, Traces: []*Trace{tr}}
@@ -304,4 +325,47 @@ func TestDiscardIsNoop(t *testing.T) {
 	d.OpEnd(OpIndexProbe)
 	d.TxnEnd()
 	// Nothing to assert beyond "does not panic"; Discard has no state.
+}
+
+// TestCodecDecodedSizeIsBounded: a run record expands to at most maxRun
+// events, so no input of 4 KiB decodes to more than a million events. The
+// densest input a hostile writer can make is all runs; random inputs
+// cover the rest.
+func TestCodecDecodedSizeIsBounded(t *testing.T) {
+	const limit, maxEvents = 4 << 10, 1 << 20
+	inputs := [][]byte{}
+	dense := oneTrace(0, recInstr, 0)
+	events := uint32(1)
+	for len(dense)+2 <= limit {
+		dense = append(dense, recRun, maxRun)
+		events += maxRun
+	}
+	binary.LittleEndian.PutUint32(dense[len(oneTrace(0))-4:], events)
+	inputs = append(inputs, dense)
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 200; i++ {
+		b := oneTrace(rng.Uint32())
+		b = append(b, make([]byte, rng.Intn(limit-len(b)))...)
+		rng.Read(b[len(oneTrace(0)):])
+		inputs = append(inputs, b)
+	}
+	for i, data := range inputs {
+		s, err := ReadSet(bytes.NewReader(data))
+		if err != nil {
+			if i == 0 {
+				t.Fatalf("the densest valid input was rejected: %v", err)
+			}
+			continue
+		}
+		n := 0
+		for _, tr := range s.Traces {
+			n += len(tr.Events)
+		}
+		if n > maxEvents {
+			t.Errorf("input %d: %d bytes decoded to %d events", i, len(data), n)
+		}
+		if i == 0 && n != int(events) {
+			t.Errorf("dense input decoded to %d events, want %d", n, events)
+		}
+	}
 }
