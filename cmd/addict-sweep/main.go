@@ -41,6 +41,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -338,7 +339,9 @@ func parseUints(values []string, dst *[]uint64) error {
 	return nil
 }
 
-// parseSize parses a byte count with an optional K/M suffix.
+// parseSize parses a byte count with an optional K/M suffix, rejecting a
+// count whose scaled value does not fit an int (a wrapped product would
+// silently sweep some unrelated size).
 func parseSize(s string) (int, error) {
 	mult := 1
 	switch {
@@ -350,6 +353,9 @@ func parseSize(s string) (int, error) {
 	n, err := strconv.Atoi(s)
 	if err != nil {
 		return 0, err
+	}
+	if n > math.MaxInt/mult || n < math.MinInt/mult {
+		return 0, fmt.Errorf("size %s × %d overflows int", s, mult)
 	}
 	return n * mult, nil
 }

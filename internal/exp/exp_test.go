@@ -2,6 +2,7 @@ package exp
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -154,12 +155,42 @@ func TestFig4StabilityHigh(t *testing.T) {
 	}
 }
 
+// TestCompareShape asserts the paper's direction claims on every TPC
+// workload at three seeds (fixed before the first run, never swapped): ADDICT
+// lowers L1-I MPKI and makespan against Baseline at a modest power cost
+// (Section 4.4, Figure 8b). TPC-B at the default seed also pins the
+// mechanism orderings.
 func TestCompareShape(t *testing.T) {
-	w := NewWorkbench(context.Background(), tinyParams(), 1)
-	c := Compare(w, "TPC-B")
-	if len(c.Rows) != 4 {
-		t.Fatalf("rows = %d", len(c.Rows))
+	for _, wl := range []string{"TPC-B", "TPC-C", "TPC-E"} {
+		for _, seed := range []int64{7, 11, 23} {
+			t.Run(fmt.Sprintf("%s/seed%d", wl, seed), func(t *testing.T) {
+				p := tinyParams()
+				p.Seed = seed
+				c := Compare(NewWorkbench(context.Background(), p, 1), wl)
+				if len(c.Rows) != 4 {
+					t.Fatalf("rows = %d", len(c.Rows))
+				}
+				add := c.Row(sched.ADDICT)
+				if add.L1IN >= 1.0 {
+					t.Errorf("ADDICT L1-I MPKI %.2f of Baseline, want < 1", add.L1IN)
+				}
+				if add.CyclesN >= 1.0 {
+					t.Errorf("ADDICT cycles %.2f of Baseline, want < 1", add.CyclesN)
+				}
+				if add.PowerN <= 1.0 || add.PowerN > 1.6 {
+					t.Errorf("ADDICT power %.2f, want (1.0, 1.6]", add.PowerN)
+				}
+				if wl == "TPC-B" && seed == tinyParams().Seed {
+					checkTPCBOrdering(t, c)
+				}
+			})
+		}
 	}
+}
+
+// checkTPCBOrdering asserts the paper's mechanism orderings on TPC-B.
+func checkTPCBOrdering(t *testing.T, c Comparison) {
+	t.Helper()
 	base := c.Row(sched.Baseline)
 	add := c.Row(sched.ADDICT)
 	slicc := c.Row(sched.SLICC)
@@ -176,10 +207,6 @@ func TestCompareShape(t *testing.T) {
 	if add.L1DN <= 1.0 || slicc.L1DN <= 1.0 {
 		t.Errorf("spreading did not increase L1-D: ADDICT %.2f SLICC %.2f", add.L1DN, slicc.L1DN)
 	}
-	// ADDICT cuts total execution time.
-	if add.CyclesN >= 1.0 {
-		t.Errorf("ADDICT cycles %.2f, want < 1", add.CyclesN)
-	}
 	// STREX's batching inflates latency far above the others (Figure 6).
 	if strex.LatencyN < 2.0 || strex.LatencyN < add.LatencyN {
 		t.Errorf("STREX latency %.2f, ADDICT %.2f — paper: STREX 7-8x worst", strex.LatencyN, add.LatencyN)
@@ -193,10 +220,6 @@ func TestCompareShape(t *testing.T) {
 		if r.OverheadShare > 0.10 {
 			t.Errorf("%s overhead %.1f%% exceeds 10%%", r.Mechanism, r.OverheadShare*100)
 		}
-	}
-	// ADDICT draws somewhat more power (Figure 8b: ~1.1x).
-	if add.PowerN <= 1.0 || add.PowerN > 1.6 {
-		t.Errorf("ADDICT power %.2f, want (1.0, 1.6]", add.PowerN)
 	}
 }
 

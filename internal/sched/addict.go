@@ -22,10 +22,6 @@ type addictHooks struct {
 	// false for fallback-scheduled types.
 	trackers []core.Tracker
 	tracked  []bool
-	// pending holds a migration-point crossing RunWindow discovered but
-	// did not commit past: the tracker has already consumed the event, so
-	// Act picks the decision up here instead of consuming it again.
-	pending []pendingCross
 	// pointCores is the runtime (mutable) core set per migration point;
 	// stealing reassigns cores between points ("if there are any idle
 	// cores that belong to another migration point, ADDICT reassigns one
@@ -38,13 +34,6 @@ type addictHooks struct {
 	fallback *baselineHooks
 	// static disables replicas and stealing (ablation).
 	static bool
-}
-
-// pendingCross is one tracker crossing awaiting its Act call.
-type pendingCross struct {
-	pos int
-	pt  *core.PointAssignment
-	ok  bool
 }
 
 func newAddictHooks(cfg Config) *addictHooks {
@@ -88,7 +77,6 @@ func (a *addictHooks) bind(ex *sim.Executor) {
 	n := len(ex.Threads())
 	a.trackers = make([]core.Tracker, n)
 	a.tracked = make([]bool, n)
-	a.pending = make([]pendingCross, n)
 }
 
 func (a *addictHooks) txnAsg(t *sim.Thread) *core.TxnAssignment {
@@ -108,21 +96,12 @@ func (a *addictHooks) Place(t *sim.Thread) int {
 }
 
 // Act implements sim.Hooks: consult the tracker; on a crossed point, pick
-// the destination core. A crossing RunWindow already discovered (and whose
-// event the tracker therefore already consumed) is picked up from pending;
-// the executor guarantees Act is next consulted exactly at that event.
+// the destination core.
 func (a *addictHooks) Act(t *sim.Thread, ev trace.Event) sim.Action {
 	if !a.tracked[t.ID] {
 		return sim.Run // fallback-scheduled type
 	}
-	var pt *core.PointAssignment
-	var crossed bool
-	if p := &a.pending[t.ID]; p.ok && p.pos == t.Pos() {
-		pt, crossed = p.pt, true
-		p.ok = false
-	} else {
-		pt, crossed = a.trackers[t.ID].Next(ev)
-	}
+	pt, crossed := a.trackers[t.ID].Next(ev)
 	if !crossed {
 		return sim.Run
 	}
@@ -132,37 +111,6 @@ func (a *addictHooks) Act(t *sim.Thread, ev trace.Event) sim.Action {
 	}
 	return sim.MigrateTo(dest)
 }
-
-// RunWindow implements sim.BatchHooks: the tracker is a deterministic
-// automaton over the thread's own events, so it can be advanced ahead of
-// execution — every event up to (excluding) the next migration-point
-// crossing is guaranteed ActRun. The crossing itself is parked in pending
-// for Act; core selection must wait until then because it reads live
-// queue/occupancy state.
-func (a *addictHooks) RunWindow(t *sim.Thread, evs []trace.Event) int {
-	if !a.tracked[t.ID] {
-		return len(evs) // fallback-scheduled type: Act never acts
-	}
-	p := &a.pending[t.ID]
-	if p.ok {
-		return 0 // a crossing is already waiting for its Act call
-	}
-	tk := &a.trackers[t.ID]
-	pos := t.Pos()
-	for i, ev := range evs {
-		if pt, crossed := tk.Next(ev); crossed {
-			*p = pendingCross{pos: pos + i, pt: pt, ok: true}
-			return i
-		}
-	}
-	return len(evs)
-}
-
-// ObserveBatch implements sim.BatchHooks: nothing to do — the tracker
-// already advanced in RunWindow and ADDICT takes no outcome feedback.
-func (a *addictHooks) ObserveBatch(*sim.Thread, []trace.Event, []sim.AccessOutcome) {}
-
-var _ sim.BatchHooks = (*addictHooks)(nil)
 
 // chooseCore applies the dynamic core-selection policy for a migration
 // point.

@@ -103,21 +103,3 @@ func (c *chainHooks) opLen(t *sim.Thread) int {
 
 // Observe implements sim.Hooks (CHAIN takes no outcome feedback).
 func (c *chainHooks) Observe(*sim.Thread, trace.Event, sim.AccessOutcome) {}
-
-// RunWindow implements sim.BatchHooks: Act acts only at an operation-begin
-// marker, so everything up to (excluding) the next OpBegin — the rest of
-// the current chain link, its end marker, and any inter-op glue — is
-// guaranteed ActRun and commits as one window.
-func (c *chainHooks) RunWindow(t *sim.Thread, evs []trace.Event) int {
-	for i, ev := range evs {
-		if ev.Kind == trace.KindOpBegin {
-			return i
-		}
-	}
-	return len(evs)
-}
-
-// ObserveBatch implements sim.BatchHooks (nothing to observe).
-func (c *chainHooks) ObserveBatch(*sim.Thread, []trace.Event, []sim.AccessOutcome) {}
-
-var _ sim.BatchHooks = (*chainHooks)(nil)

@@ -48,13 +48,13 @@
 //
 // Mechanism names resolve through ParseMechanism (case-insensitive, with
 // a nearest-name suggestion on a typo); DESIGN.md §12 is the mechanism
-// reference manual (state machines, abort/handoff conditions, knobs, and
-// which BatchHooks methods each family implements).
+// reference manual (state machines, abort/handoff conditions, and knobs).
 //
-// All six families implement sim.BatchHooks — scheduling decisions happen
-// only at designated marker events, so whole event windows commit per
-// scheduler call and the steady-state replay loop allocates nothing (the
-// bench harness's zero-alloc and batch-equivalence guards cover every
-// family). online.go adds the pure-dynamic deployment of Section 3.1.3
-// (profile while serving, then migrate).
+// Every family is a per-event scheduler: the executor asks Act before each
+// event and reports its outcome through Observe — one dispatch path, as in
+// the paper's simulator. The steady-state replay loop allocates nothing
+// for any family (bench.SteadyStateAllocsPerEvent), and
+// TestPinnedReplayCounters pins each family's exact machine counters.
+// online.go adds the pure-dynamic deployment of Section 3.1.3 (profile
+// while serving, then migrate).
 package sched

@@ -29,9 +29,7 @@ import (
 // writer and a global write stamp per line slot. Validation checks every
 // tracked line against the table; slot aliasing can hide an older writer
 // (a lost conflict), never invent one for a line nobody wrote. All
-// decisions happen at OpEnd markers only, which keeps the batch-dispatch
-// contract: every other event is guaranteed ActRun, so whole op bodies
-// commit as windows (see RunWindow).
+// decisions happen at OpEnd markers only; every other event runs in place.
 type htmSpecHooks struct {
 	cores     int
 	readCap   int
@@ -190,10 +188,6 @@ func (h *htmSpecHooks) abort(t *sim.Thread, st *htmState, capacity bool) sim.Act
 // last-writer table, so non-speculating writers still abort speculating
 // readers.
 func (h *htmSpecHooks) Observe(t *sim.Thread, ev trace.Event, out sim.AccessOutcome) {
-	h.observeOne(t, ev)
-}
-
-func (h *htmSpecHooks) observeOne(t *sim.Thread, ev trace.Event) {
 	st := &h.st[t.ID]
 	switch ev.Kind {
 	case trace.KindOpBegin:
@@ -240,31 +234,4 @@ func addLine(set []uint64, n int, line uint64, overflow *bool) int {
 	return n + 1
 }
 
-// RunWindow implements sim.BatchHooks: Act acts only at an operation-end
-// marker, so every event up to (excluding) the next OpEnd is guaranteed
-// ActRun under any outcome — a whole op body commits as one window. A
-// fallen-back thread never acts again and commits everything offered.
-func (h *htmSpecHooks) RunWindow(t *sim.Thread, evs []trace.Event) int {
-	if h.st[t.ID].fellBack {
-		return len(evs)
-	}
-	for i, ev := range evs {
-		if ev.Kind == trace.KindOpEnd {
-			return i
-		}
-	}
-	return len(evs)
-}
-
-// ObserveBatch implements sim.BatchHooks: identical bookkeeping to the
-// per-event Observe, in order. Chunks break exactly where other threads
-// interleave, so the global write stamps evolve as per-event dispatch
-// would.
-func (h *htmSpecHooks) ObserveBatch(t *sim.Thread, evs []trace.Event, outs []sim.AccessOutcome) {
-	for _, ev := range evs {
-		h.observeOne(t, ev)
-	}
-}
-
-var _ sim.BatchHooks = (*htmSpecHooks)(nil)
 var _ sim.SpecReporter = (*htmSpecHooks)(nil)

@@ -115,20 +115,9 @@ func (c Config) batchSize() int {
 	return c.Machine.Cores
 }
 
-// Run replays a trace set under the given mechanism and returns the
-// simulation result.
+// Run wires the mechanism's hooks, batching, and admission policy into an
+// executor, replays the trace set, and returns the simulation result.
 func Run(mech Mechanism, s *trace.Set, cfg Config) (sim.Result, error) {
-	ex, err := newRun(mech, s, cfg)
-	if err != nil {
-		return sim.Result{}, err
-	}
-	return ex.Run(), nil
-}
-
-// newRun wires the mechanism's hooks, batching, and admission policy into
-// a ready-to-run executor. Split from Run so the batch/per-event
-// equivalence tests can flip sim.Executor.NoBatch before running.
-func newRun(mech Mechanism, s *trace.Set, cfg Config) (*sim.Executor, error) {
 	m := sim.NewMachine(cfg.Machine)
 	// admit applies the explicit admission cap, if any, over a mechanism's
 	// default in-flight bound.
@@ -138,65 +127,61 @@ func newRun(mech Mechanism, s *trace.Set, cfg Config) (*sim.Executor, error) {
 		}
 		return def
 	}
+	var ex *sim.Executor
 	switch mech {
 	case Baseline:
 		hooks := &baselineHooks{cores: cfg.Machine.Cores}
-		ex := sim.NewExecutor(m, hooks, s.Traces)
+		ex = sim.NewExecutor(m, hooks, s.Traces)
 		// An explicit batch size models server load for Baseline too
 		// (Figure 7 compares mechanisms at equal concurrency).
 		ex.AdmitLimit = admit(cfg.BatchSize)
-		return ex, nil
 	case STREX:
 		ordered := batchByType(s.Traces, cfg.batchSize())
 		hooks := newStrexHooks(cfg)
-		ex := sim.NewExecutor(m, hooks, ordered)
+		ex = sim.NewExecutor(m, hooks, ordered)
 		ex.AdmitLimit = admit(0)
 		applyBatches(ex, ordered, cfg.batchSize())
-		return ex, nil
 	case SLICC:
 		ordered := batchByType(s.Traces, cfg.batchSize())
 		hooks := newSliccHooks(cfg)
-		ex := sim.NewExecutor(m, hooks, ordered)
+		ex = sim.NewExecutor(m, hooks, ordered)
 		ex.AdmitLimit = admit(cfg.batchSize())
 		ex.BatchBarrier = cfg.BatchBarrier
 		applyBatches(ex, ordered, cfg.batchSize())
 		hooks.bind(ex)
-		return ex, nil
 	case ADDICT:
 		if cfg.Profile == nil {
-			return nil, fmt.Errorf("sched: ADDICT requires a migration-point profile")
+			return sim.Result{}, fmt.Errorf("sched: ADDICT requires a migration-point profile")
 		}
 		ordered := batchByType(s.Traces, cfg.batchSize())
 		hooks := newAddictHooks(cfg)
-		ex := sim.NewExecutor(m, hooks, ordered)
+		ex = sim.NewExecutor(m, hooks, ordered)
 		ex.AdmitLimit = admit(cfg.batchSize())
 		ex.BatchBarrier = cfg.BatchBarrier
 		applyBatches(ex, ordered, cfg.batchSize())
 		hooks.bind(ex)
-		return ex, nil
 	case HTMSPEC:
 		ordered := batchByType(s.Traces, cfg.batchSize())
 		hooks := newHTMSpecHooks(cfg)
-		ex := sim.NewExecutor(m, hooks, ordered)
+		ex = sim.NewExecutor(m, hooks, ordered)
 		// Concurrency bounded by the core queues (like STREX): HTMSPEC is
 		// Baseline plus speculation, so it runs at Baseline's width and
 		// pays only for aborts.
 		ex.AdmitLimit = admit(0)
 		applyBatches(ex, ordered, cfg.batchSize())
 		hooks.bind(ex)
-		return ex, nil
 	case CHAIN:
 		ordered := batchByType(s.Traces, cfg.batchSize())
 		hooks := newChainHooks(cfg, ordered)
-		ex := sim.NewExecutor(m, hooks, ordered)
+		ex = sim.NewExecutor(m, hooks, ordered)
 		ex.AdmitLimit = admit(cfg.batchSize())
 		ex.BatchBarrier = cfg.BatchBarrier
 		applyBatches(ex, ordered, cfg.batchSize())
 		hooks.bind(ex)
-		return ex, nil
 	default:
-		return nil, unknownMechanism(string(mech))
+		return sim.Result{}, unknownMechanism(string(mech))
 	}
+	return ex.Run(), nil
 }
 
 // batchByType reorders traces so same-type transactions are grouped into
@@ -270,13 +255,3 @@ func (b *baselineHooks) Act(*sim.Thread, trace.Event) sim.Action { return sim.Ru
 
 // Observe implements sim.Hooks.
 func (b *baselineHooks) Observe(*sim.Thread, trace.Event, sim.AccessOutcome) {}
-
-// RunWindow implements sim.BatchHooks: Baseline never acts, so every
-// offered event is committed — the whole replay runs without a single
-// per-event scheduler call.
-func (b *baselineHooks) RunWindow(t *sim.Thread, evs []trace.Event) int { return len(evs) }
-
-// ObserveBatch implements sim.BatchHooks (nothing to observe).
-func (b *baselineHooks) ObserveBatch(*sim.Thread, []trace.Event, []sim.AccessOutcome) {}
-
-var _ sim.BatchHooks = (*baselineHooks)(nil)

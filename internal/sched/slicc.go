@@ -192,55 +192,3 @@ func (s *sliccHooks) Observe(t *sim.Thread, ev trace.Event, out sim.AccessOutcom
 		st.misses = 0
 	}
 }
-
-// RunWindow implements sim.BatchHooks. Act migrates only at an instruction
-// fetch whose miss burst satisfies all three detector conditions; two of
-// them — the fetch-count window and the cooldown — evolve independently of
-// outcomes, so their trajectories can be replayed in advance: a fetch is
-// guaranteed ActRun whenever the window is not yet full or the cooldown
-// has not expired. Commitment stops at the first fetch where both are
-// satisfiable and the (unknowable) miss count gets a say.
-func (s *sliccHooks) RunWindow(t *sim.Thread, evs []trace.Event) int {
-	st := s.state(t.ID)
-	f := st.fetches
-	sm := st.sinceMove
-	for i, ev := range evs {
-		if ev.Kind == trace.KindInstr {
-			sm++
-			if f >= s.window && sm >= s.cooldown {
-				return i
-			}
-			// Replay Observe's deterministic part of the counter
-			// evolution (the reset fires on fetch count alone).
-			f++
-			if f > s.window {
-				f = 0
-			}
-		}
-	}
-	return len(evs)
-}
-
-// ObserveBatch implements sim.BatchHooks: replay Act's bookkeeping (the
-// cooldown advance — Act was never called for committed events) plus the
-// per-event Observe, in order, so the detector state is exactly what the
-// per-event path would have left.
-func (s *sliccHooks) ObserveBatch(t *sim.Thread, evs []trace.Event, outs []sim.AccessOutcome) {
-	st := s.state(t.ID)
-	for i, ev := range evs {
-		if ev.Kind != trace.KindInstr {
-			continue
-		}
-		st.sinceMove++
-		st.fetches++
-		if outs[i].L1Miss {
-			st.misses++
-		}
-		if st.fetches > s.window {
-			st.fetches = 0
-			st.misses = 0
-		}
-	}
-}
-
-var _ sim.BatchHooks = (*sliccHooks)(nil)

@@ -77,39 +77,3 @@ func (s *strexHooks) Observe(t *sim.Thread, ev trace.Event, out sim.AccessOutcom
 		s.evictions[t.Core]++
 	}
 }
-
-// RunWindow implements sim.BatchHooks. Act yields only at an instruction
-// fetch once the core's monitor reaches the threshold, and each committed
-// fetch can raise the monitor by at most one — so the first
-// threshold-minus-current fetches are guaranteed ActRun under any outcome,
-// and everything up to (excluding) the first fetch that could cross the
-// line is committed. Non-fetch events never yield and commit freely. The
-// monitor is per-core state, which the batch contract allows: t occupies
-// its core for the whole commitment.
-func (s *strexHooks) RunWindow(t *sim.Thread, evs []trace.Event) int {
-	margin := s.threshold - s.evictions[t.Core]
-	instr := 0
-	for i, ev := range evs {
-		if ev.Kind == trace.KindInstr {
-			if instr >= margin {
-				return i
-			}
-			instr++
-		}
-	}
-	return len(evs)
-}
-
-// ObserveBatch implements sim.BatchHooks: identical bookkeeping to the
-// per-event Observe.
-func (s *strexHooks) ObserveBatch(t *sim.Thread, evs []trace.Event, outs []sim.AccessOutcome) {
-	n := 0
-	for i, ev := range evs {
-		if ev.Kind == trace.KindInstr && outs[i].L1Evict {
-			n++
-		}
-	}
-	s.evictions[t.Core] += n
-}
-
-var _ sim.BatchHooks = (*strexHooks)(nil)

@@ -13,15 +13,14 @@ import (
 // SLICC, and ADDICT are all "implemented on the Zesto simulator"
 // (Section 4.1).
 //
-// The engine is written for zero steady-state allocation and minimal
-// per-event dispatch: all per-thread and per-core state is preallocated in
-// NewExecutor, the ready set is a hand-rolled binary heap of thread
-// pointers (no interface boxing, comparisons inline), a running thread
-// keeps executing without any heap traffic while it remains earliest in
-// the (time, ID) order, and mechanisms implementing BatchHooks commit
-// whole event windows so the per-event Act/Observe interface calls vanish
-// from the hot path. All of this is observationally equivalent to the
-// one-event-at-a-time engine (NoBatch replays that behavior exactly).
+// Every event is dispatched the same way: one Act call before it, one
+// Observe call after it. The engine is written for zero steady-state
+// allocation around that dispatch: all per-thread and per-core state is
+// preallocated in NewExecutor, the ready set is a hand-rolled binary heap
+// of thread pointers (no interface boxing, comparisons inline), and a
+// running thread keeps executing without any heap traffic while it remains
+// earliest in the (time, ID) order. All of this is observationally
+// equivalent to popping one event at a time from a container/heap.
 
 // ActionKind is a scheduler directive for the next event of a thread.
 type ActionKind uint8
@@ -90,9 +89,6 @@ type Thread struct {
 	// set after a migration so each event gets exactly one migration
 	// decision (re-asking after arrival could ping-pong forever).
 	forceRun bool
-	// committed counts upcoming events the mechanism has batch-committed
-	// to plain execution (BatchHooks.RunWindow); they run without Act.
-	committed int
 }
 
 type threadState uint8
@@ -246,18 +242,10 @@ type Executor struct {
 	// transactions from the previous batch might prefetch the instructions
 	// needed for current batch" (Section 4.5). Overrides AdmitLimit.
 	BatchBarrier bool
-	// NoBatch forces per-event dispatch even when the mechanism implements
-	// BatchHooks. Results are identical either way (that equivalence is
-	// what the differential tests assert); the per-event path is the
-	// reference.
-	NoBatch bool
 
 	threads []*Thread
 	cores   []coreState
 	ready   threadHeap
-	batch   BatchHooks // hooks, when batch-capable and batching enabled
-	// outs is the preallocated outcome buffer for committed-window chunks.
-	outs [maxWindow]AccessOutcome
 
 	nextAdmit int
 	live      int
@@ -291,12 +279,6 @@ func (ex *Executor) Threads() []*Thread { return ex.threads }
 
 // Run executes all threads to completion and returns the result.
 func (ex *Executor) Run() Result {
-	ex.batch = nil
-	if !ex.NoBatch {
-		if b, ok := ex.hooks.(BatchHooks); ok {
-			ex.batch = b
-		}
-	}
 	// Admission: threads join their placement core's queue in thread order
 	// (which schedulers control by batching), up to AdmitLimit in flight.
 	ex.admit()
@@ -351,34 +333,12 @@ func (ex *Executor) runThread(t *Thread) *Thread {
 			ex.finish(t)
 			return nil
 		}
-		if t.committed > 0 {
-			if ex.execCommitted(t) {
-				return ex.ready.swapRoot(t)
-			}
-			continue
-		}
 		if t.forceRun {
 			t.forceRun = false
 			if ex.execOne(t, events[t.pos]) {
 				return ex.ready.swapRoot(t)
 			}
 			continue
-		}
-		if ex.batch != nil {
-			win := events[t.pos:]
-			if len(win) > maxWindow {
-				win = win[:maxWindow]
-			}
-			if n := ex.batch.RunWindow(t, win); n > 0 {
-				if n > len(win) {
-					n = len(win)
-				}
-				t.committed = n
-				if ex.execCommitted(t) {
-					return ex.ready.swapRoot(t)
-				}
-				continue
-			}
 		}
 		ev := events[t.pos]
 		act := ex.hooks.Act(t, ev)
@@ -403,8 +363,8 @@ func (ex *Executor) runThread(t *Thread) *Thread {
 	}
 }
 
-// execOne executes one event with a per-event Observe and reports whether
-// t lost its earliest position.
+// execOne executes one event, reports its outcome to the mechanism, and
+// reports whether t lost its earliest position.
 func (ex *Executor) execOne(t *Thread, ev trace.Event) (preempted bool) {
 	out := ex.M.Exec(t.Core, ev)
 	if !t.started && ev.IsMemory() {
@@ -416,49 +376,6 @@ func (ex *Executor) execOne(t *Thread, ev trace.Event) (preempted bool) {
 	t.pos++
 	ex.hooks.Observe(t, ev, out)
 	return len(ex.ready.s) > 0 && before(ex.ready.s[0], t)
-}
-
-// execCommitted executes as much of t's batch commitment as the global
-// (time, ID) order allows — no Act calls, outcomes reported through one
-// ObserveBatch per chunk — and reports whether t was preempted. The heap
-// cannot change while the chunk runs (executing events touches only the
-// machine, the thread, and its core's cycle counter), so the preemption
-// bound is two registers, not a heap probe per event.
-func (ex *Executor) execCommitted(t *Thread) (preempted bool) {
-	n := t.committed
-	evs := t.Trace.Events[t.pos : t.pos+n]
-	limTime := ^uint64(0)
-	limWins := false // at equal time, does the ready head precede t?
-	if len(ex.ready.s) > 0 {
-		top := ex.ready.s[0]
-		limTime = top.time
-		limWins = top.ID < t.ID
-	}
-	m := ex.M
-	core := t.Core
-	var cycles uint64
-	k := 0
-	for k < n {
-		ev := evs[k]
-		out := m.Exec(core, ev)
-		if !t.started && ev.IsMemory() {
-			t.started = true
-			t.startTime = t.time
-		}
-		t.time += out.Cycles
-		cycles += out.Cycles
-		ex.outs[k] = out
-		k++
-		if t.time > limTime || (t.time == limTime && limWins) {
-			preempted = true
-			break
-		}
-	}
-	ex.cores[core].active += cycles
-	t.pos += k
-	t.committed = n - k
-	ex.batch.ObserveBatch(t, evs[:k], ex.outs[:k])
-	return preempted
 }
 
 // admit places waiting threads until the in-flight bound is reached (or,
