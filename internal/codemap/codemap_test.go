@@ -94,8 +94,8 @@ func TestEmitRangeAndLoop(t *testing.T) {
 	tr := b.Take()[0]
 	var addrs []uint64
 	for _, e := range tr.Events {
-		if e.Kind == trace.KindInstr {
-			addrs = append(addrs, e.Addr)
+		if e.Kind() == trace.KindInstr {
+			addrs = append(addrs, e.Addr())
 		}
 	}
 	want := []uint64{s.Addr(2), s.Addr(3), s.Addr(4), s.Addr(0), s.Addr(1), s.Addr(0), s.Addr(1), s.Addr(0), s.Addr(1)}

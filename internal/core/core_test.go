@@ -200,23 +200,23 @@ func TestPaperWorkedExample(t *testing.T) {
 		}
 		return pt.Cores[0], true
 	}
-	if c, ok := step(trace.Event{Kind: trace.KindTxnBegin, Aux: 1}); !ok || c != 0 {
+	if c, ok := step(trace.MarkerEvent(trace.KindTxnBegin, 0, 1)); !ok || c != 0 {
 		t.Fatalf("txn entry → %d,%v", c, ok)
 	}
-	if c, ok := step(trace.Event{Kind: trace.KindOpBegin, Op: trace.OpInsertTuple}); !ok || c != 1 {
+	if c, ok := step(trace.MarkerEvent(trace.KindOpBegin, trace.OpInsertTuple, 0)); !ok || c != 1 {
 		t.Fatalf("insert entry → %d,%v", c, ok)
 	}
-	if _, ok := step(trace.Event{Kind: trace.KindInstr, Addr: a2}); ok {
+	if _, ok := step(trace.MemEvent(trace.KindInstr, a2)); ok {
 		t.Fatal("0x899397 migrated before its previous point (order check broken)")
 	}
-	if c, ok := step(trace.Event{Kind: trace.KindInstr, Addr: a1}); !ok || c != 2 {
+	if c, ok := step(trace.MemEvent(trace.KindInstr, a1)); !ok || c != 2 {
 		t.Fatalf("0x8b5f5f → %d,%v, want core2", c, ok)
 	}
-	if c, ok := step(trace.Event{Kind: trace.KindInstr, Addr: a2}); !ok || c != 3 {
+	if c, ok := step(trace.MemEvent(trace.KindInstr, a2)); !ok || c != 3 {
 		t.Fatalf("0x899397 (after prev) → %d,%v, want core3", c, ok)
 	}
 	// Re-encountering a consumed point must not re-migrate.
-	if _, ok := step(trace.Event{Kind: trace.KindInstr, Addr: a1}); ok {
+	if _, ok := step(trace.MemEvent(trace.KindInstr, a1)); ok {
 		t.Fatal("re-encountered point migrated again")
 	}
 }
@@ -312,7 +312,7 @@ func TestFallbackWhenEntriesExceedCores(t *testing.T) {
 	}
 	// Tracker under fallback never migrates.
 	tk := NewTracker(asg.PerTxn[0])
-	if _, ok := tk.Next(trace.Event{Kind: trace.KindTxnBegin}); ok {
+	if _, ok := tk.Next(trace.MarkerEvent(trace.KindTxnBegin, 0, 0)); ok {
 		t.Error("fallback tracker migrated")
 	}
 }
@@ -332,18 +332,18 @@ func TestTrackerUnknownOp(t *testing.T) {
 		Config: DefaultProfileConfig(),
 	}
 	tk := NewTracker(prof.Assign(8).PerTxn[0])
-	tk.Next(trace.Event{Kind: trace.KindTxnBegin})
+	tk.Next(trace.MarkerEvent(trace.KindTxnBegin, 0, 0))
 	// An operation that was never profiled: no hint, no crash.
-	if _, ok := tk.Next(trace.Event{Kind: trace.KindOpBegin, Op: trace.OpDeleteTuple}); ok {
+	if _, ok := tk.Next(trace.MarkerEvent(trace.KindOpBegin, trace.OpDeleteTuple, 0)); ok {
 		t.Error("unknown op produced a migration")
 	}
 	// Its instructions don't match probe's points either.
-	if _, ok := tk.Next(trace.Event{Kind: trace.KindInstr, Addr: 0x40}); ok {
+	if _, ok := tk.Next(trace.MemEvent(trace.KindInstr, 0x40)); ok {
 		t.Error("instruction inside unknown op migrated")
 	}
-	tk.Next(trace.Event{Kind: trace.KindOpEnd, Op: trace.OpDeleteTuple})
+	tk.Next(trace.MarkerEvent(trace.KindOpEnd, trace.OpDeleteTuple, 0))
 	// Back to a known op: works again.
-	if _, ok := tk.Next(trace.Event{Kind: trace.KindOpBegin, Op: trace.OpIndexProbe}); !ok {
+	if _, ok := tk.Next(trace.MarkerEvent(trace.KindOpBegin, trace.OpIndexProbe, 0)); !ok {
 		t.Error("known op after unknown op did not migrate")
 	}
 }
@@ -363,12 +363,12 @@ func TestTrackerReset(t *testing.T) {
 		Config: DefaultProfileConfig(),
 	}
 	tk := NewTracker(prof.Assign(8).PerTxn[0])
-	tk.Next(trace.Event{Kind: trace.KindOpBegin, Op: trace.OpIndexProbe})
-	tk.Next(trace.Event{Kind: trace.KindInstr, Addr: 0x40})
+	tk.Next(trace.MarkerEvent(trace.KindOpBegin, trace.OpIndexProbe, 0))
+	tk.Next(trace.MemEvent(trace.KindInstr, 0x40))
 	tk.Reset()
 	// After reset the prev chain restarts: 0x80 must not fire first.
-	tk.Next(trace.Event{Kind: trace.KindOpBegin, Op: trace.OpIndexProbe})
-	if _, ok := tk.Next(trace.Event{Kind: trace.KindInstr, Addr: 0x80}); ok {
+	tk.Next(trace.MarkerEvent(trace.KindOpBegin, trace.OpIndexProbe, 0))
+	if _, ok := tk.Next(trace.MemEvent(trace.KindInstr, 0x80)); ok {
 		t.Error("prev chain survived Reset")
 	}
 }

@@ -134,12 +134,12 @@ func (p *profiler) addTrace(t *trace.Trace) {
 	var seq []uint64
 
 	for _, ev := range t.Events {
-		switch ev.Kind {
+		switch ev.Kind() {
 		case trace.KindTxnBegin, trace.KindTxnEnd:
 			p.l1i.Flush()
 		case trace.KindOpBegin:
 			p.l1i.Flush()
-			curOp = ev.Op
+			curOp = ev.Op()
 			inOp = true
 			seq = seq[:0]
 			if _, seen := p.counts[xct][curOp]; !seen {
@@ -166,19 +166,19 @@ func (p *profiler) addTrace(t *trace.Trace) {
 				// Transaction glue outside operations warms the cache but
 				// never creates migration points (Algorithm 1 records per
 				// operation).
-				p.l1i.Access(ev.Addr)
+				p.l1i.Access(ev.Addr())
 				continue
 			}
-			res := p.l1i.Access(ev.Addr)
+			res := p.l1i.Access(ev.Addr())
 			if res.Victim {
-				if p.cfg.NoMigrate != nil && p.cfg.NoMigrate(ev.Addr) {
+				if p.cfg.NoMigrate != nil && p.cfg.NoMigrate(ev.Addr()) {
 					// Deferred: tolerate the eviction, keep filling; the
 					// next eviction outside the zone becomes the point.
 					continue
 				}
 				p.l1i.Flush()
-				p.l1i.Access(ev.Addr) // the triggering block starts the next action
-				seq = append(seq, ev.Addr)
+				p.l1i.Access(ev.Addr()) // the triggering block starts the next action
+				seq = append(seq, ev.Addr())
 			}
 		}
 	}
@@ -239,12 +239,12 @@ func OpSequences(t *trace.Trace, cfg ProfileConfig) []InstanceSeq {
 	inOp := false
 	var seq []uint64
 	for _, ev := range t.Events {
-		switch ev.Kind {
+		switch ev.Kind() {
 		case trace.KindTxnBegin, trace.KindTxnEnd:
 			l1i.Flush()
 		case trace.KindOpBegin:
 			l1i.Flush()
-			curOp, inOp = ev.Op, true
+			curOp, inOp = ev.Op(), true
 			seq = nil
 		case trace.KindOpEnd:
 			if inOp {
@@ -253,14 +253,14 @@ func OpSequences(t *trace.Trace, cfg ProfileConfig) []InstanceSeq {
 				l1i.Flush()
 			}
 		case trace.KindInstr:
-			res := l1i.Access(ev.Addr)
+			res := l1i.Access(ev.Addr())
 			if inOp && res.Victim {
-				if cfg.NoMigrate != nil && cfg.NoMigrate(ev.Addr) {
+				if cfg.NoMigrate != nil && cfg.NoMigrate(ev.Addr()) {
 					continue
 				}
 				l1i.Flush()
-				l1i.Access(ev.Addr)
-				seq = append(seq, ev.Addr)
+				l1i.Access(ev.Addr())
+				seq = append(seq, ev.Addr())
 			}
 		}
 	}

@@ -32,11 +32,11 @@ func (tk *Tracker) Next(ev trace.Event) (*PointAssignment, bool) {
 	if tk.asg == nil || tk.asg.Fallback {
 		return nil, false
 	}
-	switch ev.Kind {
+	switch ev.Kind() {
 	case trace.KindTxnBegin:
 		return &tk.asg.Entry, true
 	case trace.KindOpBegin:
-		oa, ok := tk.asg.Ops[ev.Op]
+		oa, ok := tk.asg.Ops[ev.Op()]
 		if !ok {
 			// An operation unseen during profiling: no scheduling hints;
 			// the thread stays where it is (profiling with 1000 traces
@@ -59,8 +59,8 @@ func (tk *Tracker) Next(ev trace.Event) (*PointAssignment, bool) {
 		}
 		for i := range tk.curOp.Points {
 			pt := &tk.curOp.Points[i]
-			if pt.Addr == ev.Addr && pt.Prev == tk.prev {
-				tk.prev = ev.Addr
+			if pt.Addr == ev.Addr() && pt.Prev == tk.prev {
+				tk.prev = ev.Addr()
 				return pt, true
 			}
 		}

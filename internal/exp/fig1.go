@@ -48,8 +48,8 @@ func Fig1(w *Workbench) Fig1Result {
 				opFP[o.Op] = fp
 			}
 			for _, e := range t.Events[o.Start:o.End] {
-				if e.Kind == trace.KindInstr {
-					fp[e.Addr] = struct{}{}
+				if e.Kind() == trace.KindInstr {
+					fp[e.Addr()] = struct{}{}
 				}
 			}
 		}

@@ -62,8 +62,8 @@ func Fig2(w *Workbench, workloadName string) Fig2Result {
 			}
 			fp := make(map[uint64]struct{})
 			for _, e := range t.Events[o.Start:o.End] {
-				if e.Kind == trace.KindInstr {
-					fp[e.Addr] = struct{}{}
+				if e.Kind() == trace.KindInstr {
+					fp[e.Addr()] = struct{}{}
 				}
 			}
 			k := opKey{tt: t.Type, op: o.Op}

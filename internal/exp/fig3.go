@@ -34,11 +34,11 @@ func Fig3(w *Workbench) Fig3Result {
 		ti := make(map[uint64]uint64)
 		td := make(map[uint64]uint64)
 		for _, e := range t.Events {
-			switch e.Kind {
+			switch e.Kind() {
 			case trace.KindInstr:
-				ti[e.Addr]++
+				ti[e.Addr()]++
 			case trace.KindDataRead, trace.KindDataWrite:
-				td[e.Addr]++
+				td[e.Addr()]++
 			}
 		}
 		txnI.AddInstance(ti)
@@ -50,11 +50,11 @@ func Fig3(w *Workbench) Fig3Result {
 			oi := make(map[uint64]uint64)
 			od := make(map[uint64]uint64)
 			for _, e := range t.Events[o.Start:o.End] {
-				switch e.Kind {
+				switch e.Kind() {
 				case trace.KindInstr:
-					oi[e.Addr]++
+					oi[e.Addr()]++
 				case trace.KindDataRead, trace.KindDataWrite:
-					od[e.Addr]++
+					od[e.Addr()]++
 				}
 			}
 			insI.AddInstance(oi)

@@ -11,8 +11,8 @@ func fakeResult(makespan uint64, migrations uint64) sim.Result {
 	m := sim.NewMachine(sim.Shallow())
 	// Drive some traffic through the machine so counters are non-zero.
 	for i := 0; i < 100; i++ {
-		m.Exec(0, trace.Event{Kind: trace.KindInstr, Addr: uint64(0x400000 + i*64)})
-		m.Exec(1, trace.Event{Kind: trace.KindDataRead, Addr: uint64(0x2_0000_0000 + i*64)})
+		m.Exec(0, trace.MemEvent(trace.KindInstr, uint64(0x400000+i*64)))
+		m.Exec(1, trace.MemEvent(trace.KindDataRead, uint64(0x2_0000_0000+i*64)))
 	}
 	return sim.Result{
 		Machine:    m,

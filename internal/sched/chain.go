@@ -66,10 +66,10 @@ func (c *chainHooks) Place(t *sim.Thread) int { return t.Batch % c.cores }
 // chase the chain there when the link is long enough to repay the
 // migration.
 func (c *chainHooks) Act(t *sim.Thread, ev trace.Event) sim.Action {
-	if ev.Kind != trace.KindOpBegin {
+	if ev.Kind() != trace.KindOpBegin {
 		return sim.Run
 	}
-	idx := int(t.Trace.Type)*trace.NumOpTypes + int(ev.Op)
+	idx := int(t.Trace.Type)*trace.NumOpTypes + int(ev.Op())
 	home := c.home[idx]
 	if home < 0 {
 		home = c.nextHome
@@ -94,7 +94,7 @@ func (c *chainHooks) opLen(t *sim.Thread) int {
 		end = len(events)
 	}
 	for i := t.Pos() + 1; i < end; i++ {
-		if events[i].Kind == trace.KindOpEnd {
+		if events[i].Kind() == trace.KindOpEnd {
 			return i - t.Pos()
 		}
 	}

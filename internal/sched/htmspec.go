@@ -124,7 +124,7 @@ func (h *htmSpecHooks) slot(line uint64) int {
 // real HTM abort). The marker then executes at the destination without
 // another decision, so each failed validation is charged exactly once.
 func (h *htmSpecHooks) Act(t *sim.Thread, ev trace.Event) sim.Action {
-	if ev.Kind != trace.KindOpEnd {
+	if ev.Kind() != trace.KindOpEnd {
 		return sim.Run
 	}
 	st := &h.st[t.ID]
@@ -189,7 +189,7 @@ func (h *htmSpecHooks) abort(t *sim.Thread, st *htmState, capacity bool) sim.Act
 // readers.
 func (h *htmSpecHooks) Observe(t *sim.Thread, ev trace.Event, out sim.AccessOutcome) {
 	st := &h.st[t.ID]
-	switch ev.Kind {
+	switch ev.Kind() {
 	case trace.KindOpBegin:
 		if !st.fellBack {
 			st.nr, st.nw = 0, 0
@@ -204,16 +204,16 @@ func (h *htmSpecHooks) Observe(t *sim.Thread, ev trace.Event, out sim.AccessOutc
 		st.overflow = false
 	case trace.KindDataRead:
 		if st.speculating {
-			st.nr = addLine(st.readSet, st.nr, ev.Addr, &st.overflow)
+			st.nr = addLine(st.readSet, st.nr, ev.Addr(), &st.overflow)
 		}
 	case trace.KindDataWrite:
 		h.clock++
-		s := h.slot(ev.Addr)
-		h.lineTab[s] = ev.Addr
+		s := h.slot(ev.Addr())
+		h.lineTab[s] = ev.Addr()
 		h.stampTab[s] = h.clock
 		h.ownerTab[s] = int32(t.ID)
 		if st.speculating {
-			st.nw = addLine(st.writeSet, st.nw, ev.Addr, &st.overflow)
+			st.nw = addLine(st.writeSet, st.nw, ev.Addr(), &st.overflow)
 		}
 	}
 }

@@ -160,10 +160,10 @@ func TestHTMSPECConflictTableNeverInvents(t *testing.T) {
 		th := ths[rng.Intn(threads)]
 		switch r := rng.Intn(1000); {
 		case r < 5:
-			h.Observe(th, trace.Event{Kind: trace.KindOpBegin}, sim.AccessOutcome{})
+			h.Observe(th, trace.MarkerEvent(trace.KindOpBegin, 0, 0), sim.AccessOutcome{})
 		case r < 700:
 			line := uint64(rng.Intn(lines)) * 64
-			h.Observe(th, trace.Event{Kind: trace.KindDataWrite, Addr: line}, sim.AccessOutcome{})
+			h.Observe(th, trace.MemEvent(trace.KindDataWrite, line), sim.AccessOutcome{})
 			last[line] = write{stamp: h.clock, owner: th.ID}
 			recent[i%len(recent)] = line
 		default:

@@ -142,7 +142,7 @@ func TestBatchByTypePreservesArrivalWithinType(t *testing.T) {
 	out := batchByType(traces, 4)
 	var perType [2][]uint64
 	for _, tr := range out {
-		perType[tr.Type] = append(perType[tr.Type], tr.Events[1].Addr)
+		perType[tr.Type] = append(perType[tr.Type], tr.Events[1].Addr())
 	}
 	for tt, addrs := range perType {
 		for i := 1; i < len(addrs); i++ {

@@ -75,7 +75,7 @@ const segmentLookahead = 32
 // Act implements sim.Hooks: on a miss burst, chase the instructions —
 // migrate to the core whose L1-I holds the most of the upcoming segment.
 func (s *sliccHooks) Act(t *sim.Thread, ev trace.Event) sim.Action {
-	if ev.Kind != trace.KindInstr {
+	if ev.Kind() != trace.KindInstr {
 		return sim.Run
 	}
 	st := s.state(t.ID)
@@ -102,10 +102,10 @@ func (s *sliccHooks) upcomingBlocks(t *sim.Thread, n int) []uint64 {
 	seen := s.segSeen
 	out := s.segBuf[:0]
 	for i := t.Pos(); i < len(events) && len(out) < n; i++ {
-		if events[i].Kind != trace.KindInstr {
+		if events[i].Kind() != trace.KindInstr {
 			continue
 		}
-		a := events[i].Addr
+		a := events[i].Addr()
 		if _, dup := seen[a]; dup {
 			continue
 		}
@@ -177,7 +177,7 @@ func (s *sliccHooks) pickCore(t *sim.Thread) int {
 
 // Observe implements sim.Hooks: maintain the sliding miss window.
 func (s *sliccHooks) Observe(t *sim.Thread, ev trace.Event, out sim.AccessOutcome) {
-	if ev.Kind != trace.KindInstr {
+	if ev.Kind() != trace.KindInstr {
 		return
 	}
 	st := s.state(t.ID)

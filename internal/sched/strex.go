@@ -61,7 +61,7 @@ func (s *strexHooks) Place(t *sim.Thread) int {
 // Act implements sim.Hooks: switch to the next batch thread once the
 // core's monitor has seen `threshold` evictions (the stratum boundary).
 func (s *strexHooks) Act(t *sim.Thread, ev trace.Event) sim.Action {
-	if ev.Kind != trace.KindInstr {
+	if ev.Kind() != trace.KindInstr {
 		return sim.Run
 	}
 	if s.evictions[t.Core] >= s.threshold {
@@ -73,7 +73,7 @@ func (s *strexHooks) Act(t *sim.Thread, ev trace.Event) sim.Action {
 
 // Observe implements sim.Hooks: feed the per-core fill monitor.
 func (s *strexHooks) Observe(t *sim.Thread, ev trace.Event, out sim.AccessOutcome) {
-	if ev.Kind == trace.KindInstr && out.L1Evict {
+	if ev.Kind() == trace.KindInstr && out.L1Evict {
 		s.evictions[t.Core]++
 	}
 }

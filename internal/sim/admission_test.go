@@ -24,7 +24,7 @@ func (a *admissionSpy) Act(t *Thread, ev trace.Event) Action {
 		}
 	}
 	// Spread threads so several can be live: migrate by id.
-	if ev.Kind == trace.KindOpBegin {
+	if ev.Kind() == trace.KindOpBegin {
 		return MigrateTo(t.ID % 4)
 	}
 	return Run

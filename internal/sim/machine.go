@@ -135,13 +135,13 @@ func expose(latency uint64, factor float64) uint64 {
 // Exec executes one trace event on the given core and returns the cycle
 // charge and outcome. Marker events (Txn/Op boundaries) cost nothing.
 func (m *Machine) Exec(core int, ev trace.Event) AccessOutcome {
-	switch ev.Kind {
+	switch ev.Kind() {
 	case trace.KindInstr:
-		return m.execInstr(core, ev.Addr)
+		return m.execInstr(core, ev.Addr())
 	case trace.KindDataRead:
-		return m.execData(core, ev.Addr, false)
+		return m.execData(core, ev.Addr(), false)
 	case trace.KindDataWrite:
-		return m.execData(core, ev.Addr, true)
+		return m.execData(core, ev.Addr(), true)
 	default:
 		return AccessOutcome{ServedBy: ServedNone}
 	}

@@ -48,19 +48,19 @@ func TestMachineInstrTiming(t *testing.T) {
 	m := NewMachine(Shallow())
 	base := m.Cfg.BaseBlockCycles()
 
-	out := m.Exec(0, trace.Event{Kind: trace.KindInstr, Addr: 0x400000})
+	out := m.Exec(0, trace.MemEvent(trace.KindInstr, 0x400000))
 	if !out.L1Miss || out.ServedBy != ServedMem {
 		t.Errorf("first fetch: %+v, want L1 miss served by memory", out)
 	}
 	if out.Cycles <= base+m.Cfg.MemCycles/2 {
 		t.Errorf("memory-served fetch cost %d cycles, too cheap", out.Cycles)
 	}
-	out = m.Exec(0, trace.Event{Kind: trace.KindInstr, Addr: 0x400000})
+	out = m.Exec(0, trace.MemEvent(trace.KindInstr, 0x400000))
 	if out.L1Miss || out.Cycles != base {
 		t.Errorf("hit: %+v, want base %d cycles", out, base)
 	}
 	// Another core fetching the same block: L1 miss, shared hit.
-	out = m.Exec(1, trace.Event{Kind: trace.KindInstr, Addr: 0x400000})
+	out = m.Exec(1, trace.MemEvent(trace.KindInstr, 0x400000))
 	if !out.L1Miss || out.ServedBy != ServedShared {
 		t.Errorf("cross-core fetch: %+v, want shared hit", out)
 	}
@@ -75,15 +75,15 @@ func TestMachineInstrTiming(t *testing.T) {
 func TestMachineDataCoherence(t *testing.T) {
 	m := NewMachine(Shallow())
 	addr := uint64(0x2_0000_0000)
-	m.Exec(0, trace.Event{Kind: trace.KindDataRead, Addr: addr})
-	m.Exec(1, trace.Event{Kind: trace.KindDataRead, Addr: addr})
+	m.Exec(0, trace.MemEvent(trace.KindDataRead, addr))
+	m.Exec(1, trace.MemEvent(trace.KindDataRead, addr))
 	// Core 2 writes: both copies invalidated.
-	m.Exec(2, trace.Event{Kind: trace.KindDataWrite, Addr: addr})
+	m.Exec(2, trace.MemEvent(trace.KindDataWrite, addr))
 	if m.Invalidation != 2 {
 		t.Errorf("invalidations = %d, want 2", m.Invalidation)
 	}
 	// Core 0 re-reads: must miss L1 again.
-	out := m.Exec(0, trace.Event{Kind: trace.KindDataRead, Addr: addr})
+	out := m.Exec(0, trace.MemEvent(trace.KindDataRead, addr))
 	if !out.L1Miss {
 		t.Error("read after remote write hit a stale L1 copy")
 	}
@@ -95,13 +95,13 @@ func TestMachineDataCoherence(t *testing.T) {
 func TestMachineDeepHierarchy(t *testing.T) {
 	m := NewMachine(Deep())
 	addr := uint64(0x400000)
-	m.Exec(0, trace.Event{Kind: trace.KindInstr, Addr: addr})
+	m.Exec(0, trace.MemEvent(trace.KindInstr, addr))
 	// Evict from tiny L1 by filling its set, keeping the private L2 copy.
 	for i := 1; i <= 8; i++ {
 		conflict := addr + uint64(i)*uint64(m.Cfg.L1I.SizeBytes/m.Cfg.L1I.Ways)
-		m.Exec(0, trace.Event{Kind: trace.KindInstr, Addr: conflict})
+		m.Exec(0, trace.MemEvent(trace.KindInstr, conflict))
 	}
-	out := m.Exec(0, trace.Event{Kind: trace.KindInstr, Addr: addr})
+	out := m.Exec(0, trace.MemEvent(trace.KindInstr, addr))
 	if !out.L1Miss || out.ServedBy != ServedPrivateL2 {
 		t.Errorf("refetch: %+v, want private-L2 hit", out)
 	}
@@ -109,7 +109,7 @@ func TestMachineDeepHierarchy(t *testing.T) {
 
 func TestMarkersAreFree(t *testing.T) {
 	m := NewMachine(Shallow())
-	out := m.Exec(0, trace.Event{Kind: trace.KindTxnBegin})
+	out := m.Exec(0, trace.MarkerEvent(trace.KindTxnBegin, 0, 0))
 	if out.Cycles != 0 || out.ServedBy != ServedNone {
 		t.Errorf("marker outcome: %+v", out)
 	}
@@ -218,7 +218,7 @@ type migrator struct{ cores int }
 
 func (mg *migrator) Place(t *Thread) int { return t.ID % mg.cores }
 func (mg *migrator) Act(t *Thread, ev trace.Event) Action {
-	if ev.Kind == trace.KindOpBegin {
+	if ev.Kind() == trace.KindOpBegin {
 		return MigrateTo((t.Core + 1) % mg.cores)
 	}
 	return Run
@@ -246,7 +246,7 @@ type yielder struct{ counts map[int]int }
 
 func (y *yielder) Place(*Thread) int { return 0 } // everyone on core 0
 func (y *yielder) Act(t *Thread, ev trace.Event) Action {
-	if ev.Kind == trace.KindInstr {
+	if ev.Kind() == trace.KindInstr {
 		y.counts[t.ID]++
 		if y.counts[t.ID]%10 == 0 {
 			return Yield

@@ -85,7 +85,7 @@ func TestUpdateTupleRewrites(t *testing.T) {
 	tr := buf.Take()[0]
 	var haveWrite bool
 	for _, e := range tr.Events {
-		if e.Kind == trace.KindDataWrite && e.Addr >= DataBase {
+		if e.Kind() == trace.KindDataWrite && e.Addr() >= DataBase {
 			haveWrite = true
 		}
 	}
@@ -110,7 +110,7 @@ func TestInsertAllocatesPagesRarely(t *testing.T) {
 		tr := buf.Take()[0]
 		seen := false
 		for _, e := range tr.Events {
-			if e.Kind == trace.KindInstr && alloc.Contains(e.Addr) {
+			if e.Kind() == trace.KindInstr && alloc.Contains(e.Addr()) {
 				seen = true
 				break
 			}
@@ -310,14 +310,14 @@ func TestDataAddressesDisjointFromCode(t *testing.T) {
 	tr := buf.Take()[0]
 	lay := m.Layout()
 	for _, e := range tr.Events {
-		switch e.Kind {
+		switch e.Kind() {
 		case trace.KindDataRead, trace.KindDataWrite:
-			if _, inCode := lay.Find(e.Addr); inCode {
-				t.Fatalf("data access %#x falls inside code layout", e.Addr)
+			if _, inCode := lay.Find(e.Addr()); inCode {
+				t.Fatalf("data access %#x falls inside code layout", e.Addr())
 			}
 		case trace.KindInstr:
-			if _, inCode := lay.Find(e.Addr); !inCode {
-				t.Fatalf("instruction fetch %#x outside code layout", e.Addr)
+			if _, inCode := lay.Find(e.Addr()); !inCode {
+				t.Fatalf("instruction fetch %#x outside code layout", e.Addr())
 			}
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"sync/atomic"
+	"unsafe"
 
 	"addict/internal/codemap"
 	"addict/internal/core"
@@ -170,17 +171,20 @@ func (a *Artifacts) StoreStats() (s store.Stats, ok bool) {
 	return store.Stats{}, false
 }
 
+// eventBytes is the resident size of one trace event.
+const eventBytes = int64(unsafe.Sizeof(trace.Event{}))
+
 // artifactWeight estimates an artifact's resident footprint in bytes for
-// the cache's weight accounting. Trace sets dominate (16 bytes per packed
-// event plus per-trace overhead); profiles and replay results are small
-// but still accounted so a tiny budget behaves sanely.
+// the cache's weight accounting. Trace sets dominate (eventBytes per event
+// plus per-trace overhead); profiles and replay results are small but still
+// accounted so a tiny budget behaves sanely.
 func artifactWeight(v any) int64 {
 	const entryOverhead = 256 // cell, map entry, list links, key
 	switch x := v.(type) {
 	case *trace.Set:
 		w := int64(entryOverhead)
 		for _, t := range x.Traces {
-			w += 96 + 16*int64(len(t.Events))
+			w += 96 + eventBytes*int64(len(t.Events))
 		}
 		return w
 	case *core.Profile:

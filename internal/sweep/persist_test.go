@@ -9,6 +9,7 @@ import (
 	"addict/internal/sched"
 	"addict/internal/sim"
 	"addict/internal/store"
+	"addict/internal/trace"
 )
 
 // newStoredArtifacts builds an Artifacts over a fresh store in dir.
@@ -190,6 +191,19 @@ func TestPersistResultDistinctMachines(t *testing.T) {
 	if got.Makespan != rd.Makespan {
 		t.Errorf("warm deep-machine result has makespan %d, want %d (shallow was %d)",
 			got.Makespan, rd.Makespan, rs.Makespan)
+	}
+}
+
+// TestArtifactWeightCountsPackedEvents: a trace set weighs what its packed
+// events occupy, 8 bytes each, so the weight follows the event layout.
+func TestArtifactWeightCountsPackedEvents(t *testing.T) {
+	if eventBytes != 8 {
+		t.Fatalf("a trace event occupies %d bytes, want 8", eventBytes)
+	}
+	events := make([]trace.Event, 1000)
+	set := &trace.Set{Traces: []*trace.Trace{{Events: events}, {Events: events[:10]}}}
+	if got, want := artifactWeight(set), int64(256+2*96+8*1010); got != want {
+		t.Errorf("artifactWeight = %d, want %d", got, want)
 	}
 }
 

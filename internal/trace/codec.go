@@ -23,12 +23,14 @@ import (
 //	recRun      u8 k in 1..255: k more instruction blocks, each 64 bytes on
 //	recRead,
 //	recWrite    zigzag varint (addr − previous data block) / 64
-//	recLiteral  kind u8 | op u8 | aux u16 | addr u64: one event, any fields
+//	recLiteral  kind u8 | op u8 | aux u16 | addr u64: one marker
 //
 // next is the block after the previous instruction. Both delta bases start
-// at zero in every trace. Only canonical memory events (Op and Aux zero,
-// block-aligned address) take the delta records; markers and anything else
-// are literals, which leave the delta state alone. A run continues an
+// at zero in every trace. Memory events take the delta records and markers
+// take literals, which leave the delta state alone. A literal must hold a
+// marker with a zero address: a memory event in a literal would not
+// re-encode to the same bytes, so the decoder rejects it, and it rejects a
+// kind the packed Event cannot hold (see NewEvent). A run continues an
 // instruction, so it never opens a trace and never follows a data access or
 // literal. The encoding is a function of the events (one canonical byte
 // string per set), and since a record of at least two bytes yields at most
@@ -61,7 +63,7 @@ const maxRun = math.MaxUint8
 // multi-gigabyte upfront allocation (found by FuzzEventCodec). The
 // remaining input bounds the reservation too, so a short input reserves
 // little; the cap bounds what a false count near the start of a large one
-// can reserve (16 MiB of events). Beyond it the slices grow by append.
+// can reserve (8 MiB of events). Beyond it the slices grow by append.
 const maxPrealloc = 1 << 20
 
 // WriteSet serializes a trace set to w in a single Write.
@@ -115,11 +117,6 @@ func appendSet(b []byte, s *Set) ([]byte, error) {
 	return b, nil
 }
 
-// canonical reports whether e takes a delta record rather than a literal.
-func canonical(e Event) bool {
-	return e.IsMemory() && e.Op == 0 && e.Aux == 0 && e.Addr%BlockSize == 0
-}
-
 func appendTrace(b []byte, t *Trace) ([]byte, error) {
 	if uint64(len(t.Events)) > math.MaxUint32 {
 		return nil, fmt.Errorf("trace: too many events (%d)", len(t.Events))
@@ -134,34 +131,35 @@ func appendTrace(b []byte, t *Trace) ([]byte, error) {
 	inInstr := false // the previous event took recInstr or recRun
 	run := -1        // offset of the open recRun's count byte
 	for _, e := range t.Events {
+		addr := e.Addr()
 		switch {
-		case !canonical(e):
-			b = append(b, recLiteral, byte(e.Kind), byte(e.Op))
-			b = binary.LittleEndian.AppendUint16(b, e.Aux)
-			b = binary.LittleEndian.AppendUint64(b, e.Addr)
+		case !e.IsMemory():
+			b = append(b, recLiteral, byte(e.Kind()), byte(e.Op()))
+			b = binary.LittleEndian.AppendUint16(b, e.Aux())
+			b = binary.LittleEndian.AppendUint64(b, addr)
 			inInstr = false
-		case e.Kind == KindInstr:
+		case e.Kind() == KindInstr:
 			switch {
-			case inInstr && e.Addr == next && run >= 0 && b[run] < maxRun:
+			case inInstr && addr == next && run >= 0 && b[run] < maxRun:
 				b[run]++
-			case inInstr && e.Addr == next:
+			case inInstr && addr == next:
 				b = append(b, recRun, 1)
 				run = len(b) - 1
 			default:
 				b = append(b, recInstr)
-				b = binary.AppendVarint(b, int64(e.Addr-next)>>BlockShift)
+				b = binary.AppendVarint(b, int64(addr-next)>>BlockShift)
 				run = -1
 			}
-			next = e.Addr + BlockSize
+			next = addr + BlockSize
 			inInstr = true
 		default:
 			tag := recRead
-			if e.Kind == KindDataWrite {
+			if e.Kind() == KindDataWrite {
 				tag = recWrite
 			}
 			b = append(b, tag)
-			b = binary.AppendVarint(b, int64(e.Addr-prevData)>>BlockShift)
-			prevData = e.Addr
+			b = binary.AppendVarint(b, int64(addr-prevData)>>BlockShift)
+			prevData = addr
 			inInstr = false
 		}
 	}
@@ -290,7 +288,7 @@ func (d *decoder) trace() (*Trace, error) {
 		switch tag := d.u8(); tag {
 		case recInstr:
 			a := next + d.blockDelta()
-			ev = append(ev, Event{Kind: KindInstr, Addr: a})
+			ev = append(ev, MemEvent(KindInstr, a))
 			next = a + BlockSize
 			inInstr = true
 		case recRun:
@@ -305,7 +303,7 @@ func (d *decoder) trace() (*Trace, error) {
 				return nil, fmt.Errorf("event %d: run of %d passes the declared %d events", len(ev), k, n)
 			}
 			for ; k > 0; k-- {
-				ev = append(ev, Event{Kind: KindInstr, Addr: next})
+				ev = append(ev, MemEvent(KindInstr, next))
 				next += BlockSize
 			}
 		case recRead, recWrite:
@@ -314,16 +312,19 @@ func (d *decoder) trace() (*Trace, error) {
 				kind = KindDataWrite
 			}
 			prevData += d.blockDelta()
-			ev = append(ev, Event{Kind: kind, Addr: prevData})
+			ev = append(ev, MemEvent(kind, prevData))
 			inInstr = false
 		case recLiteral:
 			if p := d.take(12); p != nil {
-				ev = append(ev, Event{
-					Kind: EventKind(p[0]),
-					Op:   OpType(p[1]),
-					Aux:  binary.LittleEndian.Uint16(p[2:]),
-					Addr: binary.LittleEndian.Uint64(p[4:]),
-				})
+				kind := EventKind(p[0])
+				if kind <= KindDataWrite {
+					return nil, fmt.Errorf("event %d: literal record holds a %v memory event", len(ev), kind)
+				}
+				e, err := NewEvent(kind, OpType(p[1]), binary.LittleEndian.Uint16(p[2:]), binary.LittleEndian.Uint64(p[4:]))
+				if err != nil {
+					return nil, fmt.Errorf("event %d: %w", len(ev), err)
+				}
+				ev = append(ev, e)
 			}
 			inInstr = false
 		default:

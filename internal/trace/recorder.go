@@ -63,7 +63,7 @@ func (b *Buffer) TxnBegin(tt TxnType, name string) {
 	}
 	b.inTxn = true
 	b.cur = &Trace{Type: tt, TypeName: name}
-	b.events = append(b.events[:0], Event{Kind: KindTxnBegin, Aux: uint16(tt)})
+	b.events = append(b.events[:0], MarkerEvent(KindTxnBegin, OpNone, uint16(tt)))
 }
 
 // TxnEnd implements Recorder.
@@ -76,7 +76,7 @@ func (b *Buffer) TxnEnd() {
 		b.violation("TxnEnd with open operation")
 		return
 	}
-	b.events = append(b.events, Event{Kind: KindTxnEnd})
+	b.events = append(b.events, MarkerEvent(KindTxnEnd, OpNone, 0))
 	// Copy out at exact size. The make+copy pair over plain local names is
 	// the form the compiler fuses into one unzeroed allocation.
 	scratch := b.events
@@ -96,7 +96,7 @@ func (b *Buffer) OpBegin(op OpType) {
 	}
 	b.inOp = true
 	b.curOp = op
-	b.events = append(b.events, Event{Kind: KindOpBegin, Op: op})
+	b.events = append(b.events, MarkerEvent(KindOpBegin, op, 0))
 }
 
 // OpEnd implements Recorder.
@@ -106,7 +106,7 @@ func (b *Buffer) OpEnd(op OpType) {
 		return
 	}
 	b.inOp = false
-	b.events = append(b.events, Event{Kind: KindOpEnd, Op: op})
+	b.events = append(b.events, MarkerEvent(KindOpEnd, op, 0))
 }
 
 // Instr implements Recorder.
@@ -114,7 +114,7 @@ func (b *Buffer) Instr(blockAddr uint64) {
 	if !b.inTxn {
 		return // population and background work are not traced
 	}
-	b.events = append(b.events, Event{Kind: KindInstr, Addr: blockAddr &^ (BlockSize - 1)})
+	b.events = append(b.events, MemEvent(KindInstr, blockAddr))
 }
 
 // InstrRange implements Recorder: one capacity check, then the run.
@@ -122,12 +122,11 @@ func (b *Buffer) InstrRange(base uint64, n int) {
 	if !b.inTxn || n <= 0 {
 		return
 	}
-	base &^= BlockSize - 1
 	start := len(b.events)
 	b.events = slices.Grow(b.events, n)[:start+n]
 	run := b.events[start:]
 	for i := range run {
-		run[i] = Event{Kind: KindInstr, Addr: base + uint64(i)*BlockSize}
+		run[i] = MemEvent(KindInstr, base+uint64(i)*BlockSize)
 	}
 }
 
@@ -140,7 +139,7 @@ func (b *Buffer) Data(addr uint64, write bool) {
 	if write {
 		k = KindDataWrite
 	}
-	b.events = append(b.events, Event{Kind: k, Addr: addr &^ (BlockSize - 1)})
+	b.events = append(b.events, MemEvent(k, addr))
 }
 
 // Take returns the completed traces and resets the buffer's completed list.

@@ -114,26 +114,76 @@ func (o OpType) String() string {
 // NewOrder). Values are workload-scoped; package workload assigns them.
 type TxnType uint16
 
-// Event is one element of a trace. It is deliberately compact (16 bytes)
-// because the stability experiment (Section 4.2) processes 11,000 traces per
-// workload.
+// Event is one element of a trace, packed into one 64-bit word because the
+// stability experiment (Section 4.2) keeps 11,000 traces per workload
+// resident. A memory event (KindInstr, KindDataRead, KindDataWrite) holds
+// its block-aligned address with the kind in the six low bits the
+// alignment leaves zero. A marker holds kind | op<<8 | aux<<16 and no
+// address. Events compare with ==. Outside this package the constructors
+// below are the only way to build one (the zero Event is an instruction
+// fetch of block 0).
 type Event struct {
-	// Addr is the 64-byte-aligned block address for KindInstr/KindDataRead/
-	// KindDataWrite events, zero otherwise.
-	Addr uint64
-	// Kind discriminates the event.
-	Kind EventKind
-	// Op is the OpType for KindOpBegin/KindOpEnd events.
-	Op OpType
-	// Aux carries the TxnType for KindTxnBegin events.
-	Aux uint16
+	w uint64
 }
 
-// Block returns the block address of a memory event (already aligned).
-func (e Event) Block() uint64 { return e.Addr }
+// kindMask selects the kind: the low bits a block address leaves zero.
+const kindMask = BlockSize - 1
+
+// MemEvent returns the memory event of kind k on the block holding addr. k
+// must be KindInstr, KindDataRead or KindDataWrite.
+func MemEvent(k EventKind, addr uint64) Event {
+	return Event{addr&^kindMask | uint64(k)}
+}
+
+// MarkerEvent returns the marker of kind k carrying op and aux. k must be a
+// marker kind (KindTxnBegin through KindOpEnd).
+func MarkerEvent(k EventKind, op OpType, aux uint16) Event {
+	return Event{uint64(k) | uint64(op)<<8 | uint64(aux)<<16}
+}
+
+// NewEvent returns the event with the given fields, or an error if one word
+// cannot hold them: a kind the low bits cannot hold, a memory event with an
+// unaligned address or a nonzero op or aux, or a marker with an address.
+// Decoding goes through it, so no input yields an event that would read
+// back different fields.
+func NewEvent(k EventKind, op OpType, aux uint16, addr uint64) (Event, error) {
+	switch {
+	case k > kindMask:
+		return Event{}, fmt.Errorf("trace: event kind %d does not fit the packed word", k)
+	case k > KindDataWrite && addr != 0:
+		return Event{}, fmt.Errorf("trace: %v marker with address %#x", k, addr)
+	case k > KindDataWrite:
+		return MarkerEvent(k, op, aux), nil
+	case addr%BlockSize != 0:
+		return Event{}, fmt.Errorf("trace: unaligned address %#x", addr)
+	case op != 0 || aux != 0:
+		return Event{}, fmt.Errorf("trace: %v event with op %d aux %d", k, op, aux)
+	}
+	return MemEvent(k, addr), nil
+}
+
+// Kind returns the event's kind.
+func (e Event) Kind() EventKind { return EventKind(e.w & kindMask) }
 
 // IsMemory reports whether the event is an instruction fetch or data access.
-func (e Event) IsMemory() bool { return e.Kind <= KindDataWrite }
+func (e Event) IsMemory() bool { return e.w&kindMask <= uint64(KindDataWrite) }
+
+// Addr returns the block address of a memory event, zero for a marker.
+func (e Event) Addr() uint64 { return e.w &^ kindMask & e.memMask() }
+
+// Op returns the OpType of a KindOpBegin/KindOpEnd marker, zero for a
+// memory event.
+func (e Event) Op() OpType { return OpType(e.w >> 8 &^ e.memMask()) }
+
+// Aux returns the TxnType of a KindTxnBegin marker, zero for a memory
+// event.
+func (e Event) Aux() uint16 { return uint16(e.w >> 16 &^ e.memMask()) }
+
+// memMask is all ones for a memory event and zero for a marker, so the
+// accessors select their field without a branch.
+func (e Event) memMask() uint64 {
+	return uint64((int64(e.w&kindMask) - int64(KindTxnBegin)) >> 63)
+}
 
 // Trace is the recorded execution of a single transaction.
 type Trace struct {
@@ -152,7 +202,7 @@ type Trace struct {
 func (t *Trace) Instructions() uint64 {
 	var blocks uint64
 	for _, e := range t.Events {
-		if e.Kind == KindInstr {
+		if e.Kind() == KindInstr {
 			blocks++
 		}
 	}
@@ -163,7 +213,7 @@ func (t *Trace) Instructions() uint64 {
 func (t *Trace) InstrBlocks() uint64 {
 	var blocks uint64
 	for _, e := range t.Events {
-		if e.Kind == KindInstr {
+		if e.Kind() == KindInstr {
 			blocks++
 		}
 	}
@@ -176,11 +226,11 @@ func (t *Trace) Footprint() (instr, data map[uint64]struct{}) {
 	instr = make(map[uint64]struct{})
 	data = make(map[uint64]struct{})
 	for _, e := range t.Events {
-		switch e.Kind {
+		switch e.Kind() {
 		case KindInstr:
-			instr[e.Addr] = struct{}{}
+			instr[e.Addr()] = struct{}{}
 		case KindDataRead, KindDataWrite:
-			data[e.Addr] = struct{}{}
+			data[e.Addr()] = struct{}{}
 		}
 	}
 	return instr, data
@@ -202,10 +252,10 @@ func (t *Trace) Ops() []OpSlice {
 	start := -1
 	var cur OpType
 	for i, e := range t.Events {
-		switch e.Kind {
+		switch e.Kind() {
 		case KindOpBegin:
 			start = i
-			cur = e.Op
+			cur = e.Op()
 		case KindOpEnd:
 			if start >= 0 {
 				ops = append(ops, OpSlice{Op: cur, Start: start, End: i + 1})
@@ -218,21 +268,22 @@ func (t *Trace) Ops() []OpSlice {
 
 // Validate checks the structural invariants of a trace: it must be bracketed
 // by TxnBegin/TxnEnd, operations must be properly paired and non-nested, and
-// every memory event must carry a block-aligned address.
+// every event must be of a known kind. (An unaligned address cannot be
+// represented, so there is nothing to check there.)
 func (t *Trace) Validate() error {
 	if len(t.Events) < 2 {
 		return fmt.Errorf("trace: too short (%d events)", len(t.Events))
 	}
-	if t.Events[0].Kind != KindTxnBegin {
-		return fmt.Errorf("trace: first event is %v, want TxnBegin", t.Events[0].Kind)
+	if t.Events[0].Kind() != KindTxnBegin {
+		return fmt.Errorf("trace: first event is %v, want TxnBegin", t.Events[0].Kind())
 	}
-	if t.Events[len(t.Events)-1].Kind != KindTxnEnd {
-		return fmt.Errorf("trace: last event is %v, want TxnEnd", t.Events[len(t.Events)-1].Kind)
+	if t.Events[len(t.Events)-1].Kind() != KindTxnEnd {
+		return fmt.Errorf("trace: last event is %v, want TxnEnd", t.Events[len(t.Events)-1].Kind())
 	}
 	inOp := false
 	var openOp OpType
 	for i, e := range t.Events {
-		switch e.Kind {
+		switch e.Kind() {
 		case KindTxnBegin:
 			if i != 0 {
 				return fmt.Errorf("trace: TxnBegin at interior position %d", i)
@@ -246,24 +297,21 @@ func (t *Trace) Validate() error {
 			}
 		case KindOpBegin:
 			if inOp {
-				return fmt.Errorf("trace: nested OpBegin(%v) inside %v at %d", e.Op, openOp, i)
+				return fmt.Errorf("trace: nested OpBegin(%v) inside %v at %d", e.Op(), openOp, i)
 			}
 			inOp = true
-			openOp = e.Op
+			openOp = e.Op()
 		case KindOpEnd:
 			if !inOp {
-				return fmt.Errorf("trace: OpEnd(%v) without OpBegin at %d", e.Op, i)
+				return fmt.Errorf("trace: OpEnd(%v) without OpBegin at %d", e.Op(), i)
 			}
-			if e.Op != openOp {
-				return fmt.Errorf("trace: OpEnd(%v) does not match OpBegin(%v) at %d", e.Op, openOp, i)
+			if e.Op() != openOp {
+				return fmt.Errorf("trace: OpEnd(%v) does not match OpBegin(%v) at %d", e.Op(), openOp, i)
 			}
 			inOp = false
 		case KindInstr, KindDataRead, KindDataWrite:
-			if e.Addr%BlockSize != 0 {
-				return fmt.Errorf("trace: unaligned address %#x at %d", e.Addr, i)
-			}
 		default:
-			return fmt.Errorf("trace: unknown event kind %d at %d", e.Kind, i)
+			return fmt.Errorf("trace: unknown event kind %d at %d", e.Kind(), i)
 		}
 	}
 	return nil
@@ -352,8 +400,8 @@ func (s *Set) Digest() uint64 {
 		u64(uint64(t.Type))
 		u64(uint64(len(t.Events)))
 		for _, e := range t.Events {
-			u64(e.Addr)
-			u64(uint64(e.Kind) | uint64(e.Op)<<8 | uint64(e.Aux)<<16)
+			u64(e.Addr())
+			u64(uint64(e.Kind()) | uint64(e.Op())<<8 | uint64(e.Aux())<<16)
 		}
 	}
 	return h.Sum64()

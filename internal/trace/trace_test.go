@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func mkTrace(tt TxnType, ops []OpType, blocksPerOp int) *Trace {
@@ -51,7 +52,7 @@ func TestTraceOps(t *testing.T) {
 		if o.Op != want[i] {
 			t.Errorf("op %d = %v, want %v", i, o.Op, want[i])
 		}
-		if tr.Events[o.Start].Kind != KindOpBegin || tr.Events[o.End-1].Kind != KindOpEnd {
+		if tr.Events[o.Start].Kind() != KindOpBegin || tr.Events[o.End-1].Kind() != KindOpEnd {
 			t.Errorf("op %d slice not bracketed by OpBegin/OpEnd", i)
 		}
 	}
@@ -69,36 +70,40 @@ func TestFootprint(t *testing.T) {
 }
 
 func TestValidateRejectsMalformed(t *testing.T) {
+	begin, end := MarkerEvent(KindTxnBegin, 0, 0), MarkerEvent(KindTxnEnd, 0, 0)
+	opBegin := func(op OpType) Event { return MarkerEvent(KindOpBegin, op, 0) }
+	opEnd := func(op OpType) Event { return MarkerEvent(KindOpEnd, op, 0) }
+	instr := MemEvent(KindInstr, 0)
 	cases := []struct {
 		name   string
 		events []Event
 	}{
 		{"empty", nil},
-		{"no begin", []Event{{Kind: KindInstr}, {Kind: KindTxnEnd}}},
-		{"no end", []Event{{Kind: KindTxnBegin}, {Kind: KindInstr}}},
+		{"no begin", []Event{instr, end}},
+		{"no end", []Event{begin, instr}},
 		{"nested op", []Event{
-			{Kind: KindTxnBegin},
-			{Kind: KindOpBegin, Op: OpIndexProbe},
-			{Kind: KindOpBegin, Op: OpIndexScan},
-			{Kind: KindOpEnd, Op: OpIndexScan},
-			{Kind: KindOpEnd, Op: OpIndexProbe},
-			{Kind: KindTxnEnd},
+			begin,
+			opBegin(OpIndexProbe),
+			opBegin(OpIndexScan),
+			opEnd(OpIndexScan),
+			opEnd(OpIndexProbe),
+			end,
 		}},
 		{"mismatched op end", []Event{
-			{Kind: KindTxnBegin},
-			{Kind: KindOpBegin, Op: OpIndexProbe},
-			{Kind: KindOpEnd, Op: OpIndexScan},
-			{Kind: KindTxnEnd},
+			begin,
+			opBegin(OpIndexProbe),
+			opEnd(OpIndexScan),
+			end,
 		}},
 		{"open op at end", []Event{
-			{Kind: KindTxnBegin},
-			{Kind: KindOpBegin, Op: OpIndexProbe},
-			{Kind: KindTxnEnd},
+			begin,
+			opBegin(OpIndexProbe),
+			end,
 		}},
-		{"unaligned address", []Event{
-			{Kind: KindTxnBegin},
-			{Kind: KindInstr, Addr: 0x401},
-			{Kind: KindTxnEnd},
+		{"unknown kind", []Event{
+			begin,
+			MarkerEvent(KindOpEnd+1, 0, 0),
+			end,
 		}},
 	}
 	for _, c := range cases {
@@ -106,6 +111,76 @@ func TestValidateRejectsMalformed(t *testing.T) {
 			tr := &Trace{Events: c.events}
 			if err := tr.Validate(); err == nil {
 				t.Errorf("Validate accepted malformed trace %q", c.name)
+			}
+		})
+	}
+}
+
+// TestEventIsOneWord: an event is one 8-byte word, the layout the resident
+// trace windows and the cache's weight accounting are sized by.
+func TestEventIsOneWord(t *testing.T) {
+	if got := unsafe.Sizeof(Event{}); got != 8 {
+		t.Errorf("unsafe.Sizeof(Event{}) = %d, want 8", got)
+	}
+}
+
+// TestEventAccessors: every field NewEvent accepts reads back unchanged,
+// the fields a kind does not carry read as zero, and the checked and
+// unchecked constructors build the same word.
+func TestEventAccessors(t *testing.T) {
+	for _, c := range []struct {
+		kind EventKind
+		op   OpType
+		aux  uint16
+		addr uint64
+	}{
+		{KindInstr, 0, 0, 0},
+		{KindInstr, 0, 0, 0x400000},
+		{KindDataRead, 0, 0, 0xffffffffffffffc0},
+		{KindDataWrite, 0, 0, 0x40},
+		{KindTxnBegin, 0, 0xffff, 0},
+		{KindTxnEnd, 0, 0, 0},
+		{KindOpBegin, OpCommit, 0, 0},
+		{KindOpEnd, 0xff, 0x1234, 0},
+		{kindMask, 0xff, 0xffff, 0},
+	} {
+		e, err := NewEvent(c.kind, c.op, c.aux, c.addr)
+		if err != nil {
+			t.Fatalf("NewEvent(%v, %d, %d, %#x): %v", c.kind, c.op, c.aux, c.addr, err)
+		}
+		if e.Kind() != c.kind || e.Op() != c.op || e.Aux() != c.aux || e.Addr() != c.addr {
+			t.Errorf("NewEvent(%v, %d, %d, %#x) reads back (%v, %d, %d, %#x)",
+				c.kind, c.op, c.aux, c.addr, e.Kind(), e.Op(), e.Aux(), e.Addr())
+		}
+		want := MarkerEvent(c.kind, c.op, c.aux)
+		if c.kind <= KindDataWrite {
+			want = MemEvent(c.kind, c.addr)
+		}
+		if e != want || e.IsMemory() != (c.kind <= KindDataWrite) {
+			t.Errorf("NewEvent(%v, ...) = %#x, constructor built %#x", c.kind, e.w, want.w)
+		}
+	}
+}
+
+// TestNewEventRejectsUnpackable: fields one word cannot hold are an error,
+// not a silently different event.
+func TestNewEventRejectsUnpackable(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		kind EventKind
+		op   OpType
+		aux  uint16
+		addr uint64
+	}{
+		{"unaligned address", KindInstr, 0, 0, 0x401},
+		{"memory event with op", KindDataRead, OpIndexProbe, 0, 0x40},
+		{"memory event with aux", KindDataWrite, 0, 1, 0x40},
+		{"marker with address", KindTxnEnd, 0, 0, 0x40},
+		{"kind too wide", kindMask + 1, 0, 0, 0},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			if e, err := NewEvent(c.kind, c.op, c.aux, c.addr); err == nil {
+				t.Errorf("NewEvent accepted it as %#x", e.w)
 			}
 		})
 	}
@@ -170,11 +245,11 @@ func TestBufferAlignsAddresses(t *testing.T) {
 	b.Data(0x10000077, true)
 	b.TxnEnd()
 	tr := b.Take()[0]
-	if tr.Events[1].Addr != 0x400000 {
-		t.Errorf("instr addr = %#x, want %#x", tr.Events[1].Addr, 0x400000)
+	if tr.Events[1].Addr() != 0x400000 {
+		t.Errorf("instr addr = %#x, want %#x", tr.Events[1].Addr(), 0x400000)
 	}
-	if tr.Events[2].Addr != 0x10000040 {
-		t.Errorf("data addr = %#x, want %#x", tr.Events[2].Addr, 0x10000040)
+	if tr.Events[2].Addr() != 0x10000040 {
+		t.Errorf("data addr = %#x, want %#x", tr.Events[2].Addr(), 0x10000040)
 	}
 }
 
@@ -247,6 +322,9 @@ func TestCodecRejectsGarbage(t *testing.T) {
 		"empty run":               oneTrace(2, recInstr, 0, recRun, 0, recInstr, 0),
 		"unknown tag":             oneTrace(1, 0x7f, recInstr, 0),
 		"short literal":           oneTrace(1, recLiteral, 1, 2, 3),
+		"memory literal":          oneTrace(1, literal(KindInstr, 0, 0, 0x40)...),
+		"marker with an address":  oneTrace(1, literal(KindTxnEnd, 0, 0, 0x40)...),
+		"kind too wide":           oneTrace(1, literal(kindMask+1, 0, 0, 0)...),
 		"overlong varint":         oneTrace(1, append([]byte{recInstr}, bytes.Repeat([]byte{0xff}, 11)...)...),
 	} {
 		if s, err := ReadSet(bytes.NewReader(data)); err == nil {
@@ -263,22 +341,20 @@ func TestCodecRoundtripProperty(t *testing.T) {
 	f := func(seed int64, nEvents uint16) bool {
 		rng := rand.New(rand.NewSource(seed))
 		tr := &Trace{Type: TxnType(rng.Intn(16)), TypeName: "q"}
-		tr.Events = append(tr.Events, Event{Kind: KindTxnBegin, Aux: uint16(tr.Type)})
+		tr.Events = append(tr.Events, MarkerEvent(KindTxnBegin, 0, uint16(tr.Type)))
 		var next uint64
 		for i := 0; i < int(nEvents); i++ {
-			e := Event{Kind: KindInstr, Addr: next}
+			e := MemEvent(KindInstr, next)
 			if rng.Intn(64) == 0 {
-				e = Event{
-					Kind: EventKind(rng.Intn(3)), // memory kinds only
-					Addr: uint64(rng.Int63()) &^ (BlockSize - 1),
-				}
+				// Any memory kind, anywhere.
+				e = MemEvent(EventKind(rng.Intn(3)), uint64(rng.Int63()))
 			}
-			if e.Kind == KindInstr {
-				next = e.Addr + BlockSize
+			if e.Kind() == KindInstr {
+				next = e.Addr() + BlockSize
 			}
 			tr.Events = append(tr.Events, e)
 		}
-		tr.Events = append(tr.Events, Event{Kind: KindTxnEnd})
+		tr.Events = append(tr.Events, MarkerEvent(KindTxnEnd, 0, 0))
 		s := &Set{Workload: "q", TypeNames: []string{"q"}, Traces: []*Trace{tr}}
 		var buf bytes.Buffer
 		if err := WriteSet(&buf, s); err != nil {

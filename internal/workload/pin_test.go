@@ -1,10 +1,14 @@
 package workload_test
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"testing"
 
+	"addict/internal/trace"
 	"addict/internal/workload"
 	"addict/internal/workload/synth"
 )
@@ -113,6 +117,45 @@ func TestPinnedGenerationDigests(t *testing.T) {
 			}
 			if got != p.shards {
 				t.Errorf("manager end states = {%v, %v}, want {%v, %v}", got[0], got[1], p.shards[0], p.shards[1])
+			}
+		})
+	}
+}
+
+// pinnedWire holds the SHA-256 of trace.WriteSet's bytes for each family's
+// pinned window. The artifact store serves windows an older build wrote
+// under the same codec token, so the bytes a window encodes to are a
+// contract of their own: the in-memory event layout may change, the wire
+// format may not without a new token. Recorded before the event type was
+// packed into one word; never regenerate them to make a change pass.
+var pinnedWire = map[string]string{
+	"TPC-B":             "d2ab2be01542c9bfb98490d6898da4e0e458ba3f7319096b327bc914c4ab4656",
+	"TPC-C":             "2eb1c97fc56bb9d0bb06fd5ec1bd2a5245812315272f06dcf042a6350627eb7c",
+	"TPC-E":             "ff20a1fd537e0aa0263bea365c5b683e8826a7346412f42abdf5f1831b90d808",
+	"synth:zipf-hot-rw": "df8c2bdb81e253c4d2202bf52d465cf301dbd6b2392ad10c21bc480988f990a2",
+	"synth:uniform-ro":  "8d0a9b78bbe729bc41aecb271787f9e0e3988929c9a337caf74e4642d772bde4",
+}
+
+// TestPinnedWireDigests freezes the encoded bytes of each pinned window.
+func TestPinnedWireDigests(t *testing.T) {
+	n := pinShards * pinShardSize
+	for _, p := range pinned {
+		t.Run(p.name, func(t *testing.T) {
+			res, err := workload.Resolve(p.name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			set, err := res.GenerateSharded(context.Background(), pinSeed, pinScale, 0, n, pinShardSize, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if err := trace.WriteSet(&buf, set); err != nil {
+				t.Fatal(err)
+			}
+			sum := sha256.Sum256(buf.Bytes())
+			if got := hex.EncodeToString(sum[:]); got != pinnedWire[p.name] {
+				t.Errorf("WriteSet SHA-256 = %s, want %s", got, pinnedWire[p.name])
 			}
 		})
 	}
