@@ -435,16 +435,15 @@ func (t *BTree) mergeNodes(parent *bnode, sepIdx int, left, right *bnode) {
 	parent.kids = removePID(parent.kids, sepIdx+1)
 	t.m.dataWrite(keySlotAddr(left.pid, 0))
 	t.m.dataWrite(keySlotAddr(parent.pid, sepIdx))
-	// The right node is dead; drop its frame from the pool maps.
-	delete(t.m.bp.frames, right.pid)
-	delete(t.m.bp.disk, right.pid)
+	// The right node is dead; drop its frame from the pool.
+	t.m.bp.drop(right.pid)
 }
 
 // node fetches a node WITHOUT buffer-pool instrumentation — used only by
 // rebalance sibling peeks (Shore-MT latches siblings it already has fixed;
 // we fold that cost into the merge code ranges).
 func (t *BTree) node(pid PageID) *bnode {
-	if f, ok := t.m.bp.frames[pid]; ok {
+	if f := t.m.bp.lookup(pid); f != nil {
 		return f.node
 	}
 	if f, ok := t.m.bp.disk[pid]; ok {

@@ -11,11 +11,16 @@ import "fmt"
 // directory buckets (fixed addresses at BufDirBase) and the index root
 // frames are touched by every transaction, while record-page frames are
 // spread across the sparse data address space.
+//
+// Resident frames sit in a slice indexed by PageID: allocPage hands out
+// dense IDs from 1, so the slice has no holes beyond evicted or dropped
+// pages.
 type bufferPool struct {
-	frames   map[PageID]*frame
+	frames   []*frame          // resident frames by PageID; nil = not resident
+	n        int               // resident frames
 	disk     map[PageID]*frame // evicted frames ("disk" contents)
 	capacity int               // 0 = unbounded
-	clock    []PageID
+	clock    []PageID          // eviction order; kept only when capacity > 0
 	hand     int
 
 	hits, misses, evictions uint64
@@ -32,7 +37,6 @@ type frame struct {
 
 func newBufferPool(capacity int) *bufferPool {
 	return &bufferPool{
-		frames:   make(map[PageID]*frame),
 		disk:     make(map[PageID]*frame),
 		capacity: capacity,
 	}
@@ -57,8 +61,9 @@ func dirBucketAddr(pid PageID) uint64 {
 func (bp *bufferPool) find(m *Manager, pid PageID) *frame {
 	m.seg.bufFind.EmitRange(m.rec, 0, 30)
 	m.dataRead(dirBucketAddr(pid))
-	f, ok := bp.frames[pid]
-	if !ok {
+	f := bp.lookup(pid)
+	if f == nil {
+		var ok bool
 		f, ok = bp.disk[pid]
 		if !ok {
 			panic(fmt.Sprintf("storage: page %d does not exist", pid))
@@ -86,7 +91,7 @@ func (bp *bufferPool) unpin(f *frame) {
 
 // install registers a freshly allocated frame.
 func (bp *bufferPool) install(m *Manager, f *frame) {
-	if _, dup := bp.frames[f.pid]; dup {
+	if bp.lookup(f.pid) != nil {
 		panic(fmt.Sprintf("storage: page %d installed twice", f.pid))
 	}
 	if _, dup := bp.disk[f.pid]; dup {
@@ -101,14 +106,36 @@ func (bp *bufferPool) install(m *Manager, f *frame) {
 func (bp *bufferPool) installFrame(m *Manager, f *frame) {
 	m.seg.bufFind.EmitRange(m.rec, 40, 50)
 	m.dataRead(dirBucketAddr(f.pid))
-	if bp.capacity > 0 && len(bp.frames) >= bp.capacity {
-		if !bp.evictOne() {
+	if bp.capacity > 0 {
+		if bp.n >= bp.capacity && !bp.evictOne() {
 			panic("storage: buffer pool full of pinned pages")
 		}
+		bp.clock = append(bp.clock, f.pid)
+	}
+	if need := int(f.pid) + 1 - len(bp.frames); need > 0 {
+		bp.frames = append(bp.frames, make([]*frame, need)...)
 	}
 	bp.frames[f.pid] = f
-	bp.clock = append(bp.clock, f.pid)
+	bp.n++
 	bp.misses++
+}
+
+// lookup returns the resident frame of pid, or nil.
+func (bp *bufferPool) lookup(pid PageID) *frame {
+	if uint64(pid) < uint64(len(bp.frames)) {
+		return bp.frames[pid]
+	}
+	return nil
+}
+
+// drop removes pid from the resident set and from disk. A dropped page's
+// clock entry goes stale and evictOne discards it.
+func (bp *bufferPool) drop(pid PageID) {
+	if bp.lookup(pid) != nil {
+		bp.frames[pid] = nil
+		bp.n--
+	}
+	delete(bp.disk, pid)
 }
 
 // evictOne runs the clock algorithm and evicts the first unpinned,
@@ -117,13 +144,13 @@ func (bp *bufferPool) evictOne() bool {
 	for sweep := 0; sweep < 2*len(bp.clock) && len(bp.clock) > 0; sweep++ {
 		bp.hand %= len(bp.clock)
 		pid := bp.clock[bp.hand]
-		f, ok := bp.frames[pid]
-		if !ok { // stale clock entry
+		f := bp.lookup(pid)
+		if f == nil { // stale clock entry
 			bp.clock = append(bp.clock[:bp.hand], bp.clock[bp.hand+1:]...)
 			continue
 		}
 		if f.pins == 0 && !f.ref {
-			delete(bp.frames, pid)
+			bp.drop(pid)
 			bp.disk[pid] = f
 			bp.clock = append(bp.clock[:bp.hand], bp.clock[bp.hand+1:]...)
 			bp.evictions++
@@ -136,4 +163,4 @@ func (bp *bufferPool) evictOne() bool {
 }
 
 // resident returns the number of frames in the pool.
-func (bp *bufferPool) resident() int { return len(bp.frames) }
+func (bp *bufferPool) resident() int { return bp.n }

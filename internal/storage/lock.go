@@ -32,7 +32,8 @@ type lockName struct {
 }
 
 // heldLock is one acquisition recorded in Txn.locks: the lock's name and
-// its table entry, so commit-time release needs no table lookup.
+// its table entry, so commit-time release needs no table lookup. A load
+// transaction's grants have no entry (nil).
 type heldLock struct {
 	name  lockName
 	entry *lockEntry
@@ -69,9 +70,18 @@ func (e *lockEntry) holder(txn uint64) int {
 // requests from *other* transactions fail fast and are counted — the
 // workload drivers are written so this does not occur, and tests assert the
 // conflict behaviour directly.
+//
+// Load transactions (Manager.BeginLoad) bypass the table. A load starts
+// only when no lock is held and no other load is live, and while it is
+// live any other transaction's request panics, so every one of its
+// requests would be granted: a first acquisition, or a re-entrant one by
+// the only holder. acquire and releaseAll therefore emit and count a load
+// transaction's grants and releases exactly as the table path would, but
+// create and delete no entries.
 type lockManager struct {
 	table map[lockName]*lockEntry
 	free  []*lockEntry // released entries, reused by later acquisitions
+	load  *Txn         // the live load transaction, if any
 
 	acquires, releases, conflicts uint64
 }
@@ -101,12 +111,19 @@ func lockHeaderAddr() uint64 { return LockBase + LockBuckets*64 }
 //	         style fast path, Section 4.1)
 //	[95,120) conflict/queue path
 func (lm *lockManager) acquire(m *Manager, txn *Txn, space uint32, key uint64, mode LockMode) bool {
+	if lm.load != nil && lm.load != txn {
+		panic(fmt.Sprintf("storage: txn %d requested a lock during load txn %d", txn.id, lm.load.id))
+	}
 	name := lockName{space: uint64(space), key: key}
 	m.seg.lockAcquire.EmitRange(m.rec, 0, 30)
 	m.dataRead(lockHeaderAddr())
 	m.seg.lockAcquire.EmitLoop(m.rec, 30, 50, 1)
 	m.dataRead(lockBucketAddr(name))
 
+	if lm.load != nil {
+		lm.granted(m, txn, name, nil)
+		return true
+	}
 	e, ok := lm.table[name]
 	if !ok {
 		e = lm.newEntry(mode, txn.id)
@@ -176,7 +193,11 @@ func (lm *lockManager) releaseAll(m *Manager, txn *Txn) {
 			m.seg.lockRelease.EmitRange(m.rec, 0, 12)
 		}
 		m.dataWrite(lockBucketAddr(l.name))
+		lm.releases++
 		e := l.entry
+		if e == nil { // load transaction: no table entry
+			continue
+		}
 		h := e.holder(txn.id)
 		if h < 0 {
 			panic(fmt.Sprintf("storage: releasing lock %+v not held by txn %d", l.name, txn.id))
@@ -188,12 +209,15 @@ func (lm *lockManager) releaseAll(m *Manager, txn *Txn) {
 			delete(lm.table, l.name)
 			lm.free = append(lm.free, e)
 		}
-		lm.releases++
 	}
 	txn.locks = txn.locks[:0]
+	if lm.load == txn {
+		lm.load = nil
+	}
 }
 
-// heldBy reports whether txn holds a lock on (space, key).
+// heldBy reports whether txn holds a lock on (space, key) in the lock
+// table, which a load transaction's locks never enter.
 func (lm *lockManager) heldBy(txnID uint64, space uint32, key uint64) bool {
 	e, ok := lm.table[lockName{space: uint64(space), key: key}]
 	if !ok {

@@ -1,9 +1,19 @@
 package storage
 
-import "addict/internal/trace"
+import (
+	"fmt"
+
+	"addict/internal/trace"
+)
 
 // Txn is a transaction context: an ID, the locks held (released at commit —
 // strict two-phase locking), and the last LSN written.
+//
+// A load transaction (BeginLoad) populates a database alone: it starts
+// only when no lock is held and no other load is live, and until it
+// commits or aborts any other transaction's lock request panics. It emits
+// the same trace and counts the same LockStats as a Begin transaction
+// doing the same work, but its locks never enter the lock table.
 type Txn struct {
 	id      uint64
 	locks   []heldLock
@@ -24,6 +34,20 @@ func (m *Manager) Begin() *Txn {
 	m.nextTxn++
 	txn := &Txn{id: m.nextTxn}
 	m.seg.txnBegin.EmitAll(m.rec)
+	return txn
+}
+
+// BeginLoad starts a load transaction: Begin for a transaction that runs
+// alone, such as the one that populates a fresh database. It panics if any
+// lock is held or another load transaction is live.
+func (m *Manager) BeginLoad() *Txn {
+	if lm := m.lock; lm.load != nil {
+		panic(fmt.Sprintf("storage: BeginLoad while load txn %d is live", lm.load.id))
+	} else if len(lm.table) > 0 {
+		panic(fmt.Sprintf("storage: BeginLoad while %d locks are held", len(lm.table)))
+	}
+	txn := m.Begin()
+	m.lock.load = txn
 	return txn
 }
 

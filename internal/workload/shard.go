@@ -20,11 +20,12 @@ import (
 // the paper-faithful 1000-trace sets at 4-way generation parallelism. It
 // does not amortize the fixed per-shard cost: database population
 // dominates every shard. At scale 0.5 on a 2-vCPU Xeon host
-// (BenchmarkPopulate*, BenchmarkShard), population takes ~70–230 ms, 12×
-// (TPC-C) to 60× (TPC-B) the ShardWarmup transactions' 3–10 ms, while
-// emitting the 256 traced transactions takes ~17–50 ms; population is
-// 65–90% of a shard. The size is part of the shard recipe, so changing it
-// changes the generated traces.
+// (BenchmarkPopulate*, BenchmarkShard, medians of 8 runs), population
+// takes ~35 ms (TPC-E) to ~80 ms (synth:zipf-hot-rw), while the
+// ShardWarmup transactions plus the 256 traced ones take the remaining
+// ~2–20 ms; population is 70% (TPC-C, TPC-E) to over 90% (TPC-B) of a
+// shard. The size is part of the shard recipe, so changing it changes the
+// generated traces.
 const DefaultShardSize = 256
 
 // ShardWarmup is the number of untraced transactions every shard executes

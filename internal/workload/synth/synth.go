@@ -354,7 +354,7 @@ func newBench(spec Spec, seed int64, scale float64, start int64) (*workload.Benc
 
 	// Population: Tables identical tables, keys [0, rows).
 	rec := make([]byte, spec.RecBytes)
-	pop := w.m.Begin()
+	pop := w.m.BeginLoad()
 	for t := 0; t < spec.Tables; t++ {
 		tbl := w.m.CreateTable(fmt.Sprintf("synth_%d", t))
 		tbl.CreateIndex(fmt.Sprintf("synth_%d_pk", t))

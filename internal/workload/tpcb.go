@@ -57,7 +57,7 @@ func NewTPCB(seed int64, scale float64) *Benchmark {
 	w.account.CreateIndex("account_pk")
 	w.history = m.CreateTable("history") // no index, per spec
 
-	pop := m.Begin()
+	pop := m.BeginLoad()
 	for i := 0; i < w.nBranch; i++ {
 		mustInsert(m, pop, w.branch, []uint64{uint64(i)}, mkRec(tpcbBranchRec, uint64(i)))
 	}

@@ -111,7 +111,7 @@ func NewTPCC(seed int64, scale float64) *Benchmark {
 
 func (w *tpcc) populate() {
 	m := w.m
-	pop := m.Begin()
+	pop := m.BeginLoad()
 	w.nextOID = make([][]int, w.nW)
 	w.recentOrders = make([][][]recentOrder, w.nW)
 	for wh := 0; wh < w.nW; wh++ {

@@ -114,7 +114,7 @@ func NewTPCE(seed int64, scale float64) *Benchmark {
 
 func (w *tpce) populate() {
 	m := w.m
-	pop := m.Begin()
+	pop := m.BeginLoad()
 	for c := 0; c < w.nCust; c++ {
 		mustInsert(m, pop, w.customer, []uint64{uint64(c)}, mkRec(tpceCustRec, uint64(c)))
 		for a := 0; a < tpceAcctsPer; a++ {
