@@ -39,7 +39,7 @@
 // produced by an independent benchmark instance seeded from (seed, shard)
 // by a splittable PRNG, so the merged set never depends on the worker
 // count; shared artifacts (trace sets, profiles, replay results) are
-// single-flight memoized in a concurrency-safe workbench; and the
+// single-flight memoized in one concurrency-safe session cache; and the
 // simulator itself is a deterministic discrete-event engine with a total
 // (time, thread-ID) order. Engine.ScheduleAll and Engine.ScheduleSet
 // replay under the paper's four mechanisms concurrently, and

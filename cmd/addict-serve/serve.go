@@ -50,14 +50,14 @@ func badRequest(format string, args ...any) error {
 // weight-bounded LRU — coalescing identical concurrent requests AND
 // serving repeats from memory, since a session's answer for a given
 // request never changes. Bench requests are measurements, so they only
-// coalesce in flight (Flight + Forget): concurrent identical requests
-// share one run, but a later request measures afresh.
+// coalesce in flight (an unbounded LRU, Forget after each run): concurrent
+// identical requests share one run, but a later request measures afresh.
 type server struct {
 	eng        *addict.Engine
 	slots      chan struct{} // admission tokens; nil = unlimited
 	retryAfter time.Duration
 	resp       *pool.LRU[[]byte]
-	bench      pool.Flight[*addict.BenchReport]
+	bench      *pool.LRU[*addict.BenchReport]
 
 	vars          *expvar.Map
 	reqs          *expvar.Map // per-endpoint requests received
@@ -86,6 +86,7 @@ func newServer(eng *addict.Engine, maxRuns int, retryAfter time.Duration, respBu
 		resp: pool.NewLRU[[]byte](respBudget, func(b []byte) int64 {
 			return int64(len(b)) + 128
 		}),
+		bench:         pool.NewLRU[*addict.BenchReport](0, nil),
 		vars:          new(expvar.Map).Init(),
 		reqs:          new(expvar.Map).Init(),
 		comps:         new(expvar.Map).Init(),

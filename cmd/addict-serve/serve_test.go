@@ -218,6 +218,79 @@ func TestBenchSynthStream(t *testing.T) {
 	}
 }
 
+// TestBenchConcurrentCoalescing: two identical concurrent bench requests
+// share one measurement. The leader streams its progress lines; the
+// follower, which joins while the leader is still measuring, receives the
+// report alone. A later identical request measures again.
+func TestBenchConcurrentCoalescing(t *testing.T) {
+	// A smaller session than newTestServer's: the test measures three
+	// times, and replay length does not matter to coalescing.
+	eng := addict.NewEngine(
+		addict.WithSeed(5), addict.WithScale(0.02),
+		addict.WithTraceWindows(20, 20, 0), addict.WithWorkers(2))
+	ts := httptest.NewServer(newServer(eng, 0, time.Second, 0).handler())
+	t.Cleanup(ts.Close)
+	c := client.New(ts.URL)
+	ctx := context.Background()
+	// Every cell measures for at least 1s, and the follower starts at the
+	// leader's first progress line (written after the first of two cells),
+	// so it joins with about a second of measurement left.
+	req := client.BenchRequest{
+		Workloads:  []string{"synth:zipf-hot-rw"},
+		Mechanisms: []string{"Baseline", "STREX"},
+		MinRuns:    1, MinDurationMS: 1000,
+	}
+	type outcome struct {
+		rep      *addict.BenchReport
+		progress int
+		err      error
+	}
+	leader, follower := make(chan outcome, 1), make(chan outcome, 1)
+	var startFollower sync.Once
+	go func() {
+		var o outcome
+		o.rep, o.err = c.Bench(ctx, req, func(string) {
+			o.progress++
+			startFollower.Do(func() {
+				go func() {
+					var f outcome
+					f.rep, f.err = c.Bench(ctx, req, func(string) { f.progress++ })
+					follower <- f
+				}()
+			})
+		})
+		leader <- o
+	}()
+	l, f := <-leader, <-follower
+	if l.err != nil || f.err != nil {
+		t.Fatalf("leader: %v, follower: %v", l.err, f.err)
+	}
+	if l.progress != 2 || f.progress != 0 {
+		t.Errorf("progress lines: leader %d (want 2), follower %d (want 0)", l.progress, f.progress)
+	}
+	if len(l.rep.Cells) != 2 || len(f.rep.Cells) != 2 || l.rep.Cells[0].EventsPerSec != f.rep.Cells[0].EventsPerSec {
+		t.Errorf("the follower did not receive the leader's report")
+	}
+	m, err := c.Metrics(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Computations["bench"] != 1 || m.CoalescedHits != 1 {
+		t.Fatalf("want 1 bench computation and 1 coalesced hit, got %d and %d",
+			m.Computations["bench"], m.CoalescedHits)
+	}
+
+	if _, err := c.Bench(ctx, req, nil); err != nil {
+		t.Fatal(err)
+	}
+	if m, err = c.Metrics(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if m.Computations["bench"] != 2 {
+		t.Errorf("a later identical request must measure again: %d computations", m.Computations["bench"])
+	}
+}
+
 // TestSweepCoalescing: N identical concurrent sweep requests produce
 // exactly one underlying computation — the rest coalesce (in flight or
 // from the response cache; either way the computation counter stays 1).

@@ -31,9 +31,9 @@ import (
 //
 // The zero-argument session (NewEngine()) uses the quick evaluation sizes
 // — seed 42, scale 0.5, 250-trace profiling and evaluation windows, the
-// Table 1 machine, all CPUs — matching the sweep and bench defaults, so an
-// Engine, a sweep grid, and the bench harness share one cache out of the
-// box.
+// Table 1 machine, all CPUs — taken from the sweep defaults that the bench
+// harness and the quick experiment setup also use, so an Engine, a sweep
+// grid, and the bench harness share one cache out of the box.
 type Engine struct {
 	seed            int64
 	scale           float64
@@ -47,7 +47,7 @@ type Engine struct {
 	storeDir        string
 	storeBudget     int64
 
-	wb       *sweep.Workbench
+	arts     *sweep.Artifacts
 	storeErr error
 }
 
@@ -116,11 +116,12 @@ func WithStore(dir string, budget int64) EngineOption {
 // NewEngine constructs a session. The zero-argument form selects the quick
 // evaluation sizes; see the Engine documentation.
 func NewEngine(opts ...EngineOption) *Engine {
+	base := sweep.Spec{}.Resolved()
 	e := &Engine{
-		seed:          42,
-		scale:         0.5,
-		profileTraces: 250,
-		evalTraces:    250,
+		seed:          base.Seed,
+		scale:         base.Scale,
+		profileTraces: base.ProfileTraces,
+		evalTraces:    base.EvalTraces,
 		machine:       sim.Shallow(),
 	}
 	for _, opt := range opts {
@@ -130,19 +131,11 @@ func NewEngine(opts ...EngineOption) *Engine {
 	if e.stabilityTraces <= 0 {
 		e.stabilityTraces = 4 * e.evalTraces
 	}
-	arts := sweep.NewArtifacts(e.seed, e.scale, e.profileTraces, e.evalTraces, e.workers)
-	e.wb = sweep.NewWorkbench(arts, e.machine)
-	if e.cacheBudget > 0 {
-		e.wb.Bound(e.cacheBudget)
-	}
+	var st *store.Store
 	if e.storeDir != "" {
-		st, err := store.Open(e.storeDir, e.storeBudget)
-		if err != nil {
-			e.storeErr = err
-		} else {
-			arts.SetStore(st)
-		}
+		st, e.storeErr = store.Open(e.storeDir, e.storeBudget)
 	}
+	e.arts = sweep.NewArtifacts(e.seed, e.scale, e.profileTraces, e.evalTraces, e.workers, e.cacheBudget, st)
 	return e
 }
 
@@ -151,8 +144,8 @@ func NewEngine(opts ...EngineOption) *Engine {
 // on-disk store is attached — the store's hit/miss/verify-failure/GC
 // counters. The serving daemon exposes these via expvar.
 func (e *Engine) CacheStats() CacheStats {
-	cs := CacheStats{CacheStats: e.wb.CacheStats()}
-	if st, ok := e.wb.StoreStats(); ok {
+	cs := CacheStats{CacheStats: e.arts.CacheStats()}
+	if st, ok := e.arts.StoreStats(); ok {
 		cs.Store = &st
 	}
 	return cs
@@ -194,20 +187,20 @@ func (e *Engine) ExperimentParams() ExperimentParams {
 // same set. The name resolves through the workload registry: TPC names
 // ("TPC-B", "TPC-C", "TPC-E") and encoded synthetic names ("synth:...").
 func (e *Engine) Traces(ctx context.Context, workloadName string) (*TraceSet, error) {
-	return e.wb.EvalSet(ctx, workloadName)
+	return e.arts.EvalSet(ctx, workloadName)
 }
 
 // ProfilingTraces returns the session's profiling trace window (the
 // paper's "first 1000") — the disjoint window Profile learns from, cached.
 func (e *Engine) ProfilingTraces(ctx context.Context, workloadName string) (*TraceSet, error) {
-	return e.wb.ProfileSet(ctx, workloadName)
+	return e.arts.ProfileSet(ctx, workloadName)
 }
 
 // Profile returns Algorithm 1's migration points for a workload over the
 // session's profiling window and machine — cached per (workload, L1-I
 // geometry).
 func (e *Engine) Profile(ctx context.Context, workloadName string) (*Profile, error) {
-	return e.wb.Profile(ctx, workloadName)
+	return e.arts.Profile(ctx, workloadName, e.machine)
 }
 
 // Schedule replays the workload's evaluation window under a mechanism on
@@ -216,7 +209,7 @@ func (e *Engine) Profile(ctx context.Context, workloadName string) (*Profile, er
 // replay. ADDICT's migration-point profile is computed (and cached)
 // automatically.
 func (e *Engine) Schedule(ctx context.Context, mech Mechanism, workloadName string) (Result, error) {
-	return e.wb.Result(ctx, workloadName, mech)
+	return e.arts.Result(ctx, workloadName, mech, e.machine)
 }
 
 // ScheduleAll replays the workload's evaluation window under every
@@ -290,27 +283,7 @@ func (e *Engine) Sweep(ctx context.Context, out io.Writer, spec SweepSpec, forma
 		return err
 	}
 	e.inheritBase(&spec.Seed, &spec.Scale, &spec.ProfileTraces, &spec.EvalTraces)
-	arts := e.artifactsFor(spec.Seed, spec.Scale, spec.ProfileTraces, spec.EvalTraces)
-	return sweep.Run(ctx, spec, em, e.workers, arts)
-}
-
-// artifactsFor picks the artifact cache for a run with the given resolved
-// base parameters: the session cache when they match the session's (so
-// repeated runs regenerate nothing), otherwise a fresh per-run cache —
-// with the session's on-disk store attached, so even mismatched-parameter
-// runs warm-start from disk. nil (the "let the runner make its own"
-// convention) only when there is neither a session match nor a store.
-func (e *Engine) artifactsFor(seed int64, scale float64, profileTraces, evalTraces int) *sweep.Artifacts {
-	if e.wb.Artifacts().Matches(seed, scale, profileTraces, evalTraces) {
-		return e.wb.Artifacts()
-	}
-	st := e.wb.Artifacts().Store()
-	if st == nil {
-		return nil
-	}
-	arts := sweep.NewArtifacts(seed, scale, profileTraces, evalTraces, e.workers)
-	arts.SetStore(st)
-	return arts
+	return sweep.Run(ctx, spec, em, e.workers, e.arts)
 }
 
 // inheritBase fills zero-valued base parameters — the "zero means inherit
@@ -360,8 +333,7 @@ func (e *Engine) BenchProgress(ctx context.Context, cfg BenchConfig, progress io
 	if resolved.Workers == 0 {
 		resolved.Workers = e.workers
 	}
-	arts := e.artifactsFor(resolved.Seed, resolved.Scale, resolved.ProfileTraces, resolved.EvalTraces)
-	return bench.Run(ctx, resolved, progress, arts)
+	return bench.Run(ctx, resolved, progress, e.arts)
 }
 
 // GateBench runs the benchmark harness on the session (see Bench) and
@@ -402,5 +374,5 @@ func (e *Engine) GateBench(ctx context.Context, cfg BenchConfig, baseline *Bench
 // Cancellation stops the run between experiment units and leaves a clean
 // partial report.
 func (e *Engine) Experiments(ctx context.Context, out io.Writer, ids ...string) error {
-	return exp.Run(ctx, out, e.ExperimentParams(), e.workers, e.wb, ids...)
+	return exp.Run(ctx, out, e.ExperimentParams(), e.workers, e.arts, ids...)
 }

@@ -22,6 +22,7 @@ import (
 	"addict/internal/sim"
 	"addict/internal/sweep"
 	"addict/internal/trace"
+	"addict/internal/workload"
 )
 
 // Config scopes one harness run.
@@ -80,6 +81,7 @@ type ExtraCell struct {
 // Reports generated from different sizes or cell sets are not comparable;
 // trajectories should all use this configuration.
 func DefaultConfig() Config {
+	base := sweep.Spec{}.Resolved()
 	return Config{
 		Workloads: []string{
 			"TPC-B", "TPC-C", "TPC-E",
@@ -90,10 +92,10 @@ func DefaultConfig() Config {
 			{Workload: "synth:zipf-hot-rw", Mechanism: sched.HTMSPEC},
 			{Workload: "synth:zipf-hot-rw", Mechanism: sched.CHAIN},
 		},
-		Seed:          42,
-		Scale:         0.5,
-		ProfileTraces: 250,
-		EvalTraces:    250,
+		Seed:          base.Seed,
+		Scale:         base.Scale,
+		ProfileTraces: base.ProfileTraces,
+		EvalTraces:    base.EvalTraces,
 		Machine:       sim.Shallow(),
 		MinRuns:       2,
 		MinDuration:   300 * time.Millisecond,
@@ -180,30 +182,28 @@ var knownSchemas = map[string]bool{
 // of a partial report (a partial report would not be comparable to any
 // BENCH_*.json trajectory point).
 //
-// arts is the artifact cache to generate over; nil builds a fresh one from
-// the config. A long-lived session passes its own to share generated
-// traces and profiles with the harness. A cache whose base parameters do
-// not Match the resolved config is ignored (a fresh one is built), so the
-// report's metadata always describes the artifacts it was measured on;
-// measurement itself is unaffected (cells are strictly serial either way).
+// arts is the artifact cache to generate over (through Artifacts.For on
+// the resolved config, so the report's metadata always describes the
+// artifacts it was measured on); nil builds a fresh one from the config. A
+// long-lived session passes its own to share generated traces and profiles
+// with the harness. Measurement itself is unaffected (cells are strictly
+// serial either way).
 func Run(ctx context.Context, cfg Config, progress io.Writer, arts *sweep.Artifacts) (*Report, error) {
 	cfg = withDefaults(cfg)
 	for _, name := range cfg.Workloads {
-		if err := sweep.ValidateWorkloadName(name); err != nil {
+		if err := workload.Validate(name); err != nil {
 			return nil, fmt.Errorf("bench: %w", err)
 		}
 	}
 	for _, ec := range cfg.ExtraCells {
-		if err := sweep.ValidateWorkloadName(ec.Workload); err != nil {
+		if err := workload.Validate(ec.Workload); err != nil {
 			return nil, fmt.Errorf("bench: %w", err)
 		}
 	}
-	if arts != nil && !arts.Matches(cfg.Seed, cfg.Scale, cfg.ProfileTraces, cfg.EvalTraces) {
-		arts = nil
-	}
 	if arts == nil {
-		arts = sweep.NewArtifacts(cfg.Seed, cfg.Scale, cfg.ProfileTraces, cfg.EvalTraces, cfg.Workers)
+		arts = sweep.NewArtifacts(cfg.Seed, cfg.Scale, cfg.ProfileTraces, cfg.EvalTraces, cfg.Workers, 0, nil)
 	}
+	arts = arts.For(cfg.Seed, cfg.Scale, cfg.ProfileTraces, cfg.EvalTraces)
 	rep := &Report{
 		Schema:        schemaID,
 		GoVersion:     runtime.Version(),

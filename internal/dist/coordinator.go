@@ -12,6 +12,7 @@ import (
 	"addict/internal/store"
 	"addict/internal/sweep"
 	"addict/internal/wire"
+	"addict/internal/workload"
 )
 
 // Options tune the coordinator's lease protocol. The zero value means
@@ -163,7 +164,7 @@ func NewCoordinator(spec sweep.Spec, opts Options) (*Coordinator, error) {
 	seen := map[string]bool{}
 	for _, u := range units {
 		if !seen[u.Workload] {
-			if err := sweep.ValidateWorkloadName(u.Workload); err != nil {
+			if err := workload.Validate(u.Workload); err != nil {
 				return nil, fmt.Errorf("dist: %w", err)
 			}
 			seen[u.Workload] = true

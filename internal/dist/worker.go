@@ -61,15 +61,14 @@ func Work(ctx context.Context, baseURL string, opts WorkerOptions) (int, error) 
 			len(units), join.GridHash, join.Units)
 	}
 
-	arts := sweep.NewArtifacts(join.Spec.Seed, join.Spec.Scale,
-		join.Spec.ProfileTraces, join.Spec.EvalTraces, pool.NormWorkers(opts.Workers))
+	var st *store.Store
 	if opts.StoreDir != "" {
-		st, err := store.Open(opts.StoreDir, opts.StoreBudget)
-		if err != nil {
+		if st, err = store.Open(opts.StoreDir, opts.StoreBudget); err != nil {
 			return 0, fmt.Errorf("dist: open store: %w", err)
 		}
-		arts.SetStore(st)
 	}
+	arts := sweep.NewArtifacts(join.Spec.Seed, join.Spec.Scale,
+		join.Spec.ProfileTraces, join.Spec.EvalTraces, pool.NormWorkers(opts.Workers), 0, st)
 	storeStats := func() *store.Stats {
 		if s, ok := arts.StoreStats(); ok {
 			return &s

@@ -64,12 +64,15 @@ func DefaultParams() Params {
 
 // QuickParams returns a reduced setup for tests and fast benchmark runs:
 // the same structure at ~1/4 the trace counts and 1/2 the database scale.
+// Seed, scale, and trace windows are the sweep defaults, so a quick run,
+// a default sweep grid, and a default Engine share one artifact cache.
 func QuickParams() Params {
+	s := sweep.Spec{}.Resolved()
 	return Params{
-		Seed:            42,
-		Scale:           0.5,
-		ProfileTraces:   250,
-		EvalTraces:      250,
+		Seed:            s.Seed,
+		Scale:           s.Scale,
+		ProfileTraces:   s.ProfileTraces,
+		EvalTraces:      s.EvalTraces,
 		StabilityTraces: 1000,
 		Machine:         sim.Shallow(),
 	}
@@ -78,21 +81,21 @@ func QuickParams() Params {
 // Workloads lists the paper's three benchmarks in presentation order.
 var Workloads = []string{"TPC-B", "TPC-C", "TPC-E"}
 
-// Workbench is the figure pipeline's view of the shared session cache
-// (sweep.Workbench): per-workload artifacts — profiling and evaluation
-// trace sets, the migration-point profile, per-mechanism replay results —
-// computed once (single-flight) no matter how many experiments request
-// them concurrently, with content independent of order, interleaving, and
-// worker count. The figure runners consume artifacts as plain values; on a
-// context-cancelled run the accessors unwind with an internal panic Run
-// recovers into an ordinary error, so a cancelled run renders nothing
-// half-computed.
+// Workbench is the figure pipeline's view of the session cache
+// (sweep.Artifacts) on the run's machine: per-workload artifacts —
+// profiling and evaluation trace sets, the migration-point profile,
+// per-mechanism replay results — computed once (single-flight) no matter
+// how many experiments request them concurrently, with content independent
+// of order, interleaving, and worker count. The figure runners consume
+// artifacts as plain values; on a context-cancelled run the accessors
+// unwind with an internal panic Run recovers into an ordinary error, so a
+// cancelled run renders nothing half-computed.
 type Workbench struct {
 	P      Params
 	Layout *codemap.Layout
 
-	ctx context.Context
-	wb  *sweep.Workbench
+	ctx  context.Context
+	arts *sweep.Artifacts
 }
 
 // NewWorkbench prepares an empty workbench whose trace generation may use
@@ -100,21 +103,20 @@ type Workbench struct {
 // workers value) and whose artifact computations abort between work items
 // once ctx is cancelled.
 func NewWorkbench(ctx context.Context, p Params, workers int) *Workbench {
-	arts := sweep.NewArtifacts(p.Seed, p.Scale, p.ProfileTraces, p.EvalTraces, workers)
-	return NewWorkbenchOn(ctx, p, sweep.NewWorkbench(arts, p.Machine))
+	return NewWorkbenchOn(ctx, p, sweep.NewArtifacts(p.Seed, p.Scale, p.ProfileTraces, p.EvalTraces, workers, 0, nil))
 }
 
-// NewWorkbenchOn wraps an existing session cache (sweep.Workbench) as an
-// experiment workbench — the hook Run uses to render experiments over the
-// same artifacts a session's Schedule/Sweep/Bench calls already computed.
-// The caller must pass a cache built over exactly p's seed, scale, trace
-// windows, and machine.
-func NewWorkbenchOn(ctx context.Context, p Params, wb *sweep.Workbench) *Workbench {
+// NewWorkbenchOn wraps a session cache as an experiment workbench — the
+// hook Run uses to render experiments over the same artifacts a session's
+// Schedule/Sweep/Bench calls already computed. A cache built over other
+// base parameters than p's is not used (see sweep.Artifacts.For).
+func NewWorkbenchOn(ctx context.Context, p Params, arts *sweep.Artifacts) *Workbench {
+	arts = arts.For(p.Seed, p.Scale, p.ProfileTraces, p.EvalTraces)
 	return &Workbench{
 		P:      p,
-		Layout: wb.Artifacts().Layout(),
+		Layout: arts.Layout(),
 		ctx:    ctx,
-		wb:     wb,
+		arts:   arts,
 	}
 }
 
@@ -151,7 +153,7 @@ func recoverCancel(errp *error) {
 // traces): shards [0, NumShards(ProfileTraces)) of the workload's sharded
 // trace space.
 func (w *Workbench) ProfileSet(name string) *trace.Set {
-	s, err := w.wb.ProfileSet(w.ctx, name)
+	s, err := w.arts.ProfileSet(w.ctx, name)
 	return take(w, s, err)
 }
 
@@ -159,14 +161,14 @@ func (w *Workbench) ProfileSet(name string) *trace.Set {
 // shards immediately after the profiling window, so the two sets are
 // disjoint by construction regardless of computation order.
 func (w *Workbench) EvalSet(name string) *trace.Set {
-	s, err := w.wb.EvalSet(w.ctx, name)
+	s, err := w.arts.EvalSet(w.ctx, name)
 	return take(w, s, err)
 }
 
 // Profile returns the workload's Algorithm 1 output over the profiling set,
 // with the storage manager's no-migrate zones applied (Section 3.1.3).
 func (w *Workbench) Profile(name string) *core.Profile {
-	p, err := w.wb.Profile(w.ctx, name)
+	p, err := w.arts.Profile(w.ctx, name, w.P.Machine)
 	return take(w, p, err)
 }
 
@@ -176,7 +178,7 @@ func (w *Workbench) Profile(name string) *core.Profile {
 // per-(workload, mechanism) point is the default-load sweep unit on the
 // run's machine.
 func (w *Workbench) Result(name string, mech sched.Mechanism) sim.Result {
-	r, err := w.wb.Result(w.ctx, name, mech)
+	r, err := w.arts.Result(w.ctx, name, mech, w.P.Machine)
 	return take(w, r, err)
 }
 

@@ -97,7 +97,7 @@ func IDs() []string {
 // empty, otherwise the named experiments in the given order. Every id is
 // checked before anything is rendered, so an unknown id writes nothing.
 //
-// swb is the session cache to run over (see NewWorkbenchOn); nil builds a
+// arts is the session cache to run over (see NewWorkbenchOn); nil builds a
 // fresh one whose trace generation uses up to `workers` goroutines. With
 // workers == 1 the experiments run as a plain in-order loop — the
 // reference the determinism tests compare against. Otherwise (workers < 1
@@ -113,7 +113,7 @@ func IDs() []string {
 // emitted; in-flight units finish (a simulation replay is not divisible)
 // and the call returns ctx's error. The experiments already written form a
 // clean prefix of the output.
-func Run(ctx context.Context, out io.Writer, p Params, workers int, swb *sweep.Workbench, ids ...string) error {
+func Run(ctx context.Context, out io.Writer, p Params, workers int, arts *sweep.Artifacts, ids ...string) error {
 	exps := experiments
 	if len(ids) > 0 {
 		exps = make([]experiment, len(ids))
@@ -127,8 +127,8 @@ func Run(ctx context.Context, out io.Writer, p Params, workers int, swb *sweep.W
 	}
 	workers = pool.NormWorkers(workers)
 	var w *Workbench
-	if swb != nil {
-		w = NewWorkbenchOn(ctx, p, swb)
+	if arts != nil {
+		w = NewWorkbenchOn(ctx, p, arts)
 	} else {
 		w = NewWorkbench(ctx, p, workers)
 	}

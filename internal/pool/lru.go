@@ -2,6 +2,7 @@ package pool
 
 import (
 	"context"
+	"errors"
 	"sync"
 )
 
@@ -37,21 +38,30 @@ type lruCell[V any] struct {
 	resident   bool
 }
 
-// LRU is Flight with a weight budget: a concurrency-safe, single-flight
-// memoization cache that evicts least-recently-used entries once the
-// resident weight exceeds the budget. It keeps Flight's contract — one
-// computation per key no matter how many concurrent callers, failed or
-// cancelled computations evicted rather than cached, waiters retrying with
-// their own contexts — and adds bounded residency: every completed value
-// is weighed, and the least-recently-used completed entries are dropped
-// until the total fits. In-flight computations are never evicted (a live
-// key is never computed twice), and eviction never corrupts a value a
-// caller is about to receive — an evicted entry's value still returns to
-// every caller already waiting on it; only later callers recompute.
+// errFlightPanic marks a cell whose computation panicked: the panic
+// propagates to the leader's caller, while waiters observe a failed cell
+// (evicted, retryable) instead of blocking forever.
+var errFlightPanic = errors.New("pool: flight computation panicked")
+
+// LRU is a concurrency-safe, single-flight memoization cache with a weight
+// budget. The first caller of a key (the leader) runs the computation
+// while later callers block until it is ready, so a successful computation
+// runs once per key no matter how many concurrent callers. A computation
+// that returns an error is NOT cached: the key is evicted, and each waiter
+// whose own context is still live retries (becoming the new leader) rather
+// than inheriting the leader's error. One cancelled request therefore
+// neither poisons a long-lived session's cache nor fails concurrent
+// requests that were not cancelled.
 //
-// A budget <= 0 means unbounded, which makes LRU behave exactly like
-// Flight plus statistics — the artifact caches (sweep.Artifacts,
-// sweep.Workbench) run unbounded by default and are bounded by serving
+// Residency is bounded by weight: every completed value is weighed, and
+// the least-recently-used completed entries are dropped until the total
+// fits. In-flight computations are never evicted (a live key is never
+// computed twice), and eviction never corrupts a value a caller is about
+// to receive — an evicted entry's value still returns to every caller
+// already waiting on it; only later callers recompute.
+//
+// A budget <= 0 means unbounded. The session artifact cache
+// (sweep.Artifacts) runs unbounded by default and is bounded by serving
 // deployments (Engine WithCacheBudget, addict-serve -cache-budget).
 type LRU[V any] struct {
 	mu         sync.Mutex
@@ -77,16 +87,6 @@ func NewLRU[V any](budget int64, weigh func(V) int64) *LRU[V] {
 	return &LRU[V]{budget: budget, weigh: weigh}
 }
 
-// SetBudget replaces the weight budget and immediately evicts down to it.
-// Lowering the budget on a live cache is safe: values already handed out
-// are unaffected, only residency changes.
-func (l *LRU[V]) SetBudget(budget int64) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.budget = budget
-	l.evictOver()
-}
-
 // Stats returns a snapshot of the cache counters.
 func (l *LRU[V]) Stats() CacheStats {
 	l.mu.Lock()
@@ -100,11 +100,31 @@ func (l *LRU[V]) Stats() CacheStats {
 	}
 }
 
+// Forget drops key's resident value so the next Do computes afresh. An
+// in-flight computation is left alone (its waiters keep their
+// single-flight coalescing); only a completed, resident entry is dropped.
+// Callers that want coalescing without memoization — the serving daemon's
+// bench endpoint, where a measurement must be fresh per burst but
+// identical concurrent requests should still compute once — call Forget
+// after Do returns.
+func (l *LRU[V]) Forget(key string) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if c, ok := l.m[key]; ok && c.resident {
+		l.drop(c)
+	}
+}
+
 // Do returns the cached value for key, computing it with fn on a miss.
-// The contract matches Flight.Do — single-flight per key, ctx stops the
-// wait on another caller's computation, errors are evicted and retried by
-// live waiters, a panic in fn propagates to the leader — plus recency:
-// a hit moves the entry to the front of the eviction order.
+// fn should observe ctx (cancellation between its own work items) and
+// return ctx's error when cancelled; Do itself uses ctx to stop waiting on
+// another caller's computation and to decide whether a failed shared
+// computation is worth retrying, so a cancelled waiter returns promptly
+// even while an unrelated leader keeps computing. A panic inside fn
+// propagates to the leader's caller; waiters see the key evicted and
+// retry, re-encountering the panic in their own call stacks (fail-fast,
+// never a deadlock). A hit moves the entry to the front of the eviction
+// order.
 func (l *LRU[V]) Do(ctx context.Context, key string, fn func() (V, error)) (V, error) {
 	for {
 		l.mu.Lock()
@@ -154,7 +174,7 @@ func (l *LRU[V]) Do(ctx context.Context, key string, fn func() (V, error)) (V, e
 // lead runs the computation as key's leader, then publishes the outcome:
 // success inserts the weighed value at the front of the recency list and
 // evicts down to budget; failure (or a panic in fn) evicts the cell so the
-// key is retryable. Mirrors Flight.lead.
+// key is retryable.
 func (l *LRU[V]) lead(c *lruCell[V], fn func() (V, error)) {
 	completed := false
 	defer func() {
@@ -195,14 +215,18 @@ func (l *LRU[V]) insert(c *lruCell[V]) {
 // it, it just never becomes resident. Caller holds mu.
 func (l *LRU[V]) evictOver() {
 	for l.budget > 0 && l.used > l.budget && l.tail != nil {
-		t := l.tail
-		l.unlink(t)
-		t.resident = false
-		l.used -= t.weight
-		l.entries--
-		delete(l.m, t.key)
+		l.drop(l.tail)
 		l.evictions++
 	}
+}
+
+// drop removes a resident cell from the cache. Caller holds mu.
+func (l *LRU[V]) drop(c *lruCell[V]) {
+	l.unlink(c)
+	c.resident = false
+	l.used -= c.weight
+	l.entries--
+	delete(l.m, c.key)
 }
 
 // pushFront links a cell at the head of the recency list. Caller holds mu.

@@ -45,7 +45,7 @@ func TestLRUEvictionOrder(t *testing.T) {
 	}
 }
 
-// TestLRUUnbounded: budget <= 0 never evicts — Flight behavior plus stats.
+// TestLRUUnbounded: budget <= 0 never evicts.
 func TestLRUUnbounded(t *testing.T) {
 	l := NewLRU[int](0, func(int) int64 { return 1 << 20 })
 	ctx := context.Background()
@@ -58,21 +58,6 @@ func TestLRUUnbounded(t *testing.T) {
 	st := l.Stats()
 	if st.Evictions != 0 || st.Entries != 50 || st.Misses != 50 {
 		t.Errorf("unbounded cache evicted or lost entries: %+v", st)
-	}
-}
-
-// TestLRUSetBudget: lowering the budget on a live cache evicts down
-// immediately.
-func TestLRUSetBudget(t *testing.T) {
-	l := NewLRU[int](0, nil)
-	ctx := context.Background()
-	for i := 0; i < 10; i++ {
-		_, _ = l.Do(ctx, fmt.Sprintf("k%d", i), func() (int, error) { return i, nil })
-	}
-	l.SetBudget(4)
-	st := l.Stats()
-	if st.Entries != 4 || st.Evictions != 6 {
-		t.Errorf("SetBudget(4) on 10 unit entries: want 4 resident / 6 evicted, got %+v", st)
 	}
 }
 
@@ -203,20 +188,24 @@ func TestLRUStressRace(t *testing.T) {
 	}
 }
 
-// TestFlightStatsAndForget: leads/hits count computations and coalesced
-// serves; Forget drops a memoized value (next Do recomputes) but leaves an
+// TestFlightStatsAndForget: misses/hits count computations and coalesced
+// serves; Forget drops a resident value (next Do recomputes) but leaves an
 // in-flight computation coalescing.
 func TestFlightStatsAndForget(t *testing.T) {
-	var f Flight[int]
+	f := NewLRU[int](0, nil)
 	ctx := context.Background()
 	var computes atomic.Int64
 	compute := func() (int, error) { computes.Add(1); return 1, nil }
 	_, _ = f.Do(ctx, "k", compute)
 	_, _ = f.Do(ctx, "k", compute)
-	if st := f.Stats(); st.Leads != 1 || st.Hits != 1 {
-		t.Errorf("want 1 lead / 1 hit, got %+v", st)
+	if st := f.Stats(); st.Misses != 1 || st.Hits != 1 || st.Entries != 1 {
+		t.Errorf("want 1 miss / 1 hit / 1 entry, got %+v", st)
 	}
 	f.Forget("k")
+	if st := f.Stats(); st.Entries != 0 || st.Bytes != 0 || st.Evictions != 0 {
+		t.Errorf("Forget should drop the entry without counting an eviction, got %+v", st)
+	}
+	f.Forget("absent") // a no-op
 	_, _ = f.Do(ctx, "k", compute)
 	if computes.Load() != 2 {
 		t.Errorf("Do after Forget should recompute, computes=%d", computes.Load())
@@ -224,7 +213,7 @@ func TestFlightStatsAndForget(t *testing.T) {
 
 	// Forget during flight: the in-flight cell stays, waiters still
 	// coalesce onto it.
-	var g Flight[int]
+	g := NewLRU[int](0, nil)
 	gate := make(chan struct{})
 	entered := make(chan struct{})
 	var inflight atomic.Int64

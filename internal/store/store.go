@@ -1,7 +1,9 @@
 // Package store is the content-addressed, on-disk artifact store: the L2
-// layer under the in-memory artifact cache (pool.LRU) that gives sessions
+// layer under the session artifact cache (sweep.Artifacts, which reads
+// through memory, then this store, then computes) that gives sessions
 // warm starts across process restarts and lets independent processes
-// rendezvous on shared artifacts. Entries are keyed by a stable hash of the
+// rendezvous on shared artifacts. The store deals in opaque payloads; the
+// artifact codecs live with the cache. Entries are keyed by a stable hash of the
 // artifact's fully-resolved spec (workload encoding, seed/scale/windows,
 // machine signature, artifact kind — the caller renders the spec string,
 // the store hashes it), writes are crash-safe (temp file + fsync + rename),

@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -16,14 +17,6 @@ import (
 	"addict/internal/trace"
 	"addict/internal/workload"
 )
-
-// ValidateWorkloadName rejects names the workload-name registry does not
-// resolve — neither a TPC benchmark nor a registered backend (encoded
-// synthetic workloads). Kept as the sweep-flavored wrapper over
-// workload.Validate, the one registry every by-name consumer shares.
-func ValidateWorkloadName(name string) error {
-	return workload.Validate(name)
-}
 
 // Metrics are the per-unit outcomes every emitter reports. All values are
 // raw (not normalized): normalization needs a baseline point, and which
@@ -89,16 +82,26 @@ func Replay(u Unit, set *trace.Set, prof *core.Profile) (sim.Result, error) {
 	return sched.Run(u.Mechanism, set, cfg)
 }
 
-// Artifacts caches the artifacts experiment units share — the one
-// implementation of the trace-window and profiling recipe, used by the
-// sweep engine, the bench harness, internal/exp's figure pipeline, and the
-// facade's Engine sessions. Trace sets are keyed by workload over fixed
-// (seed, scale, window) parameters; migration-point profiles are keyed by
-// (workload, L1-I geometry), because Algorithm 1's output depends on the
-// cache it profiles against. Every artifact is single-flight memoized with
-// order-free content; a computation aborted by context cancellation is
-// evicted rather than cached, so one cancelled request never poisons a
-// long-lived session.
+// Artifacts is the session cache: the one implementation of the
+// trace-window and profiling recipe and the one store of everything a
+// session computes — trace windows, migration-point profiles, and replay
+// results. The sweep engine, the bench harness, the distributed workers,
+// internal/exp's figure pipeline, and the facade's Engine sessions all
+// read through it. Trace sets are keyed by workload over fixed (seed,
+// scale, window) parameters; migration-point profiles by (workload, L1-I
+// geometry), because Algorithm 1's output depends on the cache it
+// profiles against; replay results by (workload, mechanism, machine).
+//
+// Every artifact kind lives in one weight-accounted, single-flight LRU
+// (values weighed by artifactWeight), so a residency budget covers the
+// whole session and each artifact is computed once no matter how many
+// callers request it at the same time. Content is independent of the
+// order, interleaving, or worker count of the requests, and a computation
+// aborted by context cancellation is evicted rather than cached, so one
+// cancelled request never poisons a long-lived session. An optional
+// on-disk store sits underneath as a read-through L2: memory misses load
+// from disk before recomputing, and computed artifacts spill to disk so
+// the next process starts warm.
 type Artifacts struct {
 	seed          int64
 	scale         float64
@@ -108,67 +111,96 @@ type Artifacts struct {
 	// (1 = serial). It does not affect content.
 	workers int
 	layout  *codemap.Layout
+	// base is the spec prefix every on-disk identity shares (diskBase).
+	base string
 
-	// cache holds every artifact kind — trace windows, profiles, and the
-	// Workbench's replay results — in one weight-accounted LRU, so a
-	// residency budget covers the whole session instead of per-kind pools.
-	// Keys are kind-prefixed ("profset", "evalset", "profile", "result");
-	// values are weighed by artifactWeight. Unbounded by default (every
-	// artifact stays resident, the pre-eviction behavior); Bound turns on
-	// eviction for serving deployments. An attached on-disk store
-	// (SetStore) layers underneath as a read-through L2: memory misses
-	// load from disk before recomputing, and computed artifacts spill to
-	// disk so the next process starts warm.
-	cache *store.CachedStore
+	mem  *pool.LRU[any]
+	disk *store.Store // nil: memory only
 }
 
-// NewArtifacts prepares an empty artifact cache whose trace generation may
-// use up to `workers` goroutines (values below 1 run serially).
-func NewArtifacts(seed int64, scale float64, profileTraces, evalTraces, workers int) *Artifacts {
+// NewArtifacts prepares an empty session cache whose trace generation may
+// use up to `workers` goroutines (values below 1 run serially). budget
+// bounds the in-memory resident weight in approximate bytes (<= 0 =
+// unbounded): past it, least-recently-used artifacts are evicted and
+// regenerate — deterministically, to identical content — on next use, or
+// reload from disk when a store is attached. disk is the optional
+// read-through store (nil = memory only).
+func NewArtifacts(seed int64, scale float64, profileTraces, evalTraces, workers int, budget int64, disk *store.Store) *Artifacts {
 	if workers < 1 {
 		workers = 1
 	}
-	return &Artifacts{
+	a := &Artifacts{
 		seed:          seed,
 		scale:         scale,
 		profileTraces: profileTraces,
 		evalTraces:    evalTraces,
 		workers:       workers,
 		layout:        codemap.NewLayout(),
-		cache:         store.NewCached(pool.NewLRU[any](0, artifactWeight), nil),
+		mem:           pool.NewLRU[any](budget, artifactWeight),
+		disk:          disk,
 	}
+	a.base = a.diskBase()
+	return a
 }
 
-// Bound sets the cache's resident-weight budget in approximate bytes
-// (<= 0 = unbounded) and immediately evicts down to it. Eviction is safe
-// at any time: artifacts regenerate deterministically, so an evicted
-// window or profile recomputes to identical content — only pointer
-// identity across calls is lost once a budget is set. With a store
-// attached, an evicted artifact usually reloads from disk instead of
-// recomputing.
-func (a *Artifacts) Bound(budget int64) { a.cache.Mem().SetBudget(budget) }
+// For returns the cache for a run over the given base parameters: a
+// itself when it was built over exactly these (so repeated runs regenerate
+// nothing), otherwise a fresh unbounded cache on a's store and worker
+// bound — a mismatched cache never substitutes its own artifacts, and even
+// mismatched-parameter runs warm-start from disk.
+func (a *Artifacts) For(seed int64, scale float64, profileTraces, evalTraces int) *Artifacts {
+	if a.seed == seed && a.scale == scale &&
+		a.profileTraces == profileTraces && a.evalTraces == evalTraces {
+		return a
+	}
+	return NewArtifacts(seed, scale, profileTraces, evalTraces, a.workers, 0, a.disk)
+}
 
-// SetStore attaches an on-disk artifact store as the read-through L2
-// under the in-memory cache (nil detaches). Artifacts already resident in
-// memory are unaffected; subsequent misses load from the store before
-// recomputing, and computed artifacts are persisted best-effort.
-func (a *Artifacts) SetStore(st *store.Store) { a.cache.SetDisk(st) }
-
-// Store returns the attached on-disk store, nil when memory-only.
-func (a *Artifacts) Store() *store.Store { return a.cache.Disk() }
-
-// CacheStats reports the artifact cache's counters (resident bytes and
+// CacheStats reports the in-memory cache's counters (resident bytes and
 // entries, hits/misses/evictions). Bytes are the artifactWeight estimates,
 // not exact heap usage.
-func (a *Artifacts) CacheStats() pool.CacheStats { return a.cache.Mem().Stats() }
+func (a *Artifacts) CacheStats() pool.CacheStats { return a.mem.Stats() }
 
 // StoreStats reports the attached on-disk store's counters; ok is false
 // when no store is attached.
 func (a *Artifacts) StoreStats() (s store.Stats, ok bool) {
-	if d := a.cache.Disk(); d != nil {
-		return d.Stats(), true
+	if a.disk == nil {
+		return store.Stats{}, false
 	}
-	return store.Stats{}, false
+	return a.disk.Stats(), true
+}
+
+// do returns the artifact named by e, reading through memory, then disk,
+// then compute. Memory keeps pool.LRU's contract (one computation per key
+// no matter how many concurrent callers; failed or cancelled computations
+// evicted rather than cached). A computed value is written back to disk
+// best effort. Disk corruption and codec drift surface as misses, never as
+// decoded garbage: the entry is quarantined and recomputed.
+func (a *Artifacts) do(ctx context.Context, e entry, compute func() (any, error)) (any, error) {
+	return a.mem.Do(ctx, e.spec, func() (any, error) {
+		if a.disk == nil {
+			return compute()
+		}
+		if data, ok := a.disk.Get(e.spec); ok {
+			v, err := e.decode(bytes.NewReader(data))
+			if err == nil {
+				return v, nil
+			}
+			// The content digest passed but the payload does not decode: a
+			// codec version drift. Quarantine so the fresh encoding below
+			// replaces it instead of failing every future read.
+			a.disk.MarkCorrupt(e.spec)
+		}
+		v, err := compute()
+		if err != nil {
+			return nil, err
+		}
+		var buf bytes.Buffer
+		if e.encode(&buf, v) == nil {
+			a.disk.Put(e.spec, buf.Bytes())
+		}
+		return v, nil
+	})
 }
 
 // eventBytes is the resident size of one trace event.
@@ -215,45 +247,30 @@ func artifactWeight(v any) int64 {
 // routine ranges) the cache profiles against.
 func (a *Artifacts) Layout() *codemap.Layout { return a.layout }
 
-// Matches reports whether the cache was built over exactly these base
-// parameters — the compatibility test a session runs before sharing its
-// cache with a sweep or bench configuration.
-func (a *Artifacts) Matches(seed int64, scale float64, profileTraces, evalTraces int) bool {
-	return a.seed == seed && a.scale == scale &&
-		a.profileTraces == profileTraces && a.evalTraces == evalTraces
-}
-
 // ProfileSet returns the workload's profiling window (the paper's "first
 // 1000" traces): shards [0, NumShards(profileTraces)) of the sharded trace
 // space, worker-count independent. The workload name resolves through the
 // workload-name registry (TPC benchmarks, "synth:" encoded names).
 func (a *Artifacts) ProfileSet(ctx context.Context, name string) (*trace.Set, error) {
-	v, err := a.cache.Do(ctx, "profset\x00"+name, a.setEntry("profset", name), func() (any, error) {
-		r, err := workload.Resolve(name)
-		if err != nil {
-			return nil, err
-		}
-		return r.GenerateSharded(ctx, a.seed, a.scale,
-			0, a.profileTraces, workload.DefaultShardSize, a.workers)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*trace.Set), nil
+	return a.window(ctx, "profset", name, 0, a.profileTraces)
 }
 
 // EvalSet returns the workload's evaluation window (the paper's "next
 // 1000"): the shards immediately after the profiling window, so the two
 // sets are disjoint by construction regardless of computation order.
 func (a *Artifacts) EvalSet(ctx context.Context, name string) (*trace.Set, error) {
-	v, err := a.cache.Do(ctx, "evalset\x00"+name, a.setEntry("evalset", name), func() (any, error) {
+	first := workload.NumShards(a.profileTraces, workload.DefaultShardSize)
+	return a.window(ctx, "evalset", name, first, a.evalTraces)
+}
+
+// window returns n traces of the workload starting at shard first.
+func (a *Artifacts) window(ctx context.Context, kind, name string, first, n int) (*trace.Set, error) {
+	v, err := a.do(ctx, a.setEntry(kind, name), func() (any, error) {
 		r, err := workload.Resolve(name)
 		if err != nil {
 			return nil, err
 		}
-		base := workload.NumShards(a.profileTraces, workload.DefaultShardSize)
-		return r.GenerateSharded(ctx, a.seed, a.scale,
-			base, a.evalTraces, workload.DefaultShardSize, a.workers)
+		return r.GenerateSharded(ctx, a.seed, a.scale, first, n, workload.DefaultShardSize, a.workers)
 	})
 	if err != nil {
 		return nil, err
@@ -265,8 +282,7 @@ func (a *Artifacts) EvalSet(ctx context.Context, name string) (*trace.Set, error
 // machine's L1-I geometry, with the storage manager's no-migrate zones
 // applied (Section 3.1.3).
 func (a *Artifacts) Profile(ctx context.Context, name string, m sim.Config) (*core.Profile, error) {
-	key := fmt.Sprintf("profile\x00%s\x00%d\x00%d", name, m.L1I.SizeBytes, m.L1I.Ways)
-	v, err := a.cache.Do(ctx, key, a.profileEntry(name, m), func() (any, error) {
+	v, err := a.do(ctx, a.profileEntry(name, m), func() (any, error) {
 		set, err := a.ProfileSet(ctx, name)
 		if err != nil {
 			return nil, err
@@ -280,27 +296,50 @@ func (a *Artifacts) Profile(ctx context.Context, name string, m sim.Config) (*co
 	return v.(*core.Profile), nil
 }
 
-// RunUnit executes one unit over the artifact cache and reduces the result
-// to metrics. Only ADDICT consults the migration-point profile, so other
-// mechanisms skip Algorithm 1 entirely. This is the single per-unit
-// execution path: the in-process engine (Run) and the distributed workers
-// (internal/dist) both call it, which is what makes a re-dispatched unit a
-// deterministic recomputation — or, with a shared store attached, a cache
-// hit — instead of a divergent answer.
-func RunUnit(ctx context.Context, a *Artifacts, u Unit) (Metrics, error) {
+// Result replays the workload's evaluation window under a mechanism at the
+// default load point on the given machine, caching the outcome per
+// (workload, mechanism, machine) — repeated Schedule calls on one session,
+// and the figures sharing a replay (Figures 5, 6, 8b, 9), all hit this
+// cache. The replay goes through the sweep execution path: a session's
+// (workload, mechanism) point is the default-load sweep unit on its
+// machine.
+func (a *Artifacts) Result(ctx context.Context, name string, mech sched.Mechanism, machine sim.Config) (sim.Result, error) {
+	v, err := a.do(ctx, a.resultEntry(name, mech, machine), func() (any, error) {
+		return a.replay(ctx, NewUnit(name, mech, machine, 0, 0))
+	})
+	if err != nil {
+		return sim.Result{}, err
+	}
+	return v.(sim.Result), nil
+}
+
+// replay executes one unit over the cached trace window and, for ADDICT,
+// the cached migration-point profile. Only ADDICT consults the profile, so
+// other mechanisms skip Algorithm 1 entirely.
+func (a *Artifacts) replay(ctx context.Context, u Unit) (sim.Result, error) {
 	var prof *core.Profile
 	if u.Mechanism == sched.ADDICT {
 		p, err := a.Profile(ctx, u.Workload, u.Machine)
 		if err != nil {
-			return Metrics{}, fmt.Errorf("sweep: %s: %w", u.ID, err)
+			return sim.Result{}, err
 		}
 		prof = p
 	}
 	set, err := a.EvalSet(ctx, u.Workload)
 	if err != nil {
-		return Metrics{}, fmt.Errorf("sweep: %s: %w", u.ID, err)
+		return sim.Result{}, err
 	}
-	r, err := Replay(u, set, prof)
+	return Replay(u, set, prof)
+}
+
+// RunUnit executes one unit over the artifact cache and reduces the result
+// to metrics. This is the single per-unit execution path: the in-process
+// engine (Run) and the distributed workers (internal/dist) both call it,
+// which is what makes a re-dispatched unit a deterministic recomputation —
+// or, with a shared store attached, a cache hit — instead of a divergent
+// answer.
+func RunUnit(ctx context.Context, a *Artifacts, u Unit) (Metrics, error) {
+	r, err := a.replay(ctx, u)
 	if err != nil {
 		return Metrics{}, fmt.Errorf("sweep: %s: %w", u.ID, err)
 	}
@@ -319,11 +358,10 @@ func RunUnit(ctx context.Context, a *Artifacts, u Unit) (Metrics, error) {
 // and the call returns ctx's error — the rows already streamed form a
 // clean prefix of the full sweep.
 //
-// arts is the artifact cache to run over; nil builds a fresh one from the
-// spec. A long-lived session passes its own to share one cache across
-// repeated sweeps. A cache whose base parameters do not Match the spec's
-// resolved parameters is ignored (a fresh one is built), so a mismatched
-// cache can never silently substitute its own artifacts.
+// arts is the artifact cache to run over (through Artifacts.For on the
+// spec's resolved parameters); nil builds a fresh one from the spec. A
+// long-lived session passes its own to share one cache across repeated
+// sweeps.
 func Run(ctx context.Context, spec Spec, em Emitter, workers int, arts *Artifacts) error {
 	units, err := spec.Expand()
 	if err != nil {
@@ -333,7 +371,7 @@ func Run(ctx context.Context, spec Spec, em Emitter, workers int, arts *Artifact
 	seen := map[string]bool{}
 	for _, u := range units {
 		if !seen[u.Workload] {
-			if err := ValidateWorkloadName(u.Workload); err != nil {
+			if err := workload.Validate(u.Workload); err != nil {
 				return fmt.Errorf("sweep: %w", err)
 			}
 			seen[u.Workload] = true
@@ -343,16 +381,11 @@ func Run(ctx context.Context, spec Spec, em Emitter, workers int, arts *Artifact
 	if workers < 1 {
 		workers = 1
 	}
-	s := spec.withDefaults()
-	if arts != nil && !arts.Matches(s.Seed, s.Scale, s.ProfileTraces, s.EvalTraces) {
-		// withDefaults may have normalized parameters (e.g. seed 0 -> 42)
-		// past what the caller matched against; never let a mismatched
-		// cache substitute its own artifacts.
-		arts = nil
-	}
+	s := spec.Resolved()
 	if arts == nil {
-		arts = NewArtifacts(s.Seed, s.Scale, s.ProfileTraces, s.EvalTraces, workers)
+		arts = NewArtifacts(s.Seed, s.Scale, s.ProfileTraces, s.EvalTraces, workers, 0, nil)
 	}
+	arts = arts.For(s.Seed, s.Scale, s.ProfileTraces, s.EvalTraces)
 	results := make([]Metrics, len(units))
 	errs := make([]error, len(units))
 	done := make([]chan struct{}, len(units))

@@ -7,8 +7,8 @@ import (
 
 	"addict/internal/cache"
 	"addict/internal/core"
+	"addict/internal/sched"
 	"addict/internal/sim"
-	"addict/internal/store"
 	"addict/internal/trace"
 	"addict/internal/workload"
 )
@@ -36,50 +36,67 @@ func (a *Artifacts) diskBase() string {
 		workload.DefaultShardSize)
 }
 
-// setEntry is the on-disk identity of a trace window.
-func (a *Artifacts) setEntry(kind, name string) store.Entry {
-	return store.Entry{
-		Spec:  kind + "|" + a.diskBase() + "|wl=" + name,
-		Codec: setCodec{},
+// entry names one artifact: its fully-resolved spec string (the in-memory
+// key, and hashed by the store into the file key) and the codec for its
+// kind. Encodings must round-trip to an equivalent value — the artifacts
+// regenerate deterministically, so a decoded value and a recomputed one
+// must be interchangeable in every downstream report.
+type entry struct {
+	spec   string
+	encode func(w io.Writer, v any) error
+	decode func(r io.Reader) (any, error)
+}
+
+// setEntry is the identity of a trace window, persisted through the
+// run-length trace codec (trace.WriteSet), the format cmd/tracegen writes.
+func (a *Artifacts) setEntry(kind, name string) entry {
+	return entry{
+		spec:   kind + "|" + a.base + "|wl=" + name,
+		encode: func(w io.Writer, v any) error { return trace.WriteSet(w, v.(*trace.Set)) },
+		decode: func(r io.Reader) (any, error) { return trace.ReadSet(r) },
 	}
 }
 
-// profileEntry is the on-disk identity of an Algorithm 1 profile: its
-// content depends on the profiling window, the L1-I geometry it profiles
-// against, and the storage manager's no-migrate layout (deterministic, so
-// a version token pins it).
-func (a *Artifacts) profileEntry(name string, m sim.Config) store.Entry {
-	return store.Entry{
-		Spec: fmt.Sprintf("profile|%s|wl=%s|l1i=%d/%d|layout=v1",
-			a.diskBase(), name, m.L1I.SizeBytes, m.L1I.Ways),
-		Codec: profileCodec{},
+// profileEntry is the identity of an Algorithm 1 profile: its content
+// depends on the profiling window, the L1-I geometry it profiles against,
+// and the storage manager's no-migrate layout. The layout is not persisted
+// (it only affects profiling, which already happened) and is
+// deterministic, so the spec's version token pins it instead.
+func (a *Artifacts) profileEntry(name string, m sim.Config) entry {
+	return entry{
+		spec: fmt.Sprintf("profile|%s|wl=%s|l1i=%d/%d|layout=v1",
+			a.base, name, m.L1I.SizeBytes, m.L1I.Ways),
+		encode: func(w io.Writer, v any) error { return core.WriteProfile(w, v.(*core.Profile)) },
+		decode: func(r io.Reader) (any, error) { return core.ReadProfile(r) },
 	}
 }
 
-// resultEntry is the on-disk identity of a replay result: the evaluation
-// window plus the full machine signature and mechanism.
-func (a *Artifacts) resultEntry(name, mech, machineSig string) store.Entry {
-	return store.Entry{
-		Spec:  "result|" + a.diskBase() + "|wl=" + name + "|mech=" + mech + "|machine=" + machineSig,
-		Codec: resultCodec{},
+// resultEntry is the identity of a replay result: the evaluation window
+// plus the mechanism and the full machine signature, persisted as JSON of
+// resultWire.
+func (a *Artifacts) resultEntry(name string, mech sched.Mechanism, m sim.Config) entry {
+	return entry{
+		spec:   "result|" + a.base + "|wl=" + name + "|mech=" + string(mech) + "|machine=" + machineSig(m),
+		encode: encodeResult,
+		decode: decodeResult,
 	}
 }
 
-// setCodec persists trace windows through the run-length trace codec
-// (trace.WriteSet), the format cmd/tracegen writes.
-type setCodec struct{}
-
-func (setCodec) Encode(w io.Writer, v any) error { return trace.WriteSet(w, v.(*trace.Set)) }
-func (setCodec) Decode(r io.Reader) (any, error) { return trace.ReadSet(r) }
-
-// profileCodec persists Algorithm 1 profiles through the core binary
-// format. The profiling-time NoMigrate layout is not persisted (it only
-// affects profiling, which already happened); the spec's layout token pins
-// it instead.
-type profileCodec struct{}
-
-func (profileCodec) Encode(w io.Writer, v any) error { return core.WriteProfile(w, v.(*core.Profile)) }
-func (profileCodec) Decode(r io.Reader) (any, error) { return core.ReadProfile(r) }
+// machineSig renders a machine configuration as a stable key component:
+// identical configurations produce identical signatures, and any field
+// that differs produces a different one. It formats a method-free copy,
+// because sim.Config's String summarizes only a few fields. The PrivateL2
+// pointer is flattened to its value so the signature never embeds a heap
+// address.
+func machineSig(m sim.Config) string {
+	type plain sim.Config
+	var l2 cache.Config
+	if m.PrivateL2 != nil {
+		l2 = *m.PrivateL2
+	}
+	m.PrivateL2 = nil
+	return fmt.Sprintf("%+v|%+v", plain(m), l2)
+}
 
 // resultWire is the persisted form of a replay result: the result's
 // exported counters (Machine included — its exported fields are the
@@ -94,10 +111,7 @@ type resultWire struct {
 	Shared cache.Stats `json:"shared"`
 }
 
-// resultCodec persists replay results as JSON of resultWire.
-type resultCodec struct{}
-
-func (resultCodec) Encode(w io.Writer, v any) error {
+func encodeResult(w io.Writer, v any) error {
 	res := v.(sim.Result)
 	wire := resultWire{Result: res}
 	if res.Machine != nil {
@@ -106,7 +120,7 @@ func (resultCodec) Encode(w io.Writer, v any) error {
 	return json.NewEncoder(w).Encode(wire)
 }
 
-func (resultCodec) Decode(r io.Reader) (any, error) {
+func decodeResult(r io.Reader) (any, error) {
 	var wire resultWire
 	if err := json.NewDecoder(r).Decode(&wire); err != nil {
 		return nil, err

@@ -19,9 +19,7 @@ func newStoredArtifacts(t *testing.T, dir string) *Artifacts {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := NewArtifacts(5, 0.02, 20, 20, 2)
-	a.SetStore(st)
-	return a
+	return NewArtifacts(5, 0.02, 20, 20, 2, 0, st)
 }
 
 // TestPersistTraceSetWarmStart persists a trace window through one
@@ -38,7 +36,7 @@ func TestPersistTraceSetWarmStart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs := cold.Store().Stats()
+	cs := cold.disk.Stats()
 	if cs.Writes == 0 {
 		t.Fatalf("cold run persisted nothing: %+v", cs)
 	}
@@ -48,7 +46,7 @@ func TestPersistTraceSetWarmStart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ws := warm.Store().Stats()
+	ws := warm.disk.Stats()
 	if ws.Hits == 0 {
 		t.Fatalf("warm run hit nothing: %+v", ws)
 	}
@@ -99,7 +97,7 @@ func TestPersistProfileWarmStart(t *testing.T) {
 	if !got.Equal(want) {
 		t.Error("persisted profile differs from the computed one")
 	}
-	if ws := warm.Store().Stats(); ws.Hits == 0 {
+	if ws := warm.disk.Stats(); ws.Hits == 0 {
 		t.Fatalf("warm profile did not read from disk: %+v", ws)
 	}
 
@@ -130,19 +128,19 @@ func TestPersistResultWarmStart(t *testing.T) {
 	dir := t.TempDir()
 	const name = "synth:uniform-ro"
 
-	cold := NewWorkbench(newStoredArtifacts(t, dir), sim.Shallow())
-	want, err := cold.Result(ctx, name, sched.ADDICT)
+	cold := newStoredArtifacts(t, dir)
+	want, err := cold.Result(ctx, name, sched.ADDICT, sim.Shallow())
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	warm := NewWorkbench(newStoredArtifacts(t, dir), sim.Shallow())
-	hitsBefore := warm.Artifacts().Store().Stats().Hits
-	got, err := warm.Result(ctx, name, sched.ADDICT)
+	warm := newStoredArtifacts(t, dir)
+	hitsBefore := warm.disk.Stats().Hits
+	got, err := warm.Result(ctx, name, sched.ADDICT, sim.Shallow())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hits := warm.Artifacts().Store().Stats().Hits; hits <= hitsBefore {
+	if hits := warm.disk.Stats().Hits; hits <= hitsBefore {
 		t.Fatal("warm result did not read from disk")
 	}
 
@@ -168,13 +166,11 @@ func TestPersistResultDistinctMachines(t *testing.T) {
 	const name = "synth:uniform-ro"
 
 	arts := newStoredArtifacts(t, dir)
-	shallow := NewWorkbench(arts, sim.Shallow())
-	deep := NewWorkbench(arts, sim.Deep())
-	rs, err := shallow.Result(ctx, name, sched.Baseline)
+	rs, err := arts.Result(ctx, name, sched.Baseline, sim.Shallow())
 	if err != nil {
 		t.Fatal(err)
 	}
-	rd, err := deep.Result(ctx, name, sched.Baseline)
+	rd, err := arts.Result(ctx, name, sched.Baseline, sim.Deep())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,9 +178,9 @@ func TestPersistResultDistinctMachines(t *testing.T) {
 		t.Skip("machines produced identical makespans; signature test is vacuous")
 	}
 
-	// A warm workbench on the deep machine must get the deep result.
-	warm := NewWorkbench(newStoredArtifacts(t, dir), sim.Deep())
-	got, err := warm.Result(ctx, name, sched.Baseline)
+	// A warm cache asked for the deep machine must get the deep result.
+	warm := newStoredArtifacts(t, dir)
+	got, err := warm.Result(ctx, name, sched.Baseline, sim.Deep())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -159,10 +159,15 @@ var (
 	}
 )
 
-// withDefaults fills the unset base parameters. The workload axis defaults
-// to the TPC trio only when no synthetic preset is selected: a synth-only
-// sweep should not drag the three TPC populations in.
-func (s Spec) withDefaults() Spec {
+// Resolved returns the spec with every unset base parameter filled in
+// (seed, scale, trace windows, default workload and mechanism axes) — the
+// canonical form two processes must agree on before they can rendezvous on
+// one grid: a coordinator resolves once and ships the resolved spec, so a
+// worker expanding it lands on exactly the same units and the same
+// artifact-store addresses. Resolving is idempotent. The workload axis
+// defaults to the TPC trio only when no synthetic preset is selected: a
+// synth-only sweep should not drag the three TPC populations in.
+func (s Spec) Resolved() Spec {
 	if s.Seed == 0 {
 		s.Seed = 42
 	}
@@ -182,16 +187,6 @@ func (s Spec) withDefaults() Spec {
 		s.Mechanisms = defaultMechanisms
 	}
 	return s
-}
-
-// Resolved returns the spec with every unset base parameter filled in
-// (seed, scale, trace windows, default workload and mechanism axes) — the
-// canonical form two processes must agree on before they can rendezvous on
-// one grid: a coordinator resolves once and ships the resolved spec, so a
-// worker expanding it lands on exactly the same units and the same
-// artifact-store addresses. Resolving is idempotent.
-func (s Spec) Resolved() Spec {
-	return s.withDefaults()
 }
 
 // synthNames expands the synthetic-workload axes into encoded workload
@@ -269,7 +264,7 @@ func (s Spec) Expand() ([]Unit, error) {
 // clamp or treat as "keep the base value": a 0 (or negative) in an explicit
 // machine axis is a spec mistake, not a request for the base machine, and a
 // negative scale or trace count would produce a degenerate near-empty
-// workload whose metrics look like real results. Called after withDefaults,
+// workload whose metrics look like real results. Called after Resolved,
 // so zero base parameters have already been replaced.
 func (s Spec) validate() error {
 	if s.Scale <= 0 {
@@ -337,7 +332,7 @@ func (s Spec) validate() error {
 // spec's Deep/Shallow selection — the hook the figure presets in
 // internal/exp use to sweep on the experiment run's own machine.
 func (s Spec) ExpandOn(base sim.Config) ([]Unit, error) {
-	s = s.withDefaults()
+	s = s.Resolved()
 	if err := s.validate(); err != nil {
 		return nil, err
 	}

@@ -227,7 +227,7 @@ func TestExpandRejectsBadGrid(t *testing.T) {
 	if _, err := (Spec{Threads: []int{0, 8}}).Expand(); err != nil {
 		t.Errorf("zero thread count (mechanism default) rejected: %v", err)
 	}
-	// Base parameters are validated too (withDefaults only replaces 0).
+	// Base parameters are validated too (Resolved only replaces 0).
 	if _, err := (Spec{Scale: -1}).Expand(); err == nil {
 		t.Error("negative scale not rejected")
 	}
@@ -287,7 +287,7 @@ func TestAdmitLimitAxis(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	arts := NewArtifacts(spec.Seed, spec.Scale, spec.ProfileTraces, spec.EvalTraces, 1)
+	arts := NewArtifacts(spec.Seed, spec.Scale, spec.ProfileTraces, spec.EvalTraces, 1, 0, nil)
 	free, err := RunUnit(context.Background(), arts, units[0])
 	if err != nil {
 		t.Fatal(err)

@@ -148,3 +148,42 @@ func TestWarmStartBenchReport(t *testing.T) {
 		t.Errorf("warm bench recomputed %d artifacts it should have loaded", warmStore.Writes)
 	}
 }
+
+// TestSharedStoreKeepsMachinesApart: two sessions that share a store but
+// differ only in main-memory latency must not serve each other's replay
+// results — each gets what a memory-only session on its own machine
+// computes.
+func TestSharedStoreKeepsMachinesApart(t *testing.T) {
+	dir := t.TempDir()
+	ctx := context.Background()
+	slow := ShallowMachine()
+	slow.MemCycles = 400
+	session := func(m MachineConfig, opts ...EngineOption) *Engine {
+		opts = append([]EngineOption{WithSeed(5), WithScale(0.02), WithTraceWindows(20, 20, 0),
+			WithWorkers(1), WithMachine(m)}, opts...)
+		e := NewEngine(opts...)
+		if err := e.StoreErr(); err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	makespan := func(e *Engine) uint64 {
+		t.Helper()
+		r, err := e.Schedule(ctx, Baseline, "TPC-B")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r.Makespan
+	}
+
+	def := makespan(session(ShallowMachine(), WithStore(dir, 0)))
+	got := makespan(session(slow, WithStore(dir, 0)))
+	want := makespan(session(slow))
+	if want == def {
+		t.Fatal("the slower memory did not change the makespan; the test is vacuous")
+	}
+	if got != want {
+		t.Errorf("MemCycles=400 session on a shared store got makespan %d, want %d (the default machine's is %d)",
+			got, want, def)
+	}
+}
