@@ -353,10 +353,11 @@ func ValidateWorkload(name string) error { return workload.Validate(name) }
 // for previewing unit counts and IDs before committing to a long sweep.
 func ExpandSweep(spec SweepSpec) ([]SweepUnit, error) { return spec.Expand() }
 
-// BenchConfig scopes a replay-core benchmark harness run (see
-// internal/bench). The zero value selects the standard sizes
-// (DefaultBenchConfig), which every BENCH_*.json trajectory point uses so
-// reports stay comparable across PRs.
+// BenchConfig scopes what a replay-core benchmark harness run measures
+// (see internal/bench); the seed, scale and trace windows are the
+// session's. The zero value selects the standard cells and measurement
+// bounds (DefaultBenchConfig), which every BENCH_*.json trajectory point
+// uses, on a default-sized session, so reports stay comparable across PRs.
 type BenchConfig = bench.Config
 
 // BenchReport is one full benchmark-harness run: per mechanism × workload

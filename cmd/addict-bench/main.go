@@ -61,7 +61,7 @@ func main() {
 		traces          = flag.Int("traces", 0, "override profiling/evaluation trace counts")
 		scale           = flag.Float64("scale", 0, "override database scale factor")
 		seed            = flag.Int64("seed", 0, "override workload seed")
-		parallel        = flag.Int("parallel", 0, "worker-pool size for the full report (<1 = all CPUs, 1 = serial; output is identical)")
+		parallel        = flag.Int("parallel", 0, "worker-pool size for trace generation and the full report (<1 = all CPUs, 1 = serial; output is identical)")
 		list            = flag.Bool("list", false, "list experiment ids and exit")
 		jsonOut         = flag.String("json", "", "run the replay benchmark harness and write the JSON report to this file (- = stdout)")
 		baseline        = flag.String("baseline", "", "previous BENCH_*.json (or bare report) to embed and compute the speedups against (with -json)")
@@ -94,67 +94,47 @@ func main() {
 	ctx, stop := sigctx.Context(1500 * time.Millisecond)
 	defer stop()
 
-	if *jsonOut != "" {
-		h := harnessFlags{
-			jsonOut:         *jsonOut,
-			baselinePath:    *baseline,
-			maxRegress:      *maxRegress,
-			maxCellRegress:  *maxCellRegress,
-			maxAllocRegress: *maxAllocRegress,
-			verdictOut:      *verdictOut,
-			traces:          *traces,
-			scale:           *scale,
-			scaleSet:        scaleSet,
-			seed:            *seed,
-			seedSet:         seedSet,
-			storeDir:        *storeDir,
-			storeBudget:     *storeBudget,
+	if *jsonOut == "" {
+		if *maxRegress != 0 || *maxCellRegress != 0 || *maxAllocRegress != 0 {
+			fmt.Fprintln(os.Stderr, "addict-bench: -max-regress/-max-cell-regress/-max-alloc-regress require -json and -baseline")
+			os.Exit(2)
 		}
-		if err := runBenchHarness(ctx, h); err != nil {
-			if ctx.Err() != nil {
-				sigctx.Exit("addict-bench")
+		if *list {
+			for _, id := range addict.ExperimentIDs() {
+				fmt.Println(id)
 			}
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return
 		}
-		return
-	}
-	if *maxRegress != 0 || *maxCellRegress != 0 || *maxAllocRegress != 0 {
-		fmt.Fprintln(os.Stderr, "addict-bench: -max-regress/-max-cell-regress/-max-alloc-regress require -json and -baseline")
-		os.Exit(2)
 	}
 
-	if *list {
-		for _, id := range addict.ExperimentIDs() {
-			fmt.Println(id)
+	// The session: the full report starts from the paper-faithful (or
+	// -quick) sizes, the harness from the Engine defaults every BENCH_*.json
+	// trajectory point uses; the size flags override either.
+	var engOpts []addict.EngineOption
+	if *jsonOut == "" {
+		p := addict.DefaultExperimentParams()
+		if *quick {
+			p = addict.QuickExperimentParams()
 		}
-		return
+		engOpts = append(engOpts, addict.WithSeed(p.Seed), addict.WithScale(p.Scale),
+			addict.WithTraceWindows(p.ProfileTraces, p.EvalTraces, p.StabilityTraces),
+			addict.WithMachine(p.Machine))
+	} else {
+		engOpts = append(engOpts, addict.WithProgress(os.Stderr))
 	}
-
-	p := addict.DefaultExperimentParams()
-	if *quick {
-		p = addict.QuickExperimentParams()
-	}
-	if *traces > 0 {
-		p.ProfileTraces = *traces
-		p.EvalTraces = *traces
-		p.StabilityTraces = 10 * *traces
+	engOpts = append(engOpts, addict.WithWorkers(*parallel))
+	if n := *traces; n > 0 {
+		engOpts = append(engOpts, addict.WithTraceWindows(n, n, 10*n))
 	}
 	if scaleSet {
 		if *scale <= 0 {
 			fmt.Fprintln(os.Stderr, "addict-bench: -scale must be > 0")
 			os.Exit(2)
 		}
-		p.Scale = *scale
+		engOpts = append(engOpts, addict.WithScale(*scale))
 	}
 	if seedSet {
-		p.Seed = *seed
-	}
-
-	engOpts := []addict.EngineOption{
-		addict.WithSeed(p.Seed), addict.WithScale(p.Scale),
-		addict.WithTraceWindows(p.ProfileTraces, p.EvalTraces, p.StabilityTraces),
-		addict.WithMachine(p.Machine), addict.WithWorkers(*parallel),
+		engOpts = append(engOpts, addict.WithSeed(*seed))
 	}
 	if *storeDir != "" {
 		engOpts = append(engOpts, addict.WithStore(*storeDir, *storeBudget))
@@ -163,6 +143,25 @@ func main() {
 	if err := eng.StoreErr(); err != nil {
 		fmt.Fprintln(os.Stderr, "addict-bench:", err)
 		os.Exit(1)
+	}
+
+	if *jsonOut != "" {
+		h := harnessFlags{
+			jsonOut:         *jsonOut,
+			baselinePath:    *baseline,
+			maxRegress:      *maxRegress,
+			maxCellRegress:  *maxCellRegress,
+			maxAllocRegress: *maxAllocRegress,
+			verdictOut:      *verdictOut,
+		}
+		if err := runBenchHarness(ctx, eng, h); err != nil {
+			if ctx.Err() != nil {
+				sigctx.Exit("addict-bench")
+			}
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
+		return
 	}
 
 	out := bufio.NewWriter(os.Stdout)
@@ -195,23 +194,17 @@ type harnessFlags struct {
 	maxCellRegress  float64
 	maxAllocRegress float64
 	verdictOut      string
-	traces          int
-	scale           float64
-	scaleSet        bool
-	seed            int64
-	seedSet         bool
-	storeDir        string
-	storeBudget     int64
 }
 
-// runBenchHarness runs the internal/bench replay harness and writes the
-// BENCH_*.json file. Unset overrides keep the standard (comparable) sizes.
+// runBenchHarness runs the internal/bench replay harness on the session
+// and writes the BENCH_*.json file. A session without size overrides runs
+// the standard (comparable) sizes.
 // A non-zero maxCellRegress/maxRegress turns the run into the regression
 // gate: maxCellRegress bounds every cell's machine-independent normalized
 // ratio (failing on the worst cell), maxRegress bounds the aggregate
 // events/sec speedup. An incomparable baseline — different configuration,
 // measurement bounds, or cell set — is refused rather than judged.
-func runBenchHarness(ctx context.Context, h harnessFlags) error {
+func runBenchHarness(ctx context.Context, eng *addict.Engine, h harnessFlags) error {
 	gating := h.maxRegress != 0 || h.maxCellRegress != 0 || h.maxAllocRegress != 0
 	if h.maxRegress < 0 || h.maxRegress >= 1 {
 		return fmt.Errorf("-max-regress %v outside [0, 1)", h.maxRegress)
@@ -229,20 +222,6 @@ func runBenchHarness(ctx context.Context, h harnessFlags) error {
 		return fmt.Errorf("-verdict requires a gate flag (-max-cell-regress or -max-regress)")
 	}
 	cfg := addict.DefaultBenchConfig()
-	if h.traces > 0 {
-		cfg.ProfileTraces = h.traces
-		cfg.EvalTraces = h.traces
-	}
-	if h.scaleSet {
-		if h.scale <= 0 {
-			return fmt.Errorf("-scale must be > 0")
-		}
-		cfg.Scale = h.scale
-	}
-	if h.seedSet {
-		cfg.Seed = h.seed
-		cfg.SeedSet = true
-	}
 
 	var base *addict.BenchReport
 	if h.baselinePath != "" {
@@ -259,18 +238,6 @@ func runBenchHarness(ctx context.Context, h harnessFlags) error {
 	}
 
 	start := time.Now()
-	engOpts := []addict.EngineOption{
-		addict.WithSeed(cfg.Seed), addict.WithScale(cfg.Scale),
-		addict.WithTraceWindows(cfg.ProfileTraces, cfg.EvalTraces, 0),
-		addict.WithProgress(os.Stderr)}
-	if h.storeDir != "" {
-		engOpts = append(engOpts, addict.WithStore(h.storeDir, h.storeBudget))
-	}
-	eng := addict.NewEngine(engOpts...)
-	if err := eng.StoreErr(); err != nil {
-		return err
-	}
-
 	var (
 		file    *addict.BenchFile
 		verdict *addict.BenchVerdict

@@ -130,6 +130,17 @@ func TestScheduleUnknownNames(t *testing.T) {
 	if !asStatus(err, &se) || se.Code != 400 || !strings.Contains(se.Message, "unknown mechanism") {
 		t.Fatalf("unknown mechanism: want 400, got %v", err)
 	}
+	// Sweeps reject an unknown workload at expansion, in both forms.
+	spec := addict.SweepSpec{Workloads: []string{"TPC-X"}, Mechanisms: []string{"Baseline"}}
+	noRow := func(client.SweepRow) error { return nil }
+	_, err = c.Sweep(ctx, spec, noRow)
+	if !asStatus(err, &se) || se.Code != 400 || !strings.Contains(se.Message, "unknown workload") {
+		t.Fatalf("sweep with unknown workload: want 400, got %v", err)
+	}
+	_, err = c.SweepDistributed(ctx, spec, client.DistRequest{LocalWorkers: 1}, noRow)
+	if !asStatus(err, &se) || se.Code != 400 || !strings.Contains(se.Message, "unknown workload") {
+		t.Fatalf("distributed sweep with unknown workload: want 400, got %v", err)
+	}
 }
 
 func asStatus(err error, out **client.StatusError) bool {

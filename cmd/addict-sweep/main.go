@@ -101,11 +101,21 @@ func main() {
 		return
 	}
 
+	if *joinURL != "" && *serveWorkers != "" {
+		fatal(fmt.Errorf("-join and -serve-workers are mutually exclusive"))
+	}
+	opts := []addict.EngineOption{addict.WithWorkers(*parallel)}
+	if *storeDir != "" {
+		opts = append(opts, addict.WithStore(*storeDir, *storeBudget))
+	}
+	eng := addict.NewEngine(opts...)
+	if err := eng.StoreErr(); err != nil {
+		// A requested store that cannot open is a setup error, not a silent
+		// downgrade to a cold run.
+		fatal(err)
+	}
 	if *joinURL != "" {
-		if *serveWorkers != "" {
-			fatal(fmt.Errorf("-join and -serve-workers are mutually exclusive"))
-		}
-		runWorker(*joinURL, *storeDir, *storeBudget, *parallel)
+		runWorker(eng, *joinURL)
 		return
 	}
 
@@ -147,16 +157,6 @@ func main() {
 	ctx, stop := sigctx.Context(time.Second)
 	defer stop()
 
-	opts := []addict.EngineOption{addict.WithWorkers(*parallel)}
-	if *storeDir != "" {
-		opts = append(opts, addict.WithStore(*storeDir, *storeBudget))
-	}
-	eng := addict.NewEngine(opts...)
-	if err := eng.StoreErr(); err != nil {
-		// A requested store that cannot open is a setup error, not a silent
-		// downgrade to a cold run.
-		fatal(err)
-	}
 	out := bufio.NewWriter(os.Stdout)
 	var err error
 	if *serveWorkers != "" {
@@ -192,19 +192,15 @@ func main() {
 	}
 }
 
-// runWorker joins a coordinator and computes leased units until the grid
-// is done. The grid comes from the coordinator; only execution-side flags
-// (-store, -store-budget, -parallel) apply here.
-func runWorker(url, storeDir string, storeBudget int64, parallel int) {
+// runWorker joins a coordinator with the session and computes leased units
+// until the grid is done. The grid comes from the coordinator; only the
+// session's execution-side flags (-store, -store-budget, -parallel) apply
+// here.
+func runWorker(eng *addict.Engine, url string) {
 	ctx, stop := sigctx.Context(time.Second)
 	defer stop()
 	host, _ := os.Hostname()
-	n, err := addict.JoinSweep(ctx, url, addict.DistWorkerOptions{
-		Name:        host,
-		StoreDir:    storeDir,
-		StoreBudget: storeBudget,
-		Workers:     parallel,
-	})
+	n, err := eng.JoinSweep(ctx, url, host)
 	if err != nil {
 		if ctx.Err() != nil {
 			sigctx.Exit("addict-sweep")

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
 	"os"
 	"os/exec"
@@ -43,6 +44,27 @@ func TestSmoke(t *testing.T) {
 	}
 	if !strings.Contains(stdout, "Baseline") || !strings.Contains(stdout, "ADDICT") {
 		t.Errorf("unit rows missing mechanisms:\n%s", stdout)
+	}
+}
+
+// TestJoinUnusableStoreFailsFast: a worker whose -store cannot open exits
+// 1 naming the store before it dials the coordinator.
+func TestJoinUnusableStoreFailsFast(t *testing.T) {
+	exe := cmdtest.Build(t)
+	file := filepath.Join(t.TempDir(), "plain")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var stderr bytes.Buffer
+	cmd := exec.Command(exe, "-join", "http://127.0.0.1:1", "-store", file)
+	cmd.Stderr = &stderr
+	err := cmd.Run()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Fatalf("want exit status 1, got %v", err)
+	}
+	if !strings.Contains(stderr.String(), "store") || strings.Contains(stderr.String(), "join") {
+		t.Errorf("want a store error before any join attempt, got: %s", stderr.String())
 	}
 }
 

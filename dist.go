@@ -28,9 +28,6 @@ type DistSummary = dist.Summary
 // DistWorkerCounters is one worker's slice of a distributed run.
 type DistWorkerCounters = dist.WorkerCounters
 
-// DistWorkerOptions configure one worker process; see JoinSweep.
-type DistWorkerOptions = dist.WorkerOptions
-
 // DistConfig configures a distributed sweep's coordinator side.
 type DistConfig struct {
 	// Listen is the address the worker endpoint binds ("127.0.0.1:0"
@@ -40,8 +37,8 @@ type DistConfig struct {
 	Listen   string
 	OnListen func(addr string)
 	// LocalWorkers is how many in-process workers to run alongside the
-	// coordinator (they share the session's store directory and worker
-	// bound). 0 means the grid waits entirely for remote workers.
+	// coordinator (they compute on the session's own cache, store and
+	// worker bound). 0 means the grid waits entirely for remote workers.
 	LocalWorkers int
 	// LeaseTimeout is how long a worker may hold a unit before it is
 	// presumed crashed and the unit requeued (0 = 60s). The rest of the
@@ -55,10 +52,12 @@ type DistConfig struct {
 // leasing units to workers over HTTP/JSON, requeueing leases whose workers
 // crash, retrying failures with backoff, and re-dispatching stragglers
 // near the tail — and merges worker results into out in grid order,
-// byte-identical to what Sweep would emit for the same spec. Workers join
-// with JoinSweep (or addict-sweep -join) and rendezvous on a shared store
-// directory so re-dispatched units are cache hits. Base parameters the
-// spec leaves zero inherit the session's, exactly as in Sweep.
+// byte-identical to what Sweep would emit for the same spec. Local workers
+// compute on this session's cache, so units over artifacts the session
+// already holds cost no regeneration and no store read; remote workers
+// join with JoinSweep (or addict-sweep -join) and rendezvous on a shared
+// store directory so re-dispatched units are cache hits. Base parameters
+// the spec leaves zero inherit the session's, exactly as in Sweep.
 //
 // The returned summary is valid even when err is non-nil (it reports how
 // far the run got). Cancellation aborts the run and tells workers to stop.
@@ -91,10 +90,9 @@ func (e *Engine) SweepDistributed(ctx context.Context, out io.Writer, spec Sweep
 		cfg.OnListen(addr)
 	}
 
-	// Local workers share the session's store directory (the rendezvous
-	// point) and worker bound, and talk to the coordinator over loopback —
-	// the same path remote workers use, so every worker is exercised
-	// identically.
+	// Local workers compute on the session cache and talk to the
+	// coordinator over loopback — the same lease path remote workers use,
+	// so every worker is exercised identically.
 	var wg sync.WaitGroup
 	workerErrs := make([]error, cfg.LocalWorkers)
 	for i := 0; i < cfg.LocalWorkers; i++ {
@@ -102,10 +100,8 @@ func (e *Engine) SweepDistributed(ctx context.Context, out io.Writer, spec Sweep
 		go func(i int) {
 			defer wg.Done()
 			_, workerErrs[i] = dist.Work(ctx, "http://"+addr, dist.WorkerOptions{
-				Name:        fmt.Sprintf("local%d", i+1),
-				StoreDir:    e.storeDir,
-				StoreBudget: e.storeBudget,
-				Workers:     e.workers,
+				Name:  fmt.Sprintf("local%d", i+1),
+				Cache: e.arts,
 			})
 		}(i)
 	}
@@ -152,12 +148,15 @@ func (e *Engine) SweepDistributed(ctx context.Context, out io.Writer, spec Sweep
 	return summary(), nil
 }
 
-// JoinSweep runs one worker against a coordinator started by
-// SweepDistributed (or addict-sweep -serve-workers) at baseURL, computing
-// leased units through the shared artifact path until the grid is done. It
-// returns the number of units this worker completed. Point StoreDir at the
-// same directory as the coordinator's other workers to rendezvous on one
-// content-addressed store.
-func JoinSweep(ctx context.Context, baseURL string, opts DistWorkerOptions) (int, error) {
-	return dist.Work(ctx, baseURL, opts)
+// JoinSweep runs this session as one worker against a coordinator started
+// by SweepDistributed (or addict-sweep -serve-workers) at baseURL,
+// computing leased units on the session cache until the grid is done; name
+// is the self-reported label in the coordinator's summary. It returns the
+// number of units this worker completed. The grid's base parameters come
+// from the coordinator: when they differ from the session's, the units
+// compute on a fresh cache over the session's store and worker bound.
+// Attach the same store directory as the coordinator's other workers
+// (WithStore) to rendezvous on one content-addressed store.
+func (e *Engine) JoinSweep(ctx context.Context, baseURL, name string) (int, error) {
+	return dist.Work(ctx, baseURL, dist.WorkerOptions{Name: name, Cache: e.arts})
 }

@@ -287,7 +287,7 @@ func (e *Engine) Sweep(ctx context.Context, out io.Writer, spec SweepSpec, forma
 }
 
 // inheritBase fills zero-valued base parameters — the "zero means inherit
-// the session" convention Sweep and Bench share.
+// the session" convention Sweep and SweepDistributed share.
 func (e *Engine) inheritBase(seed *int64, scale *float64, profileTraces, evalTraces *int) {
 	if *seed == 0 {
 		*seed = e.seed
@@ -303,12 +303,12 @@ func (e *Engine) inheritBase(seed *int64, scale *float64, profileTraces, evalTra
 	}
 }
 
-// Bench runs the replay-core benchmark harness (cells stay strictly serial
-// so they are comparable across runs; generation uses the session workers
-// and, when the config's base parameters match the session's, the session
-// artifact cache). Zero-valued config fields — seed, scale, trace windows,
-// machine, workers — inherit the session's. Progress lines go to the
-// session's WithProgress writer.
+// Bench runs the replay-core benchmark harness on the session cache: the
+// cells replay the session's trace windows and profiles (generated at the
+// session's worker bound), and the report records the session's seed,
+// scale and trace windows. Cells stay strictly serial so they are
+// comparable across runs. A zero config machine inherits the session's.
+// Progress lines go to the session's WithProgress writer.
 func (e *Engine) Bench(ctx context.Context, cfg BenchConfig) (*BenchReport, error) {
 	return e.BenchProgress(ctx, cfg, e.progress)
 }
@@ -318,22 +318,10 @@ func (e *Engine) Bench(ctx context.Context, cfg BenchConfig) (*BenchReport, erro
 // requesting client — the session-wide WithProgress writer cannot
 // distinguish callers.
 func (e *Engine) BenchProgress(ctx context.Context, cfg BenchConfig, progress io.Writer) (*BenchReport, error) {
-	resolved := cfg
-	e.inheritBase(&resolved.Seed, &resolved.Scale, &resolved.ProfileTraces, &resolved.EvalTraces)
-	if cfg.SeedSet {
-		// An explicit zero seed is a value, not "inherit": undo the
-		// zero-means-inherit resolution and keep it explicit downstream so
-		// the harness does not re-default it either.
-		resolved.Seed = cfg.Seed
+	if cfg.Machine.Cores == 0 {
+		cfg.Machine = e.machine
 	}
-	resolved.SeedSet = true
-	if resolved.Machine.Cores == 0 {
-		resolved.Machine = e.machine
-	}
-	if resolved.Workers == 0 {
-		resolved.Workers = e.workers
-	}
-	return bench.Run(ctx, resolved, progress, e.arts)
+	return bench.Run(ctx, cfg, progress, e.arts)
 }
 
 // GateBench runs the benchmark harness on the session (see Bench) and

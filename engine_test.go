@@ -353,18 +353,48 @@ func TestEngineGateBench(t *testing.T) {
 		t.Error("nil baseline accepted")
 	}
 
-	// An explicit zero seed is a value, not "inherit the session".
-	zero := cfg
-	zero.Seed, zero.SeedSet = 0, true
-	rep0, err := e.Bench(ctx, zero)
+	// An explicit zero seed is a value, not "the default seed".
+	zero := NewEngine(WithSeed(0), WithScale(0.05), WithTraceWindows(60, 60, 80), WithWorkers(2))
+	rep0, err := zero.Bench(ctx, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep0.Seed != 0 {
 		t.Errorf("explicit zero seed resolved to %d, want 0", rep0.Seed)
 	}
-	// ... and the resulting report is not comparable to the seed-5 one.
-	if _, _, err := e.GateBench(ctx, cfg, rep0, BenchGateConfig{MaxCellRegress: 0.9}); err == nil {
+	// ... and the seed-5 report is not a comparable baseline for it.
+	if _, _, err := zero.GateBench(ctx, cfg, base, BenchGateConfig{MaxCellRegress: 0.9}); err == nil {
 		t.Error("mismatched-seed baseline accepted")
+	}
+}
+
+// TestSweepDistributedReadsSessionCache: in-process workers compute on the
+// session cache, so a distributed sweep over artifacts the session already
+// holds regenerates nothing, and its merged output is Sweep's.
+func TestSweepDistributedReadsSessionCache(t *testing.T) {
+	e := tinyEngine(2)
+	ctx := context.Background()
+	if _, err := e.Schedule(ctx, ADDICT, "TPC-B"); err != nil {
+		t.Fatal(err)
+	}
+	spec := SweepSpec{Workloads: []string{"TPC-B"}, Mechanisms: []string{"ADDICT"}}
+	before := e.CacheStats()
+	var dist bytes.Buffer
+	if _, err := e.SweepDistributed(ctx, &dist, spec, "jsonl", DistConfig{LocalWorkers: 2}); err != nil {
+		t.Fatal(err)
+	}
+	after := e.CacheStats()
+	if after.Hits <= before.Hits {
+		t.Errorf("local workers never hit the session cache: hits %d -> %d", before.Hits, after.Hits)
+	}
+	if after.Misses != before.Misses {
+		t.Errorf("local workers missed the warm session cache: misses %d -> %d", before.Misses, after.Misses)
+	}
+	var serial bytes.Buffer
+	if err := e.Sweep(ctx, &serial, spec, "jsonl"); err != nil {
+		t.Fatal(err)
+	}
+	if serial.Len() == 0 || !bytes.Equal(dist.Bytes(), serial.Bytes()) {
+		t.Errorf("distributed output diverges from Sweep:\n%s\nvs\n%s", dist.Bytes(), serial.Bytes())
 	}
 }

@@ -25,7 +25,8 @@ import (
 	"addict/internal/workload"
 )
 
-// Config scopes one harness run.
+// Config scopes what one harness run measures and how long; the seed,
+// scale and trace windows are the session cache's (see Run).
 type Config struct {
 	// Workloads are the benchmark names to measure (default: TPC-B/C/E).
 	// Encoded synthetic workloads ("synth:<preset>[+z<theta>][+w<frac>]
@@ -35,17 +36,6 @@ type Config struct {
 	Workloads []string
 	// Mechanisms are the scheduling mechanisms to measure (default: all).
 	Mechanisms []sched.Mechanism
-	// Seed/Scale/ProfileTraces/EvalTraces mirror exp.Params (defaults:
-	// the quick evaluation sizes, so cells are comparable across PRs).
-	//
-	// A zero Seed selects the default (42) unless SeedSet marks the zero
-	// intentional, so seed 0 stays expressible — the other zero values
-	// (Scale, trace counts) have no meaningful zero and always default.
-	Seed          int64
-	SeedSet       bool
-	Scale         float64
-	ProfileTraces int
-	EvalTraces    int
 	// Machine is the simulated hardware (default: the Table 1 machine).
 	Machine sim.Config
 	// MinRuns and MinDuration bound each cell's measurement loop: a cell
@@ -53,9 +43,6 @@ type Config struct {
 	// MinDuration of wall clock.
 	MinRuns     int
 	MinDuration time.Duration
-	// Workers parallelizes trace generation only; measurement itself is
-	// strictly serial so cells are comparable.
-	Workers int
 	// ExtraCells are additional workload × mechanism cells measured after
 	// the full Workloads × Mechanisms grid, in order. They let the
 	// trajectory carry targeted cells (the speculative mechanisms on the
@@ -71,17 +58,17 @@ type ExtraCell struct {
 	Mechanism sched.Mechanism
 }
 
-// DefaultConfig returns the standard harness setup (quick evaluation
-// sizes): the three TPC benchmarks plus two synthetic regimes — a
-// uniform read-only cell and a zipfian hot read-write cell — so the
-// BENCH_*.json trajectory measures replay performance on non-TPC access
-// patterns too (BENCH_5.json onward; earlier trajectory points carry TPC
-// cells only), and two extra cells putting the speculative mechanisms
-// (HTMSPEC, CHAIN) on the contended zipfian regime (BENCH_9.json onward).
+// DefaultConfig returns the standard harness setup, run on a session at
+// the quick evaluation sizes (sweep.Spec's defaults): the three TPC
+// benchmarks plus two synthetic regimes — a uniform read-only cell and a
+// zipfian hot read-write cell — so the BENCH_*.json trajectory measures
+// replay performance on non-TPC access patterns too (BENCH_5.json onward;
+// earlier trajectory points carry TPC cells only), and two extra cells
+// putting the speculative mechanisms (HTMSPEC, CHAIN) on the contended
+// zipfian regime (BENCH_9.json onward).
 // Reports generated from different sizes or cell sets are not comparable;
 // trajectories should all use this configuration.
 func DefaultConfig() Config {
-	base := sweep.Spec{}.Resolved()
 	return Config{
 		Workloads: []string{
 			"TPC-B", "TPC-C", "TPC-E",
@@ -92,14 +79,9 @@ func DefaultConfig() Config {
 			{Workload: "synth:zipf-hot-rw", Mechanism: sched.HTMSPEC},
 			{Workload: "synth:zipf-hot-rw", Mechanism: sched.CHAIN},
 		},
-		Seed:          base.Seed,
-		Scale:         base.Scale,
-		ProfileTraces: base.ProfileTraces,
-		EvalTraces:    base.EvalTraces,
-		Machine:       sim.Shallow(),
-		MinRuns:       2,
-		MinDuration:   300 * time.Millisecond,
-		Workers:       1,
+		Machine:     sim.Shallow(),
+		MinRuns:     2,
+		MinDuration: 300 * time.Millisecond,
 	}
 }
 
@@ -182,12 +164,11 @@ var knownSchemas = map[string]bool{
 // of a partial report (a partial report would not be comparable to any
 // BENCH_*.json trajectory point).
 //
-// arts is the artifact cache to generate over (through Artifacts.For on
-// the resolved config, so the report's metadata always describes the
-// artifacts it was measured on); nil builds a fresh one from the config. A
-// long-lived session passes its own to share generated traces and profiles
-// with the harness. Measurement itself is unaffected (cells are strictly
-// serial either way).
+// arts is the session cache to measure over (required): the cells replay
+// its trace windows and profiles, generated at its worker bound, and the
+// report records its seed, scale and trace windows, so the metadata always
+// describes the artifacts the cells were measured on. Measurement itself
+// is strictly serial either way.
 func Run(ctx context.Context, cfg Config, progress io.Writer, arts *sweep.Artifacts) (*Report, error) {
 	cfg = withDefaults(cfg)
 	for _, name := range cfg.Workloads {
@@ -200,23 +181,16 @@ func Run(ctx context.Context, cfg Config, progress io.Writer, arts *sweep.Artifa
 			return nil, fmt.Errorf("bench: %w", err)
 		}
 	}
-	if arts == nil {
-		arts = sweep.NewArtifacts(cfg.Seed, cfg.Scale, cfg.ProfileTraces, cfg.EvalTraces, cfg.Workers, 0, nil)
-	}
-	arts = arts.For(cfg.Seed, cfg.Scale, cfg.ProfileTraces, cfg.EvalTraces)
 	rep := &Report{
-		Schema:        schemaID,
-		GoVersion:     runtime.Version(),
-		GOOS:          runtime.GOOS,
-		GOARCH:        runtime.GOARCH,
-		NumCPU:        runtime.NumCPU(),
-		Seed:          cfg.Seed,
-		Scale:         cfg.Scale,
-		ProfileTraces: cfg.ProfileTraces,
-		EvalTraces:    cfg.EvalTraces,
-		MinRuns:       cfg.MinRuns,
-		MinDuration:   cfg.MinDuration,
+		Schema:      schemaID,
+		GoVersion:   runtime.Version(),
+		GOOS:        runtime.GOOS,
+		GOARCH:      runtime.GOARCH,
+		NumCPU:      runtime.NumCPU(),
+		MinRuns:     cfg.MinRuns,
+		MinDuration: cfg.MinDuration,
 	}
+	rep.Seed, rep.Scale, rep.ProfileTraces, rep.EvalTraces = arts.Params()
 	// measure runs one cell and folds it into the report; the artifact
 	// cache memoizes, so an extra cell on an already-measured workload
 	// reuses its trace set and profile.
@@ -272,19 +246,6 @@ func withDefaults(cfg Config) Config {
 	if len(cfg.Mechanisms) == 0 {
 		cfg.Mechanisms = def.Mechanisms
 	}
-	if cfg.Seed == 0 && !cfg.SeedSet {
-		cfg.Seed = def.Seed
-	}
-	cfg.SeedSet = true
-	if cfg.Scale == 0 {
-		cfg.Scale = def.Scale
-	}
-	if cfg.ProfileTraces == 0 {
-		cfg.ProfileTraces = def.ProfileTraces
-	}
-	if cfg.EvalTraces == 0 {
-		cfg.EvalTraces = def.EvalTraces
-	}
 	if cfg.Machine.Cores == 0 {
 		cfg.Machine = def.Machine
 	}
@@ -293,9 +254,6 @@ func withDefaults(cfg Config) Config {
 	}
 	if cfg.MinDuration == 0 {
 		cfg.MinDuration = def.MinDuration
-	}
-	if cfg.Workers == 0 {
-		cfg.Workers = def.Workers
 	}
 	return cfg
 }

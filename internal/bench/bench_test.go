@@ -9,6 +9,7 @@ import (
 	"addict/internal/core"
 	"addict/internal/sched"
 	"addict/internal/sim"
+	"addict/internal/sweep"
 	"addict/internal/trace"
 	"addict/internal/workload"
 )
@@ -75,14 +76,15 @@ func TestDoubleInteriorStructure(t *testing.T) {
 func TestRunProducesReport(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Workloads = []string{"TPC-B"}
-	cfg.Scale = 0.05
-	cfg.ProfileTraces = 20
-	cfg.EvalTraces = 20
 	cfg.MinRuns = 1
 	cfg.MinDuration = 1
-	rep, err := Run(context.Background(), cfg, nil, nil)
+	rep, err := Run(context.Background(), cfg, nil, sweep.NewArtifacts(3, 0.05, 20, 20, 1, 0, nil))
 	if err != nil {
 		t.Fatal(err)
+	}
+	if rep.Seed != 3 || rep.Scale != 0.05 || rep.ProfileTraces != 20 || rep.EvalTraces != 20 {
+		t.Errorf("report does not record the cache's parameters: seed=%d scale=%v windows=%d/%d",
+			rep.Seed, rep.Scale, rep.ProfileTraces, rep.EvalTraces)
 	}
 	// The grid (one workload × the paper's four) plus DefaultConfig's two
 	// extra cells, which ride at the end in config order.
@@ -164,12 +166,10 @@ func TestRunAcceptsSynthWorkloads(t *testing.T) {
 	cfg.Workloads = []string{"synth:uniform-ro"}
 	cfg.Mechanisms = []sched.Mechanism{sched.Baseline, sched.ADDICT}
 	cfg.ExtraCells = nil
-	cfg.Scale = 0.02
-	cfg.ProfileTraces = 20
-	cfg.EvalTraces = 20
 	cfg.MinRuns = 1
 	cfg.MinDuration = 1
-	rep, err := Run(context.Background(), cfg, nil, nil)
+	arts := sweep.NewArtifacts(42, 0.02, 20, 20, 1, 0, nil)
+	rep, err := Run(context.Background(), cfg, nil, arts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestRunAcceptsSynthWorkloads(t *testing.T) {
 	}
 
 	cfg.Workloads = []string{"synth:no-such-preset"}
-	if _, err := Run(context.Background(), cfg, nil, nil); err == nil {
+	if _, err := Run(context.Background(), cfg, nil, arts); err == nil {
 		t.Error("unknown synth workload accepted")
 	}
 }

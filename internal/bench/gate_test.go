@@ -2,10 +2,14 @@ package bench
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"strings"
 	"testing"
 	"time"
+
+	"addict/internal/sched"
+	"addict/internal/sweep"
 )
 
 // gateReport builds a synthetic report whose cells carry the given
@@ -423,18 +427,24 @@ func TestGateRequiresEnabledCheck(t *testing.T) {
 	}
 }
 
-// TestZeroSeedExpressible: seed 0 used to be swallowed by the zero-means-
-// default sentinel; SeedSet makes it expressible while Config{} keeps the
-// default.
+// TestZeroSeedExpressible: seed 0 used to be swallowed by a zero-means-
+// default sentinel. The report records the session cache's seed, so a
+// seed-0 session reports 0 and any other seed itself.
 func TestZeroSeedExpressible(t *testing.T) {
-	if got := withDefaults(Config{}).Seed; got != 42 {
-		t.Errorf("default seed %d, want 42", got)
+	cfg := Config{
+		Workloads:   []string{"TPC-B"},
+		Mechanisms:  sched.Mechanisms[:1],
+		MinRuns:     1,
+		MinDuration: 1,
 	}
-	if got := withDefaults(Config{SeedSet: true}).Seed; got != 0 {
-		t.Errorf("explicit zero seed resolved to %d, want 0", got)
-	}
-	if got := withDefaults(Config{Seed: 7}).Seed; got != 7 {
-		t.Errorf("non-zero seed resolved to %d, want 7", got)
+	for _, seed := range []int64{42, 0, 7} {
+		rep, err := Run(context.Background(), cfg, nil, sweep.NewArtifacts(seed, 0.02, 10, 10, 1, 0, nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Seed != seed {
+			t.Errorf("session seed %d recorded as %d", seed, rep.Seed)
+		}
 	}
 }
 

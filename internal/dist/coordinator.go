@@ -12,7 +12,6 @@ import (
 	"addict/internal/store"
 	"addict/internal/sweep"
 	"addict/internal/wire"
-	"addict/internal/workload"
 )
 
 // Options tune the coordinator's lease protocol. The zero value means
@@ -160,15 +159,6 @@ func NewCoordinator(spec sweep.Spec, opts Options) (*Coordinator, error) {
 	units, err := spec.Expand()
 	if err != nil {
 		return nil, err
-	}
-	seen := map[string]bool{}
-	for _, u := range units {
-		if !seen[u.Workload] {
-			if err := workload.Validate(u.Workload); err != nil {
-				return nil, fmt.Errorf("dist: %w", err)
-			}
-			seen[u.Workload] = true
-		}
 	}
 	c := &Coordinator{
 		spec:      spec,

@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"addict/internal/store"
 	"addict/internal/sweep"
 )
 
@@ -48,6 +49,19 @@ func serialBytes(t *testing.T, spec sweep.Spec, format string) []byte {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// storeCache opens the store directory and returns a worker cache on it.
+// Every caller gets its own cache and store handle, as separate worker
+// processes would, so the directory is the only thing workers share.
+func storeCache(t *testing.T, dir string) *sweep.Artifacts {
+	t.Helper()
+	st, err := store.Open(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := sweep.Spec{}.Resolved()
+	return sweep.NewArtifacts(s.Seed, s.Scale, s.ProfileTraces, s.EvalTraces, 2, 0, st)
 }
 
 func firstDiff(a, b []byte) string {
@@ -109,8 +123,8 @@ func TestDistTwoWorkersMatchesSerial(t *testing.T) {
 
 	storeDir := t.TempDir()
 	got, sum, errs := runDistributed(t, spec, Options{LeaseBatch: 1}, []WorkerOptions{
-		{Name: "a", StoreDir: storeDir, Workers: 2},
-		{Name: "b", StoreDir: storeDir, Workers: 2},
+		{Name: "a", Cache: storeCache(t, storeDir)},
+		{Name: "b", Cache: storeCache(t, storeDir)},
 	}, "jsonl")
 	for i, err := range errs {
 		if err != nil {
@@ -182,11 +196,12 @@ func TestDistWorkerCrashMidUnit(t *testing.T) {
 	leased := make(chan struct{})
 	var once sync.Once
 	storeDir := t.TempDir()
+	victimCache := storeCache(t, storeDir)
 	victimErr := make(chan error, 1)
 	go func() {
 		_, err := Work(victimCtx, srv.URL, WorkerOptions{
-			Name:     "victim",
-			StoreDir: storeDir,
+			Name:  "victim",
+			Cache: victimCache,
 			OnLease: func(ids []string) {
 				kill()
 				once.Do(func() { close(leased) })
@@ -206,7 +221,7 @@ func TestDistWorkerCrashMidUnit(t *testing.T) {
 	// The survivor joins only after the victim is dead, so the victim's
 	// leased units must come back through expiry.
 	_, err = Work(context.Background(), srv.URL, WorkerOptions{
-		Name: "survivor", StoreDir: storeDir, Workers: 2,
+		Name: "survivor", Cache: storeCache(t, storeDir),
 	})
 	if err != nil {
 		t.Fatalf("survivor: %v", err)

@@ -23,6 +23,6 @@
 // route table and Run merges and emits, so the same code runs under a
 // dedicated listener (cmd/addict-sweep -serve-workers), inside the serving
 // daemon (POST /v1/sweep distributed mode), or under httptest. Workers are
-// one function (Work) that joins, leases, computes, and completes until
-// the coordinator reports the grid done.
+// one function (Work) that joins, leases, computes on the caller's session
+// cache, and completes until the coordinator reports the grid done.
 package dist

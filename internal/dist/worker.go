@@ -6,7 +6,6 @@ import (
 	"strings"
 	"time"
 
-	"addict/internal/pool"
 	"addict/internal/store"
 	"addict/internal/sweep"
 	"addict/internal/wire"
@@ -17,13 +16,13 @@ type WorkerOptions struct {
 	// Name is a self-reported label for the coordinator's counter summary
 	// (hostname, flag value); the coordinator assigns the real identity.
 	Name string
-	// StoreDir attaches the shared on-disk artifact store ("" = memory
-	// only — correct but cold). StoreBudget caps it (0 = unbounded).
-	StoreDir    string
-	StoreBudget int64
-	// Workers bounds artifact-generation parallelism inside this worker
-	// (values below 1 select all CPUs, the package-wide convention).
-	Workers int
+	// Cache is the session cache the worker computes on (required), read
+	// through Cache.For over the joined spec's base parameters: a
+	// session built over those parameters serves the units from what it
+	// already holds, any other computes on a fresh cache over the same
+	// store and worker bound. A store attached to the cache is the
+	// rendezvous point shared with the other workers.
+	Cache *sweep.Artifacts
 	// OnLease, when set, observes each granted lease's unit IDs before
 	// computation starts — a progress hook, and the injection point the
 	// crash tests use to kill a worker mid-unit.
@@ -61,14 +60,7 @@ func Work(ctx context.Context, baseURL string, opts WorkerOptions) (int, error) 
 			len(units), join.GridHash, join.Units)
 	}
 
-	var st *store.Store
-	if opts.StoreDir != "" {
-		if st, err = store.Open(opts.StoreDir, opts.StoreBudget); err != nil {
-			return 0, fmt.Errorf("dist: open store: %w", err)
-		}
-	}
-	arts := sweep.NewArtifacts(join.Spec.Seed, join.Spec.Scale,
-		join.Spec.ProfileTraces, join.Spec.EvalTraces, pool.NormWorkers(opts.Workers), 0, st)
+	arts := opts.Cache.For(join.Spec.Seed, join.Spec.Scale, join.Spec.ProfileTraces, join.Spec.EvalTraces)
 	storeStats := func() *store.Stats {
 		if s, ok := arts.StoreStats(); ok {
 			return &s

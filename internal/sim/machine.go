@@ -238,10 +238,6 @@ func (m *Machine) L1IContains(core int, addr uint64) bool {
 	return m.l1i[core].Contains(addr)
 }
 
-// FlushL1I empties a core's instruction cache (used by tests and by
-// profiling-style runs).
-func (m *Machine) FlushL1I(core int) { m.l1i[core].Flush() }
-
 // MarkRestored flags a machine deserialized from a persisted result,
 // recording the per-level aggregates its live caches held at serialization
 // time. CacheStats answers from the recorded aggregates; every other

@@ -33,9 +33,6 @@ type Overrides struct {
 	MemCycles       uint64
 }
 
-// IsZero reports whether the overrides substitute nothing.
-func (o Overrides) IsZero() bool { return o == Overrides{} }
-
 // Apply returns the base configuration with the overrides substituted and
 // derived fields recomputed: a Cores change rescales the shared cache to
 // the base per-core budget and re-derives the bank count (one bank per

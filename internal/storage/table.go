@@ -55,9 +55,6 @@ func (t *Table) ID() uint32 { return t.id }
 // Rows returns the number of live rows.
 func (t *Table) Rows() uint64 { return t.rows }
 
-// Pages returns the number of data pages.
-func (t *Table) Pages() int { return len(t.pages) }
-
 // Indexes returns the table's indexes in creation order.
 func (t *Table) Indexes() []*BTree { return t.indexes }
 

@@ -124,9 +124,6 @@ func Open(dir string, budget int64) (*Store, error) {
 	return s, nil
 }
 
-// Dir returns the store's directory.
-func (s *Store) Dir() string { return s.dir }
-
 // Key derives the on-disk key for a fully-resolved spec string: the
 // content address every process computing the same artifact agrees on.
 func Key(spec string) string {

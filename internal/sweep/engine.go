@@ -156,6 +156,12 @@ func (a *Artifacts) For(seed int64, scale float64, profileTraces, evalTraces int
 	return NewArtifacts(seed, scale, profileTraces, evalTraces, a.workers, 0, a.disk)
 }
 
+// Params returns the base parameters the cache was built over, in For's
+// argument order.
+func (a *Artifacts) Params() (seed int64, scale float64, profileTraces, evalTraces int) {
+	return a.seed, a.scale, a.profileTraces, a.evalTraces
+}
+
 // CacheStats reports the in-memory cache's counters (resident bytes and
 // entries, hits/misses/evictions). Bytes are the artifactWeight estimates,
 // not exact heap usage.
@@ -367,17 +373,6 @@ func Run(ctx context.Context, spec Spec, em Emitter, workers int, arts *Artifact
 	if err != nil {
 		return err
 	}
-	// Validate workload names before spending any cycles.
-	seen := map[string]bool{}
-	for _, u := range units {
-		if !seen[u.Workload] {
-			if err := workload.Validate(u.Workload); err != nil {
-				return fmt.Errorf("sweep: %w", err)
-			}
-			seen[u.Workload] = true
-		}
-	}
-
 	if workers < 1 {
 		workers = 1
 	}

@@ -23,6 +23,7 @@ import (
 
 	"addict/internal/sched"
 	"addict/internal/sim"
+	"addict/internal/workload"
 	"addict/internal/workload/synth"
 )
 
@@ -255,7 +256,8 @@ func orZero[T any](axis []T) []T {
 // fraction, hot-set size innermost). The order is part of the contract: it
 // decides the emission order of every run over the same spec. Machine
 // overrides are validated at expansion, so an unbuildable grid point fails
-// here instead of mid-run.
+// here instead of mid-run, and so are workload names the registry does
+// not resolve.
 func (s Spec) Expand() ([]Unit, error) {
 	return s.ExpandOn(s.BaseMachine())
 }
@@ -341,6 +343,11 @@ func (s Spec) ExpandOn(base sim.Config) ([]Unit, error) {
 		return nil, err
 	}
 	workloads := append(append([]string{}, s.Workloads...), synthNames...)
+	for _, w := range workloads {
+		if err := workload.Validate(w); err != nil {
+			return nil, fmt.Errorf("sweep: %w", err)
+		}
+	}
 	var units []Unit
 	for _, w := range workloads {
 		for _, mechName := range s.Mechanisms {

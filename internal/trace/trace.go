@@ -345,15 +345,6 @@ func (s *Set) Slice(lo, hi int) *Set {
 	return &Set{Workload: s.Workload, TypeNames: s.TypeNames, Traces: s.Traces[lo:hi]}
 }
 
-// TotalInstructions sums Instructions over all traces.
-func (s *Set) TotalInstructions() uint64 {
-	var n uint64
-	for _, t := range s.Traces {
-		n += t.Instructions()
-	}
-	return n
-}
-
 // TypeName returns the name of a transaction type, falling back to a numeric
 // form for unknown types.
 func (s *Set) TypeName(tt TxnType) string {

@@ -26,7 +26,6 @@ type Benchmark struct {
 	rng   *rand.Rand
 	types []TxnSpec
 	cum   []float64
-	gen   uint64
 }
 
 // TxnSpec declares one transaction type of a benchmark's mix.
@@ -147,12 +146,8 @@ func (b *Benchmark) NextTxn() trace.TxnType {
 	spec.Run(txn)
 	b.m.Commit(txn)
 	rec.TxnEnd()
-	b.gen++
 	return trace.TxnType(i)
 }
-
-// Generated returns the number of transactions generated so far.
-func (b *Benchmark) Generated() uint64 { return b.gen }
 
 // GenerateSet collects n transaction traces into a Set (the paper's trace
 // batches, Section 4.1).
