@@ -15,8 +15,9 @@ import (
 )
 
 // distLinger bounds how long the worker endpoint keeps answering "done"
-// after the merged report is complete, so remote workers polling at their
-// own cadence exit cleanly instead of hitting a closed port.
+// after the merged report is complete, so remote workers still computing a
+// duplicate or between requests exit cleanly instead of hitting a closed
+// port.
 const distLinger = 2 * time.Second
 
 // DistSummary is the coordinator's progress/counter snapshot: units
@@ -126,12 +127,11 @@ func (e *Engine) SweepDistributed(ctx context.Context, out io.Writer, spec Sweep
 
 	// Keep the endpoint serving until every joined worker has been told
 	// the run is over (or the linger expires — a crashed worker never
-	// asks), so workers polling on their own cadence exit 0 instead of
-	// dialing a closed port. Local workers drain through the same path.
+	// asks), so remote workers exit 0 instead of dialing a closed port.
+	// Each release wakes the wait. Local workers drain through the same
+	// path: a held lease wakes on the last completion and answers done.
 	wg.Wait()
-	for deadline := time.Now().Add(distLinger); time.Now().Before(deadline) && !c.AllReleased(); {
-		time.Sleep(20 * time.Millisecond)
-	}
+	c.WaitReleased(distLinger)
 	srv.Close()
 	<-serveErr
 

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"runtime/debug"
 	"time"
 
 	"addict/internal/core"
@@ -363,9 +364,14 @@ func SteadyStateAllocsPerEvent(mech sched.Mechanism, set *trace.Set, rcfg sched.
 	return best, nil
 }
 
-// allocsPerRun returns the average allocation count of one replay.
+// allocsPerRun returns the average allocation count of one replay. The
+// count reads process-wide MemStats, so it runs on one P with the
+// collector off: a GC cycle inside the window makes runtime allocations
+// of its own, which the min-of-repeats filter does not absorb once the
+// binary links enough of the program to keep the collector busy.
 func allocsPerRun(runs int, mech sched.Mechanism, set *trace.Set, rcfg sched.Config) (float64, error) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	// Warm up: lazily grown caches (scheduler maps, slice capacities)
 	// reach steady shape before counting.
 	if _, err := sched.Run(mech, set, rcfg); err != nil {

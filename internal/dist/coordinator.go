@@ -40,7 +40,12 @@ type Options struct {
 	// wins, the loser is discarded). 0 defaults to LeaseTimeout/2;
 	// negative disables re-dispatch.
 	StragglerAfter time.Duration
-	// PollInterval is the wait hint returned when no unit is leasable.
+	// PollInterval bounds how long a lease request that finds nothing
+	// leasable is held before it is answered empty (the worker then asks
+	// again at once). A held request answers as soon as a completion,
+	// failure requeue, expiry requeue or abort changes what it could be
+	// granted, or a failure backoff ends; the bound is the cadence at
+	// which a held request re-checks lease expiry and straggler age.
 	PollInterval time.Duration // default 150ms
 }
 
@@ -144,6 +149,12 @@ type Coordinator struct {
 	duplicates uint64
 	stragglers uint64
 
+	// wake is closed and replaced (signalLocked) whenever the state a
+	// held lease request or WaitReleased is waiting on changes. Waiters
+	// read it under mu together with the state they check, so no change
+	// between the check and the wait is missed.
+	wake chan struct{}
+
 	// done[i] closes when unit i's result is recorded; abortCh closes at
 	// most once when the run becomes unwinnable.
 	done     []chan struct{}
@@ -171,6 +182,7 @@ func NewCoordinator(spec sweep.Spec, opts Options) (*Coordinator, error) {
 		remaining: len(units),
 		workers:   map[string]*WorkerCounters{},
 		released:  map[string]bool{},
+		wake:      make(chan struct{}),
 		done:      make([]chan struct{}, len(units)),
 		abortCh:   make(chan struct{}),
 	}
@@ -183,19 +195,40 @@ func NewCoordinator(spec sweep.Spec, opts Options) (*Coordinator, error) {
 // Units returns the expanded grid size.
 func (c *Coordinator) Units() int { return len(c.units) }
 
-// AllReleased reports whether every joined worker has been told the run is
-// over (done or abort). The embedding layer polls this after Run returns
-// to decide when the worker endpoint can close without stranding a worker
-// mid-poll on a dead port.
-func (c *Coordinator) AllReleased() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for id := range c.workers {
-		if !c.released[id] {
+// WaitReleased blocks until every joined worker has been told the run is
+// over (done or abort) or d passes, and reports which. The embedding layer
+// calls it after Run returns to decide when the worker endpoint can close
+// without stranding a worker on a dead port; each release wakes it.
+func (c *Coordinator) WaitReleased(d time.Duration) bool {
+	timer := time.NewTimer(d)
+	defer timer.Stop()
+	for {
+		c.mu.Lock()
+		all := true
+		for id := range c.workers {
+			if !c.released[id] {
+				all = false
+				break
+			}
+		}
+		wake := c.wake
+		c.mu.Unlock()
+		if all {
+			return true
+		}
+		select {
+		case <-wake:
+		case <-timer.C:
 			return false
 		}
 	}
-	return true
+}
+
+// signalLocked wakes every held lease request and WaitReleased caller so
+// they re-check the state under mu.
+func (c *Coordinator) signalLocked() {
+	close(c.wake)
+	c.wake = make(chan struct{})
 }
 
 // Handler returns the coordinator's route table (the /dist/v1/* endpoints),
@@ -263,6 +296,7 @@ func (c *Coordinator) abortLocked(reason string) {
 	}
 	c.abortMsg = reason
 	close(c.abortCh)
+	c.signalLocked()
 }
 
 func (c *Coordinator) abortReason() string {
@@ -316,31 +350,76 @@ func (c *Coordinator) handleJoin(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// handleLease answers a lease request with units, done or abort. A
+// request that finds nothing leasable is held instead of answered: it
+// re-checks whenever signalLocked reports a change or the earliest failure
+// backoff ends, and once PollInterval has passed it answers empty, which
+// tells the worker to ask again at once. A request whose context ends
+// while held is dropped unanswered.
 func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	var req leaseRequest
 	if !wire.Decode(w, r, &req) {
 		return
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	deadline := time.Now().Add(c.opts.PollInterval)
+	for {
+		c.mu.Lock()
+		resp, backoff, ok := c.leaseLocked(req)
+		wake := c.wake
+		c.mu.Unlock()
+		if !ok {
+			wire.WriteError(w, http.StatusForbidden, fmt.Sprintf("unknown worker %q (join first)", req.WorkerID))
+			return
+		}
+		hold := time.Until(deadline)
+		if len(resp.Units) > 0 || resp.Done || resp.Abort != "" || hold <= 0 {
+			wire.WriteJSON(w, resp)
+			return
+		}
+		if backoff >= 0 && backoff < hold {
+			hold = backoff
+		}
+		timer := time.NewTimer(hold)
+		select {
+		case <-wake:
+		case <-timer.C:
+		case <-r.Context().Done():
+		}
+		timer.Stop()
+		if r.Context().Err() != nil {
+			// The worker hung up (or the server is closing): lease it
+			// nothing, even if a wake arrived at the same moment.
+			return
+		}
+	}
+}
+
+// leaseLocked runs one lease check: it grants up to the batch of leasable
+// units (or a straggler duplicate), or reports the run done or aborted.
+// An empty response comes with the time until the earliest failure
+// backoff ends (-1 when no unit is backing off). ok is false for a worker
+// that never joined.
+func (c *Coordinator) leaseLocked(req leaseRequest) (resp leaseResponse, backoffWait time.Duration, ok bool) {
+	backoffWait = -1
 	wc := c.workers[req.WorkerID]
 	if wc == nil {
-		wire.WriteError(w, http.StatusForbidden, fmt.Sprintf("unknown worker %q (join first)", req.WorkerID))
-		return
+		return resp, backoffWait, false
 	}
 	if req.Store != nil {
 		st := *req.Store
 		wc.Store = &st
 	}
-	if c.abortMsg != "" {
-		c.released[req.WorkerID] = true
-		wire.WriteJSON(w, leaseResponse{Abort: c.abortMsg})
-		return
-	}
-	if c.remaining == 0 {
-		c.released[req.WorkerID] = true
-		wire.WriteJSON(w, leaseResponse{Done: true})
-		return
+	if c.abortMsg != "" || c.remaining == 0 {
+		// The run is over for this worker: release it (which wakes
+		// WaitReleased) and say why.
+		if !c.released[req.WorkerID] {
+			c.released[req.WorkerID] = true
+			c.signalLocked()
+		}
+		if c.abortMsg != "" {
+			return leaseResponse{Abort: c.abortMsg}, backoffWait, true
+		}
+		return leaseResponse{Done: true}, backoffWait, true
 	}
 	now := c.now()
 	c.expireLocked(now)
@@ -350,7 +429,6 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 		max = c.opts.LeaseBatch
 	}
 	var grant []leaseUnit
-	backoffWait := time.Duration(-1)
 	for i := range c.state {
 		if len(grant) >= max {
 			break
@@ -404,23 +482,16 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 			c.stragglers++
 		}
 	}
-	if len(grant) > 0 {
-		c.leases += uint64(len(grant))
-		wc.Leased += uint64(len(grant))
-		wire.WriteJSON(w, leaseResponse{Units: grant})
-		return
-	}
-	wait := c.opts.PollInterval
-	if backoffWait >= 0 && backoffWait < wait {
-		wait = backoffWait
-	}
-	wire.WriteJSON(w, leaseResponse{WaitMillis: int(wait.Milliseconds()) + 1})
+	c.leases += uint64(len(grant))
+	wc.Leased += uint64(len(grant))
+	return leaseResponse{Units: grant}, backoffWait, true
 }
 
 // expireLocked requeues units whose every lease has passed its deadline —
 // the crash-recovery path. Requeues are unbounded (a crash says nothing
-// about the unit) but counted.
+// about the unit) but counted, and wake the other held lease requests.
 func (c *Coordinator) expireLocked(now time.Time) {
+	requeued := false
 	for i := range c.state {
 		st := &c.state[i]
 		if st.status != unitLeased {
@@ -440,7 +511,11 @@ func (c *Coordinator) expireLocked(now time.Time) {
 		st.leases = live
 		if len(st.leases) == 0 {
 			st.status = unitPending
+			requeued = true
 		}
+	}
+	if requeued {
+		c.signalLocked()
 	}
 }
 
@@ -507,6 +582,8 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 		}
 		st.status = unitPending
 		st.notBefore = now.Add(pool.Backoff(st.attempts, c.opts.RetryBackoff, c.opts.LeaseTimeout))
+		// Held requests re-check, and hold until the backoff ends.
+		c.signalLocked()
 		wire.WriteJSON(w, completeResponse{})
 		return
 	}
@@ -517,6 +594,7 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 	c.remaining--
 	wc.Completed++
 	close(c.done[req.Index])
+	c.signalLocked()
 
 	// A completion is proof of life: refresh the worker's other leases so
 	// a slow batch is never requeued under a live worker.

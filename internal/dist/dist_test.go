@@ -374,11 +374,12 @@ func TestStragglerRedispatchFirstCompletionWins(t *testing.T) {
 	if len(lr.Units) != 4 {
 		t.Fatalf("w1 leased %d units, want the whole grid", len(lr.Units))
 	}
-	// Young leases: the idle worker waits rather than duplicating.
+	// Young leases: the idle worker's request is held for the poll
+	// interval and answered empty rather than duplicating.
 	var lr2 leaseResponse
 	postAs(t, h, pathLease, leaseRequest{WorkerID: w2, Max: 1}, &lr2)
-	if len(lr2.Units) != 0 || lr2.WaitMillis == 0 {
-		t.Fatalf("idle worker got %+v before StragglerAfter, want a wait hint", lr2)
+	if len(lr2.Units) != 0 || lr2.Done || lr2.Abort != "" {
+		t.Fatalf("idle worker got %+v before StragglerAfter, want an empty answer", lr2)
 	}
 	// Aged leases: the idle worker is put on a backup copy of one unit.
 	*now = now.Add(2 * time.Minute)

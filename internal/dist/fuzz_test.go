@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
+	"time"
 
 	"addict/internal/sweep"
 )
@@ -47,7 +48,9 @@ func FuzzCoordinatorRequests(f *testing.F) {
 	f.Add([]byte(`{"name":"a"}`), true)
 
 	f.Fuzz(func(t *testing.T, body []byte, get bool) {
-		c, err := NewCoordinator(testSpec(), Options{})
+		// A fuzzed lease that finds nothing leasable is held for the poll
+		// interval; keep that to a millisecond per iteration.
+		c, err := NewCoordinator(testSpec(), Options{PollInterval: time.Millisecond})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -19,7 +19,10 @@ import (
 // []Unit, and every subsequent message names units by (index, id). The ID
 // doubles as an end-to-end check that both expansions agree; GridHash
 // catches version skew the ID alone cannot (the ID omits seed, scale, and
-// trace windows).
+// trace windows). A lease request is a long poll: when nothing is
+// leasable the coordinator holds it (for at most its PollInterval) rather
+// than answering with a wait hint, so a worker never sleeps between
+// requests.
 const (
 	pathJoin     = "/dist/v1/join"
 	pathLease    = "/dist/v1/lease"
@@ -65,6 +68,10 @@ type leaseUnit struct {
 	ID    string `json:"id"`
 }
 
+// leaseResponse answers a lease request. One with no units and neither
+// Done nor Abort means the coordinator held the request for its poll
+// interval without anything becoming leasable: the worker asks again at
+// once, and the next request is held in turn.
 type leaseResponse struct {
 	Units []leaseUnit `json:"units,omitempty"`
 	// Done means every unit is complete: the worker should exit cleanly.
@@ -72,9 +79,6 @@ type leaseResponse struct {
 	// Abort is a fatal run error (retry budget exhausted, emitter failure,
 	// coordinator cancelled): the worker should stop and report it.
 	Abort string `json:"abort,omitempty"`
-	// WaitMillis hints how long to sleep before the next lease request
-	// when no unit is currently leasable.
-	WaitMillis int `json:"wait_ms,omitempty"`
 }
 
 // completeRequest reports one unit's outcome: Metrics on success, Error on

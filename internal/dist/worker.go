@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"time"
 
 	"addict/internal/store"
 	"addict/internal/sweep"
@@ -84,15 +83,8 @@ func Work(ctx context.Context, baseURL string, opts WorkerOptions) (int, error) 
 		case lr.Done:
 			return completed, nil
 		case len(lr.Units) == 0:
-			wait := time.Duration(lr.WaitMillis) * time.Millisecond
-			if wait <= 0 {
-				wait = 100 * time.Millisecond
-			}
-			select {
-			case <-ctx.Done():
-				return completed, ctx.Err()
-			case <-time.After(wait):
-			}
+			// The coordinator held the request for its poll interval and
+			// nothing became leasable: ask again now.
 			continue
 		}
 		if opts.OnLease != nil {
