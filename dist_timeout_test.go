@@ -44,7 +44,7 @@ func TestCoordinatorStalledHeaderDisconnected(t *testing.T) {
 	}
 	defer conn.Close()
 	start := time.Now()
-	if _, err := io.WriteString(conn, "POST /dist/v1/lease HTTP/1.1\r\nHost: stall\r\nContent-Ty"); err != nil {
+	if _, err := io.WriteString(conn, "POST /dist/v2/lease HTTP/1.1\r\nHost: stall\r\nContent-Ty"); err != nil {
 		t.Fatal(err)
 	}
 	conn.SetReadDeadline(start.Add(wire.ReadHeaderTimeout + 5*time.Second))

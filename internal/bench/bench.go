@@ -15,7 +15,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"runtime/debug"
+	"sync"
 	"time"
 
 	"addict/internal/core"
@@ -340,11 +340,11 @@ func SteadyStateAllocsPerEvent(mech sched.Mechanism, set *trace.Set, rcfg sched.
 	const repeats = 3
 	best := -1.0
 	for r := 0; r < repeats; r++ {
-		short, err := allocsPerRun(3, mech, set, rcfg)
+		short, err := allocsPerRun(mech, set, rcfg)
 		if err != nil {
 			return 0, err
 		}
-		long, err := allocsPerRun(3, mech, doubled, rcfg)
+		long, err := allocsPerRun(mech, doubled, rcfg)
 		if err != nil {
 			return 0, err
 		}
@@ -364,28 +364,43 @@ func SteadyStateAllocsPerEvent(mech sched.Mechanism, set *trace.Set, rcfg sched.
 	return best, nil
 }
 
-// allocsPerRun returns the average allocation count of one replay. The
-// count reads process-wide MemStats, so it runs on one P with the
-// collector off: a GC cycle inside the window makes runtime allocations
-// of its own, which the min-of-repeats filter does not absorb once the
-// binary links enough of the program to keep the collector busy.
-func allocsPerRun(runs int, mech sched.Mechanism, set *trace.Set, rcfg sched.Config) (float64, error) {
+// countMu serializes allocation counts. A count reads process-wide
+// MemStats and pins GOMAXPROCS for its window, so two counts at once (two
+// bench runs in one addict-serve process) would see each other's
+// allocations, and their save/restore of GOMAXPROCS would not nest.
+var countMu sync.Mutex
+
+// allocsPerRun returns the allocation count of one replay. The count reads
+// process-wide MemStats, so it runs on one P, and its window must not hold
+// a GC cycle: the runtime allocates during a cycle, and one run's setup
+// can outgrow the live heap, so a window of several runs would trigger a
+// cycle nearly every time once the binary links the whole program. A
+// collection before each window and one run per window keep the window
+// cycle-free; a window that still holds a cycle is retried. The collector
+// is never switched off: the count runs inside addict-serve beside other
+// requests.
+func allocsPerRun(mech sched.Mechanism, set *trace.Set, rcfg sched.Config) (float64, error) {
+	countMu.Lock()
+	defer countMu.Unlock()
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	// Warm up: lazily grown caches (scheduler maps, slice capacities)
 	// reach steady shape before counting.
 	if _, err := sched.Run(mech, set, rcfg); err != nil {
 		return 0, err
 	}
+	const attempts = 5
 	var m1, m2 runtime.MemStats
-	runtime.ReadMemStats(&m1)
-	for i := 0; i < runs; i++ {
+	for a := 1; ; a++ {
+		runtime.GC()
+		runtime.ReadMemStats(&m1)
 		if _, err := sched.Run(mech, set, rcfg); err != nil {
 			return 0, err
 		}
+		runtime.ReadMemStats(&m2)
+		if m2.NumGC == m1.NumGC || a == attempts {
+			return float64(m2.Mallocs - m1.Mallocs), nil
+		}
 	}
-	runtime.ReadMemStats(&m2)
-	return float64(m2.Mallocs-m1.Mallocs) / float64(runs), nil
 }
 
 // DoubleInterior returns a set whose traces repeat their interior (between

@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"runtime"
+	"runtime/debug"
+	"sync"
 	"testing"
 
 	"addict/internal/core"
@@ -45,6 +48,39 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 				t.Errorf("%s: %.6f steady-state allocs/event, want 0", mech, per)
 			}
 		})
+	}
+}
+
+// TestConcurrentCountsRestoreRuntime runs two steady-state counts at once,
+// as two bench requests to one addict-serve process do. Both must still
+// read 0, and afterwards GOMAXPROCS and the GC percent must be what they
+// were: a count that leaves either changed would throttle, or stop
+// collecting for, the whole process.
+func TestConcurrentCountsRestoreRuntime(t *testing.T) {
+	cfg, evalSet := guardInput(t)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	gcPercent := debug.SetGCPercent(100)
+	debug.SetGCPercent(gcPercent)
+
+	var wg sync.WaitGroup
+	for _, mech := range []sched.Mechanism{sched.Baseline, sched.ADDICT} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			per, err := SteadyStateAllocsPerEvent(mech, evalSet, cfg)
+			if err != nil {
+				t.Errorf("measuring %s: %v", mech, err)
+			} else if per != 0 {
+				t.Errorf("%s: %.6f steady-state allocs/event under a concurrent count, want 0", mech, per)
+			}
+		}()
+	}
+	wg.Wait()
+	if got := runtime.GOMAXPROCS(0); got != 4 {
+		t.Errorf("GOMAXPROCS %d after concurrent counts, want 4", got)
+	}
+	if got := debug.SetGCPercent(gcPercent); got != gcPercent {
+		t.Errorf("GC percent %d after concurrent counts, want %d", got, gcPercent)
 	}
 }
 

@@ -196,10 +196,10 @@ func NewCoordinator(spec sweep.Spec, opts Options) (*Coordinator, error) {
 func (c *Coordinator) Units() int { return len(c.units) }
 
 // WaitReleased blocks until every joined worker has been told the run is
-// over (done or abort) or d passes, and reports which. The embedding layer
-// calls it after Run returns to decide when the worker endpoint can close
-// without stranding a worker on a dead port; each release wakes it.
-func (c *Coordinator) WaitReleased(d time.Duration) bool {
+// over (done or abort) or d passes. The embedding layer calls it after Run
+// returns to decide when the worker endpoint can close without stranding
+// a worker on a dead port; each release wakes it.
+func (c *Coordinator) WaitReleased(d time.Duration) {
 	timer := time.NewTimer(d)
 	defer timer.Stop()
 	for {
@@ -214,12 +214,12 @@ func (c *Coordinator) WaitReleased(d time.Duration) bool {
 		wake := c.wake
 		c.mu.Unlock()
 		if all {
-			return true
+			return
 		}
 		select {
 		case <-wake:
 		case <-timer.C:
-			return false
+			return
 		}
 	}
 }
@@ -231,7 +231,7 @@ func (c *Coordinator) signalLocked() {
 	c.wake = make(chan struct{})
 }
 
-// Handler returns the coordinator's route table (the /dist/v1/* endpoints),
+// Handler returns the coordinator's route table (the /dist/v2/* endpoints),
 // ready to mount on any mux or serve directly.
 func (c *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
@@ -351,7 +351,7 @@ func (c *Coordinator) handleJoin(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleLease answers a lease request with units, done or abort. A
-// request that finds nothing leasable is held instead of answered: it
+// request that finds nothing leasable is a long poll: it is held and
 // re-checks whenever signalLocked reports a change or the earliest failure
 // backoff ends, and once PollInterval has passed it answers empty, which
 // tells the worker to ask again at once. A request whose context ends

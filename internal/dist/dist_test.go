@@ -6,17 +6,20 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"addict/internal/store"
 	"addict/internal/sweep"
+	"addict/internal/wire"
 )
 
 var update = flag.Bool("update", false, "rewrite the dist golden files under testdata/")
@@ -438,6 +441,41 @@ func TestJoinRequiredBeforeLease(t *testing.T) {
 	rec := postAs(t, c.Handler(), pathLease, leaseRequest{WorkerID: "ghost", Max: 1}, nil)
 	if rec.Code != http.StatusForbidden {
 		t.Errorf("lease from unjoined worker = %d, want 403", rec.Code)
+	}
+}
+
+// TestWorkerRejectsV1Coordinator: a coordinator speaking the v1 lease
+// protocol answers an idle lease with a wait hint the worker is meant to
+// sleep out. A v2 worker reads any empty answer as "ask again now", so
+// against v1 it would spin on lease requests; the path version must make
+// the pair fail at join, before any lease is asked for.
+func TestWorkerRejectsV1Coordinator(t *testing.T) {
+	spec := oneUnitSpec().Resolved()
+	units, err := spec.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var leases atomic.Int64
+	mux := http.NewServeMux()
+	mux.HandleFunc("POST /dist/v1/join", func(w http.ResponseWriter, r *http.Request) {
+		wire.WriteJSON(w, joinResponse{WorkerID: "w1", Spec: spec, Units: len(units), GridHash: gridHash(spec, units)})
+	})
+	mux.HandleFunc("POST /dist/v1/lease", func(w http.ResponseWriter, r *http.Request) {
+		leases.Add(1)
+		io.WriteString(w, `{"wait_ms":150}`)
+	})
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+
+	cache := sweep.NewArtifacts(spec.Seed, spec.Scale, spec.ProfileTraces, spec.EvalTraces, 1, 0, nil)
+	_, err = Work(ctx, srv.URL, WorkerOptions{Cache: cache})
+	if err == nil || ctx.Err() != nil || !strings.Contains(err.Error(), "join") {
+		t.Fatalf("worker against a v1 coordinator returned %v (ctx %v), want a join error", err, ctx.Err())
+	}
+	if n := leases.Load(); n != 0 {
+		t.Errorf("worker sent %d lease requests to a v1 coordinator, want 0", n)
 	}
 }
 

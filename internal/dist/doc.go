@@ -26,11 +26,10 @@
 // one function (Work) that joins, leases, computes on the caller's session
 // cache, and completes until the coordinator reports the grid done.
 //
-// An idle worker does not sleep between lease requests. The coordinator
-// holds a lease request that finds nothing leasable until a completion,
-// requeue, abort or backoff expiry could change the answer, or until
-// Options.PollInterval passes (then it answers empty and the worker asks
-// again at once). So a worker left without a unit near the tail learns the
-// grid is done the moment the last unit completes, and a distributed sweep
-// has no poll interval under its wall-clock time.
+// A lease request is a long poll. The coordinator holds a request that
+// finds nothing leasable until a completion, requeue, abort or backoff
+// expiry could change the answer, or until Options.PollInterval passes
+// (then it answers empty and the worker asks again at once). So a worker
+// left without a unit near the tail learns the grid is done the moment the
+// last unit completes.
 package dist

@@ -10,7 +10,7 @@ import (
 	"addict/internal/sweep"
 )
 
-// Wire protocol: three POST endpoints under /dist/v1/, spoken through
+// Wire protocol: three POST endpoints under /dist/v2/, spoken through
 // internal/wire — bodies decode under wire.Decode (1 MiB, no unknown
 // fields), errors answer {"error": msg} (400 malformed, 403 unjoined
 // worker, 405 wrong method), and workers retry transport failures only.
@@ -20,13 +20,14 @@ import (
 // doubles as an end-to-end check that both expansions agree; GridHash
 // catches version skew the ID alone cannot (the ID omits seed, scale, and
 // trace windows). A lease request is a long poll: when nothing is
-// leasable the coordinator holds it (for at most its PollInterval) rather
-// than answering with a wait hint, so a worker never sleeps between
-// requests.
+// leasable the coordinator holds it for at most its PollInterval, and an
+// empty answer means "ask again now". The path version names that
+// contract, so a worker and coordinator that disagree on it fail at join
+// (404) instead of misreading each other's lease answers.
 const (
-	pathJoin     = "/dist/v1/join"
-	pathLease    = "/dist/v1/lease"
-	pathComplete = "/dist/v1/complete"
+	pathJoin     = "/dist/v2/join"
+	pathLease    = "/dist/v2/lease"
+	pathComplete = "/dist/v2/complete"
 )
 
 // joinRequest registers a worker with the coordinator.

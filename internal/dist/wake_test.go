@@ -153,8 +153,12 @@ func TestReleaseWakesWaitReleased(t *testing.T) {
 	m := sweep.Metrics{Makespan: 42}
 	postAs(t, h, pathComplete, completeRequest{WorkerID: w1, Index: u.Index, ID: u.ID, Metrics: &m}, &completeResponse{})
 
-	released := make(chan bool, 1)
-	go func() { released <- c.WaitReleased(time.Hour) }()
+	// With an hour's bound, only the release can end the wait.
+	released := make(chan struct{})
+	go func() {
+		c.WaitReleased(time.Hour)
+		close(released)
+	}()
 	select {
 	case <-released:
 		t.Fatal("WaitReleased returned before the worker was told the run is over")
@@ -162,10 +166,7 @@ func TestReleaseWakesWaitReleased(t *testing.T) {
 	}
 	postAs(t, h, pathLease, leaseRequest{WorkerID: w1}, &leaseResponse{})
 	select {
-	case ok := <-released:
-		if !ok {
-			t.Fatal("WaitReleased reported a timeout")
-		}
+	case <-released:
 	case <-time.After(10 * time.Second):
 		t.Fatal("the release never woke WaitReleased")
 	}
