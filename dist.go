@@ -100,7 +100,7 @@ func (e *Engine) SweepDistributed(ctx context.Context, out io.Writer, spec Sweep
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, workerErrs[i] = dist.Work(ctx, "http://"+addr, dist.WorkerOptions{
+			_, workerErrs[i] = c.WorkLocal(ctx, "http://"+addr, dist.WorkerOptions{
 				Name:  fmt.Sprintf("local%d", i+1),
 				Cache: e.arts,
 			})
@@ -128,8 +128,8 @@ func (e *Engine) SweepDistributed(ctx context.Context, out io.Writer, spec Sweep
 	// Keep the endpoint serving until every joined worker has been told
 	// the run is over (or the linger expires — a crashed worker never
 	// asks), so remote workers exit 0 instead of dialing a closed port.
-	// Each release wakes the wait. Local workers drain through the same
-	// path: a held lease wakes on the last completion and answers done.
+	// Each release wakes the wait. Local workers count as released once
+	// they return, so after wg.Wait only remote workers can hold it open.
 	wg.Wait()
 	c.WaitReleased(distLinger)
 	srv.Close()

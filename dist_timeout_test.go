@@ -68,3 +68,38 @@ func TestCoordinatorStalledHeaderDisconnected(t *testing.T) {
 		t.Fatal("SweepDistributed did not return after cancel")
 	}
 }
+
+// TestSweepDistributedCancelReturnsPromptly: a cancel while local workers
+// compute ends SweepDistributed without waiting out distLinger. A local
+// worker that returned on the cancel was never told the run is over, but
+// it cannot be stranded by the endpoint closing either, so only remote
+// workers may hold the endpoint open.
+func TestSweepDistributedCancelReturnsPromptly(t *testing.T) {
+	e := NewEngine(WithScale(0.1), WithTraceWindows(200, 200, 0))
+	spec := SweepSpec{
+		Workloads:  []string{"TPC-B", "TPC-C"},
+		Mechanisms: []string{"Baseline", "ADDICT"},
+		Threads:    []int{2, 4, 8},
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() {
+		_, err := e.SweepDistributed(ctx, io.Discard, spec, "csv", DistConfig{LocalWorkers: 2})
+		done <- err
+	}()
+	time.Sleep(300 * time.Millisecond)
+	cancel()
+	start := time.Now()
+	select {
+	case err := <-done:
+		if elapsed := time.Since(start); elapsed > time.Second {
+			t.Errorf("SweepDistributed returned %v after the cancel, want under 1s (distLinger is %v)", elapsed, distLinger)
+		}
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("err = %v, want context.Canceled (the grid must still be computing at the cancel)", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("SweepDistributed did not return after cancel")
+	}
+}

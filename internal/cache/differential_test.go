@@ -123,7 +123,8 @@ func TestDifferentialAgainstReference(t *testing.T) {
 				addr := (rng.Uint64() % blocks) * trace.BlockSize
 				// Unaligned inputs must behave identically too.
 				addr += uint64(rng.Intn(trace.BlockSize))
-				switch r := rng.Intn(100); {
+				r := rng.Intn(100)
+				switch {
 				case r < 80:
 					got := c.Access(addr)
 					want := ref.access(addr)
@@ -145,6 +146,14 @@ func TestDifferentialAgainstReference(t *testing.T) {
 					c.Flush()
 					ref.flush()
 				}
+				// Every operation but Flush changes only addr's set;
+				// the checkpoint and Flush check all of them.
+				checkInvalidSuffix(t, c, op, c.setIndex(addr))
+				if op%8192 == 0 || r >= 99 {
+					for set := 0; set < c.Sets(); set++ {
+						checkInvalidSuffix(t, c, op, set)
+					}
+				}
 				if op%8192 == 0 {
 					if got, want := c.Resident(), ref.resident(); got != want {
 						t.Fatalf("op %d: Resident() = %d, reference %d", op, got, want)
@@ -158,6 +167,26 @@ func TestDifferentialAgainstReference(t *testing.T) {
 				t.Fatalf("final residency %d, reference %d", got, want)
 			}
 		})
+	}
+}
+
+// checkInvalidSuffix asserts the packed array's invariant directly: in
+// the given set, the invalid ways (zero words) form a suffix. Access fills
+// without scanning for a free way because of it, so a violation would
+// show as a missed free way long before a sequence mismatch.
+func checkInvalidSuffix(t *testing.T, c *Cache, op, set int) {
+	t.Helper()
+	ways := c.lines[set*c.ways : (set+1)*c.ways]
+	free := -1
+	for w, line := range ways {
+		switch {
+		case line&lineValid == 0 && line != 0:
+			t.Fatalf("op %d: set %d way %d holds %#x: invalid but not zero", op, set, w, line)
+		case line == 0 && free < 0:
+			free = w
+		case line != 0 && free >= 0:
+			t.Fatalf("op %d: set %d way %d is valid after invalid way %d", op, set, w, free)
+		}
 	}
 }
 

@@ -87,21 +87,40 @@ func (s Segment) End() uint64 { return s.Base + uint64(s.NBlocks)*trace.BlockSiz
 func (s Segment) Contains(addr uint64) bool { return addr >= s.Base && addr < s.End() }
 
 // EmitAll records a straight-line execution of the whole routine body.
-func (s Segment) EmitAll(rec trace.Recorder) { s.EmitRange(rec, 0, s.NBlocks) }
+func (s *Segment) EmitAll(rec trace.Recorder) { s.EmitRange(rec, 0, s.NBlocks) }
 
 // EmitRange records execution of blocks [from, to) of the routine.
-func (s Segment) EmitRange(rec trace.Recorder, from, to int) {
-	if from < 0 || to > s.NBlocks || from > to {
-		panic(fmt.Sprintf("codemap: range [%d,%d) out of bounds for %s (%d blocks)", from, to, s.Name, s.NBlocks))
-	}
+func (s *Segment) EmitRange(rec trace.Recorder, from, to int) {
+	s.CheckRange(from, to)
 	rec.InstrRange(s.Base+uint64(from)*trace.BlockSize, to-from)
+}
+
+// CheckRange panics unless [from, to) is a block range of the routine —
+// the bounds check EmitRange runs, for callers that validate a range
+// without emitting it. Its panic value formats lazily, which keeps the check
+// small enough to inline.
+func (s *Segment) CheckRange(from, to int) {
+	if from < 0 || to > s.NBlocks || from > to {
+		panic(rangeError{s.Name, s.NBlocks, from, to})
+	}
+}
+
+// rangeError is the panic value of a block range outside its routine.
+type rangeError struct {
+	name     string
+	nBlocks  int
+	from, to int
+}
+
+func (e rangeError) Error() string {
+	return fmt.Sprintf("codemap: range [%d,%d) out of bounds for %s (%d blocks)", e.from, e.to, e.name, e.nBlocks)
 }
 
 // EmitLoop records `times` iterations over blocks [from, to) — the emission
 // form of a hot inner loop (B-tree binary search, scan fetch loop, lock hash
 // walk). Loop blocks are what give common instructions their high
 // within-instance reuse counts (Figure 3).
-func (s Segment) EmitLoop(rec trace.Recorder, from, to, times int) {
+func (s *Segment) EmitLoop(rec trace.Recorder, from, to, times int) {
 	for t := 0; t < times; t++ {
 		s.EmitRange(rec, from, to)
 	}

@@ -139,9 +139,10 @@ type Coordinator struct {
 	nextWorker int
 	workers    map[string]*WorkerCounters
 	// released marks workers that have been told the run is over (done or
-	// abort in a lease response) — the signal the embedding layer uses to
-	// keep the endpoint alive just long enough for every worker to exit
-	// cleanly instead of dialing a closed port.
+	// abort in a lease response) or, run by WorkLocal, have returned — the
+	// signal the embedding layer uses to keep the endpoint alive just long
+	// enough for every worker to exit cleanly instead of dialing a closed
+	// port.
 	released   map[string]bool
 	leases     uint64
 	requeues   uint64
@@ -196,9 +197,10 @@ func NewCoordinator(spec sweep.Spec, opts Options) (*Coordinator, error) {
 func (c *Coordinator) Units() int { return len(c.units) }
 
 // WaitReleased blocks until every joined worker has been told the run is
-// over (done or abort) or d passes. The embedding layer calls it after Run
-// returns to decide when the worker endpoint can close without stranding
-// a worker on a dead port; each release wakes it.
+// over (done or abort) or has returned from WorkLocal, or d passes. The
+// embedding layer calls it after Run returns to decide when the worker
+// endpoint can close without stranding a worker on a dead port; each
+// release wakes it.
 func (c *Coordinator) WaitReleased(d time.Duration) {
 	timer := time.NewTimer(d)
 	defer timer.Stop()
@@ -221,6 +223,29 @@ func (c *Coordinator) WaitReleased(d time.Duration) {
 		case <-timer.C:
 			return
 		}
+	}
+}
+
+// WorkLocal runs Work in this process against c's own endpoint at
+// baseURL. A worker that has returned cannot be stranded by the endpoint
+// closing, whether or not it was told the run is over (a cancelled worker
+// returns on its own context), so WorkLocal marks it released on return:
+// WaitReleased then waits only for workers that run elsewhere.
+func (c *Coordinator) WorkLocal(ctx context.Context, baseURL string, opts WorkerOptions) (int, error) {
+	id, completed, err := work(ctx, baseURL, opts)
+	if id != "" {
+		c.mu.Lock()
+		c.releaseLocked(id)
+		c.mu.Unlock()
+	}
+	return completed, err
+}
+
+// releaseLocked marks worker id released, waking WaitReleased.
+func (c *Coordinator) releaseLocked(id string) {
+	if !c.released[id] {
+		c.released[id] = true
+		c.signalLocked()
 	}
 }
 
@@ -410,12 +435,8 @@ func (c *Coordinator) leaseLocked(req leaseRequest) (resp leaseResponse, backoff
 		wc.Store = &st
 	}
 	if c.abortMsg != "" || c.remaining == 0 {
-		// The run is over for this worker: release it (which wakes
-		// WaitReleased) and say why.
-		if !c.released[req.WorkerID] {
-			c.released[req.WorkerID] = true
-			c.signalLocked()
-		}
+		// The run is over for this worker: release it and say why.
+		c.releaseLocked(req.WorkerID)
 		if c.abortMsg != "" {
 			return leaseResponse{Abort: c.abortMsg}, backoffWait, true
 		}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -211,5 +212,39 @@ func TestHeldWorkersFinishOneUnitGrid(t *testing.T) {
 	}
 	if sum := c.Summary(); !sum.Done || sum.Completed != 1 {
 		t.Errorf("summary reports %d/%d done=%v", sum.Completed, sum.Units, sum.Done)
+	}
+}
+
+// TestWorkLocalReleasesOnReturn: a WorkLocal worker cancelled mid-unit is
+// never told the run is over, yet once it has returned WaitReleased does
+// not wait for it; a remote worker that has not been told still holds the
+// wait until the bound.
+func TestWorkLocalReleasesOnReturn(t *testing.T) {
+	spec := oneUnitSpec()
+	c, err := NewCoordinator(spec, holdOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(c.Handler())
+	defer srv.Close()
+	s := spec.Resolved()
+	cache := sweep.NewArtifacts(s.Seed, s.Scale, s.ProfileTraces, s.EvalTraces, 1, 0, nil)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	_, err = c.WorkLocal(ctx, srv.URL, WorkerOptions{Cache: cache, OnLease: func([]string) { cancel() }})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled local worker: err = %v, want context.Canceled", err)
+	}
+	start := time.Now()
+	c.WaitReleased(time.Hour)
+	if d := time.Since(start); d > time.Second {
+		t.Errorf("WaitReleased waited %v for a local worker that had returned", d)
+	}
+
+	join(t, c.Handler(), "remote")
+	start = time.Now()
+	c.WaitReleased(100 * time.Millisecond)
+	if d := time.Since(start); d < 100*time.Millisecond {
+		t.Errorf("WaitReleased returned after %v with a remote worker not yet released", d)
 	}
 }

@@ -43,19 +43,27 @@ const workerRetries = 4
 // then loops lease → sweep.RunUnit → complete. Compute failures are
 // reported, not fatal here: the coordinator owns the retry budget.
 func Work(ctx context.Context, baseURL string, opts WorkerOptions) (int, error) {
+	_, completed, err := work(ctx, baseURL, opts)
+	return completed, err
+}
+
+// work is Work that also returns the identity the coordinator assigned at
+// join ("" if the join failed).
+func work(ctx context.Context, baseURL string, opts WorkerOptions) (id string, completed int, err error) {
 	base := strings.TrimRight(baseURL, "/")
 	tr := wire.Transport{Retries: workerRetries}
 
 	var join joinResponse
 	if err := tr.PostJSON(ctx, base+pathJoin, joinRequest{Name: opts.Name}, &join); err != nil {
-		return 0, fmt.Errorf("dist: join: %w", err)
+		return "", 0, fmt.Errorf("dist: join: %w", err)
 	}
+	id = join.WorkerID
 	units, err := join.Spec.Expand()
 	if err != nil {
-		return 0, fmt.Errorf("dist: expand coordinator spec: %w", err)
+		return id, 0, fmt.Errorf("dist: expand coordinator spec: %w", err)
 	}
 	if len(units) != join.Units || gridHash(join.Spec, units) != join.GridHash {
-		return 0, fmt.Errorf("dist: local expansion (%d units) disagrees with coordinator grid %s (%d units): version skew, refusing to compute",
+		return id, 0, fmt.Errorf("dist: local expansion (%d units) disagrees with coordinator grid %s (%d units): version skew, refusing to compute",
 			len(units), join.GridHash, join.Units)
 	}
 
@@ -67,21 +75,20 @@ func Work(ctx context.Context, baseURL string, opts WorkerOptions) (int, error) 
 		return nil
 	}
 
-	completed := 0
 	for {
 		if err := ctx.Err(); err != nil {
-			return completed, err
+			return id, completed, err
 		}
 		var lr leaseResponse
 		req := leaseRequest{WorkerID: join.WorkerID, Store: storeStats()}
 		if err := tr.PostJSON(ctx, base+pathLease, req, &lr); err != nil {
-			return completed, fmt.Errorf("dist: lease: %w", err)
+			return id, completed, fmt.Errorf("dist: lease: %w", err)
 		}
 		switch {
 		case lr.Abort != "":
-			return completed, fmt.Errorf("dist: run aborted by coordinator: %s", lr.Abort)
+			return id, completed, fmt.Errorf("dist: run aborted by coordinator: %s", lr.Abort)
 		case lr.Done:
-			return completed, nil
+			return id, completed, nil
 		case len(lr.Units) == 0:
 			// The coordinator held the request for its poll interval and
 			// nothing became leasable: ask again now.
@@ -96,13 +103,13 @@ func Work(ctx context.Context, baseURL string, opts WorkerOptions) (int, error) 
 		}
 		for _, lu := range lr.Units {
 			if lu.Index < 0 || lu.Index >= len(units) || units[lu.Index].ID != lu.ID {
-				return completed, fmt.Errorf("dist: lease names unit %d=%q, local grid disagrees", lu.Index, lu.ID)
+				return id, completed, fmt.Errorf("dist: lease names unit %d=%q, local grid disagrees", lu.Index, lu.ID)
 			}
 			m, runErr := sweep.RunUnit(ctx, arts, units[lu.Index])
 			if runErr != nil && ctx.Err() != nil {
 				// A crash/cancel, not a unit failure: report nothing and
 				// let the lease expire, exactly like a killed process.
-				return completed, ctx.Err()
+				return id, completed, ctx.Err()
 			}
 			cr := completeRequest{
 				WorkerID: join.WorkerID,
@@ -117,7 +124,7 @@ func Work(ctx context.Context, baseURL string, opts WorkerOptions) (int, error) 
 			}
 			var resp completeResponse
 			if err := tr.PostJSON(ctx, base+pathComplete, cr, &resp); err != nil {
-				return completed, fmt.Errorf("dist: complete %s: %w", lu.ID, err)
+				return id, completed, fmt.Errorf("dist: complete %s: %w", lu.ID, err)
 			}
 			if runErr == nil && !resp.Duplicate {
 				completed++

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"addict/internal/codemap"
@@ -53,9 +54,10 @@ func keySlotAddr(pid PageID, i int) uint64 { return PageAddr(pid, 64+16*i) }
 
 // descentStyle selects the code segment and block ranges emitted while
 // walking the tree. Probes and scans use the traverse routine of Figure 1;
-// inserts and deletes use the leaner insert-optimized descent.
+// inserts and deletes use the leaner insert-optimized descent. A manager
+// builds both once (newDescentStyles) and descents share them by pointer.
 type descentStyle struct {
-	seg        codemap.Segment
+	seg        *codemap.Segment
 	prologue   [2]int // per level
 	searchBase int    // per binary-search step s with outcome b: searchBase+2s+b
 	child      [2]int // per internal level
@@ -63,27 +65,35 @@ type descentStyle struct {
 	leafMiss   [2]int
 }
 
-func (m *Manager) traverseStyle() descentStyle {
-	return descentStyle{
-		seg:        m.seg.traverse,
-		prologue:   [2]int{0, 60},
-		searchBase: 60,
-		child:      [2]int{90, 110},
-		leafFound:  [2]int{110, 190},
-		leafMiss:   [2]int{190, 200},
+// descentStyles are a manager's two descent styles.
+type descentStyles struct {
+	traverse, insert descentStyle
+}
+
+func newDescentStyles(seg *segments) descentStyles {
+	return descentStyles{
+		traverse: descentStyle{
+			seg:        &seg.traverse,
+			prologue:   [2]int{0, 60},
+			searchBase: 60,
+			child:      [2]int{90, 110},
+			leafFound:  [2]int{110, 190},
+			leafMiss:   [2]int{190, 200},
+		},
+		insert: descentStyle{
+			seg:        &seg.indexDescent,
+			prologue:   [2]int{0, 30},
+			searchBase: 30,
+			child:      [2]int{50, 70},
+			leafFound:  [2]int{70, 110},
+			leafMiss:   [2]int{110, 150},
+		},
 	}
 }
 
-func (m *Manager) descentStyleInsert() descentStyle {
-	return descentStyle{
-		seg:        m.seg.indexDescent,
-		prologue:   [2]int{0, 30},
-		searchBase: 30,
-		child:      [2]int{50, 70},
-		leafFound:  [2]int{70, 110},
-		leafMiss:   [2]int{110, 150},
-	}
-}
+func (m *Manager) traverseStyle() *descentStyle { return &m.styles.traverse }
+
+func (m *Manager) descentStyleInsert() *descentStyle { return &m.styles.insert }
 
 // newNode allocates a node page and installs its frame.
 func (t *BTree) newNode(leaf bool) *bnode {
@@ -127,9 +137,13 @@ func (t *BTree) descriptorAddr() uint64 { return MetaBase + 0x10_0000 + uint64(t
 // outcomes, so different keys exercise different subsets — the organic
 // source of the paper's mid-frequency instruction blocks) plus a read of
 // the probed key slot. It returns the first index i with keys[i] >= key,
-// and whether keys[i] == key.
-func (t *BTree) searchNode(n *bnode, key uint64, st descentStyle) (int, bool) {
+// and whether keys[i] == key. An untraced manager runs the same search
+// without the emission.
+func (t *BTree) searchNode(n *bnode, key uint64, st *descentStyle) (int, bool) {
 	m := t.m
+	if m.untraced {
+		return slices.BinarySearch(n.keys, key)
+	}
 	lo, hi := 0, len(n.keys)
 	step := 0
 	for lo < hi {
@@ -163,12 +177,12 @@ func childIndex(keys []uint64, key uint64) int {
 // work is: style prologue, buffer-pool find, binary search, child select.
 // The returned slices alias the tree's descent buffers and stay valid only
 // until the next descent.
-func (t *BTree) descend(key uint64, st descentStyle) (path []*bnode, frames []*frame) {
+func (t *BTree) descend(key uint64, st *descentStyle) (path []*bnode, frames []*frame) {
 	m := t.m
 	pid := t.root
 	path, frames = t.pathBuf[:0], t.frameBuf[:0]
 	for {
-		st.seg.EmitRange(m.rec, st.prologue[0], st.prologue[1])
+		m.emitRange(st.seg, st.prologue[0], st.prologue[1])
 		f := m.bp.find(m, pid)
 		n := f.node
 		if n == nil {
@@ -188,7 +202,7 @@ func (t *BTree) descend(key uint64, st descentStyle) (path []*bnode, frames []*f
 		if i < len(n.keys) && n.keys[i] == key {
 			i++
 		}
-		st.seg.EmitRange(m.rec, st.child[0], st.child[1])
+		m.emitRange(st.seg, st.child[0], st.child[1])
 		pid = n.kids[i]
 	}
 }
@@ -200,17 +214,17 @@ func (t *BTree) releasePath(frames []*frame) {
 }
 
 // probe finds key and returns its RID. Emission: leaf found/miss ranges.
-func (t *BTree) probe(key uint64, st descentStyle) (RID, bool) {
+func (t *BTree) probe(key uint64, st *descentStyle) (RID, bool) {
 	path, frames := t.descend(key, st)
 	defer t.releasePath(frames)
 	leaf := path[len(path)-1]
 	i, found := t.searchNode(leaf, key, st)
 	if found {
-		st.seg.EmitRange(t.m.rec, st.leafFound[0], st.leafFound[1])
+		t.m.emitRange(st.seg, st.leafFound[0], st.leafFound[1])
 		t.m.dataRead(keySlotAddr(leaf.pid, i))
 		return leaf.vals[i], true
 	}
-	st.seg.EmitRange(t.m.rec, st.leafMiss[0], st.leafMiss[1])
+	t.m.emitRange(st.seg, st.leafMiss[0], st.leafMiss[1])
 	return RID{}, false
 }
 
@@ -226,10 +240,10 @@ func (t *BTree) insertEntry(key uint64, rid RID) bool {
 	leaf := path[len(path)-1]
 	i, found := t.searchNode(leaf, key, st)
 	if found {
-		st.seg.EmitRange(m.rec, st.leafMiss[0], st.leafMiss[1])
+		m.emitRange(st.seg, st.leafMiss[0], st.leafMiss[1])
 		return false
 	}
-	st.seg.EmitRange(m.rec, st.leafFound[0], st.leafFound[1])
+	m.emitRange(st.seg, st.leafFound[0], st.leafFound[1])
 	leaf.keys = insertU64(leaf.keys, i, key)
 	leaf.vals = insertRID(leaf.vals, i, rid)
 	m.dataWrite(keySlotAddr(leaf.pid, i))
@@ -248,7 +262,7 @@ func (t *BTree) insertEntry(key uint64, rid RID) bool {
 //	[450,700) root split / new root creation
 func (t *BTree) splitPath(path []*bnode) {
 	m := t.m
-	smo := m.seg.btreeSMO
+	smo := &m.seg.btreeSMO
 	for i := len(path) - 1; i >= 0; i-- {
 		n := path[i]
 		if len(n.keys) <= t.fanout {
@@ -258,7 +272,7 @@ func (t *BTree) splitPath(path []*bnode) {
 		var sep uint64
 		mid := len(n.keys) / 2
 		if n.leaf {
-			smo.EmitRange(m.rec, 0, 250)
+			m.emitRange(smo, 0, 250)
 			right = t.newNode(true)
 			sep = n.keys[mid]
 			right.keys = append(right.keys, n.keys[mid:]...)
@@ -268,7 +282,7 @@ func (t *BTree) splitPath(path []*bnode) {
 			right.next = n.next
 			n.next = right.pid
 		} else {
-			smo.EmitRange(m.rec, 250, 450)
+			m.emitRange(smo, 250, 450)
 			right = t.newNode(false)
 			sep = n.keys[mid]
 			right.keys = append(right.keys, n.keys[mid+1:]...)
@@ -282,7 +296,7 @@ func (t *BTree) splitPath(path []*bnode) {
 
 		if i == 0 {
 			// Root split: the tree grows.
-			smo.EmitRange(m.rec, 450, 700)
+			m.emitRange(smo, 450, 700)
 			newRoot := t.newNode(false)
 			newRoot.keys = append(newRoot.keys, sep)
 			newRoot.kids = append(newRoot.kids, n.pid, right.pid)
@@ -310,10 +324,10 @@ func (t *BTree) deleteEntry(key uint64) bool {
 	leaf := path[len(path)-1]
 	i, found := t.searchNode(leaf, key, st)
 	if !found {
-		st.seg.EmitRange(m.rec, st.leafMiss[0], st.leafMiss[1])
+		m.emitRange(st.seg, st.leafMiss[0], st.leafMiss[1])
 		return false
 	}
-	st.seg.EmitRange(m.rec, st.leafFound[0], st.leafFound[1])
+	m.emitRange(st.seg, st.leafFound[0], st.leafFound[1])
 	leaf.keys = removeU64(leaf.keys, i)
 	leaf.vals = removeRID(leaf.vals, i)
 	m.dataWrite(keySlotAddr(leaf.pid, i))
@@ -330,7 +344,7 @@ func (t *BTree) deleteEntry(key uint64) bool {
 //	[240,300) root collapse
 func (t *BTree) rebalancePath(path []*bnode) {
 	m := t.m
-	mg := m.seg.btreeMerge
+	mg := &m.seg.btreeMerge
 	for i := len(path) - 1; i >= 1; i-- {
 		n := path[i]
 		if len(n.keys) >= minFill {
@@ -356,16 +370,16 @@ func (t *BTree) rebalancePath(path []*bnode) {
 		}
 		switch {
 		case left != nil && len(left.keys) > minFill:
-			mg.EmitRange(m.rec, 0, 120)
+			m.emitRange(mg, 0, 120)
 			t.borrowFromLeft(parent, pos, left, n)
 		case right != nil && len(right.keys) > minFill:
-			mg.EmitRange(m.rec, 0, 120)
+			m.emitRange(mg, 0, 120)
 			t.borrowFromRight(parent, pos, n, right)
 		case left != nil:
-			mg.EmitRange(m.rec, 120, 240)
+			m.emitRange(mg, 120, 240)
 			t.mergeNodes(parent, pos-1, left, n)
 		case right != nil:
-			mg.EmitRange(m.rec, 120, 240)
+			m.emitRange(mg, 120, 240)
 			t.mergeNodes(parent, pos, n, right)
 		default:
 			return // root leaf; nothing to do
@@ -376,7 +390,7 @@ func (t *BTree) rebalancePath(path []*bnode) {
 	// tree.
 	root := path[0]
 	if !root.leaf && len(root.keys) == 0 {
-		mg.EmitRange(m.rec, 240, 300)
+		m.emitRange(mg, 240, 300)
 		t.root = root.kids[0]
 		t.height--
 	}
@@ -457,7 +471,7 @@ func (t *BTree) node(pid PageID) *bnode {
 // fn returns false. The per-tuple and per-leaf instrumentation is emitted
 // by the caller (the index-scan operation); scanRange only emits descent
 // and node reads.
-func (t *BTree) scanRange(lo, hi uint64, inclLo, inclHi bool, st descentStyle,
+func (t *BTree) scanRange(lo, hi uint64, inclLo, inclHi bool, st *descentStyle,
 	onLeaf func(pid PageID), fn func(key uint64, rid RID) bool) {
 	path, frames := t.descend(lo, st)
 	leaf := path[len(path)-1]

@@ -49,6 +49,13 @@ func dirBucketAddr(pid PageID) uint64 {
 	return BufDirBase + (h%BufDirBuckets)*64
 }
 
+// dirBucketRead records the directory-bucket read of a probe for pid.
+func (m *Manager) dirBucketRead(pid PageID) {
+	if !m.untraced {
+		m.rec.Data(dirBucketAddr(pid), false)
+	}
+}
+
 // find runs the instrumented buffer-pool hash probe: buf_find's hash walk
 // and hit (or miss+reload) path, one directory-bucket read, and a latch on
 // the frame. The returned frame is pinned; callers unpin when done.
@@ -59,8 +66,8 @@ func dirBucketAddr(pid PageID) uint64 {
 //	[30,40) hit path (pin, ref bit)
 //	[40,50) miss path (frame allocation / eviction / reload)
 func (bp *bufferPool) find(m *Manager, pid PageID) *frame {
-	m.seg.bufFind.EmitRange(m.rec, 0, 30)
-	m.dataRead(dirBucketAddr(pid))
+	m.emitRange(&m.seg.bufFind, 0, 30)
+	m.dirBucketRead(pid)
 	f := bp.lookup(pid)
 	if f == nil {
 		var ok bool
@@ -71,10 +78,10 @@ func (bp *bufferPool) find(m *Manager, pid PageID) *frame {
 		delete(bp.disk, pid)
 		bp.installFrame(m, f)
 	} else {
-		m.seg.bufFind.EmitRange(m.rec, 30, 40)
+		m.emitRange(&m.seg.bufFind, 30, 40)
 		bp.hits++
 	}
-	m.seg.latch.EmitAll(m.rec)
+	m.emitAll(&m.seg.latch)
 	m.dataRead(PageAddr(pid, 0)) // frame/page header block
 	f.pins++
 	f.ref = true
@@ -104,8 +111,8 @@ func (bp *bufferPool) install(m *Manager, f *frame) {
 // frame first when the pool is bounded and full. Emits the miss path of
 // buf_find (allocation happens under the same hash-bucket latch).
 func (bp *bufferPool) installFrame(m *Manager, f *frame) {
-	m.seg.bufFind.EmitRange(m.rec, 40, 50)
-	m.dataRead(dirBucketAddr(f.pid))
+	m.emitRange(&m.seg.bufFind, 40, 50)
+	m.dirBucketRead(f.pid)
 	if bp.capacity > 0 {
 		if bp.n >= bp.capacity && !bp.evictOne() {
 			panic("storage: buffer pool full of pinned pages")

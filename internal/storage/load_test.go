@@ -4,40 +4,64 @@ import (
 	"slices"
 	"testing"
 
+	"addict/internal/codemap"
 	"addict/internal/trace"
 )
 
-// loadRun is what one population leaves behind: its trace and the
-// manager's counters after commit.
+// loadRun is what one population leaves behind: its trace (when recorded
+// into a buffer) and the manager's end state after commit.
 type loadRun struct {
-	events                        []trace.Event
-	acquires, releases, conflicts uint64
-	logBytes, pages               uint64
-	tableLen                      int
+	events []trace.Event
+	end    endState
+}
+
+// endState is the manager state an untraced run must leave exactly as a
+// traced one does.
+type endState struct {
+	acquires, releases, conflicts    uint64
+	logBytes, logRecords, logFlushes uint64
+	lsn, pages                       uint64
+	bufHits, bufMisses, bufEvictions uint64
+	tableLen                         int
+}
+
+func endStateOf(m *Manager) endState {
+	s := endState{
+		logBytes:     m.LogBytes(),
+		logRecords:   m.wal.records,
+		logFlushes:   m.wal.flushes,
+		lsn:          m.wal.lsn,
+		pages:        m.PagesAllocated(),
+		bufHits:      m.bp.hits,
+		bufMisses:    m.bp.misses,
+		bufEvictions: m.bp.evictions,
+		tableLen:     len(m.lock.table),
+	}
+	s.acquires, s.releases, s.conflicts = m.LockStats()
+	return s
 }
 
 // populate runs one population transaction started by begin on a fresh
-// manager, recorded through a strict buffer. Besides first acquisitions
-// (inserts into an indexed and an unindexed table) it re-acquires locks it
-// already holds: probes and updates of its own rows, and an S lock
-// upgraded to X.
-func populate(t *testing.T, begin func(*Manager) *Txn) loadRun {
+// manager recording into rec. Besides first acquisitions (inserts into an
+// indexed and an unindexed table) it re-acquires locks it already holds:
+// probes and updates of its own rows, and an S lock upgraded to X. When
+// rec is a buffer, the population is recorded as one transaction whose
+// validated events are returned.
+func populate(t *testing.T, rec trace.Recorder, begin func(*Manager) *Txn) (*Manager, loadRun) {
 	t.Helper()
-	m := testManager()
+	m := NewManager(rec, codemap.NewLayout())
 	tbl := m.CreateTable("t")
 	idx := tbl.CreateIndex("t_pk")
 	hist := m.CreateTable("h")
-	buf := trace.NewBuffer(true)
-	m.SetRecorder(buf)
 
-	buf.TxnBegin(0, "load")
+	rec.TxnBegin(0, "load")
 	txn := begin(m)
-	rec := make([]byte, 120)
+	row := make([]byte, 120)
 	for k := uint64(0); k < 2000; k++ {
-		if _, err := m.InsertTuple(txn, tbl, []uint64{k}, rec); err != nil {
+		if _, err := m.InsertTuple(txn, tbl, []uint64{k}, row); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := m.InsertTuple(txn, hist, nil, rec[:40]); err != nil {
+		if _, err := m.InsertTuple(txn, hist, nil, row[:40]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -54,46 +78,163 @@ func populate(t *testing.T, begin func(*Manager) *Txn) loadRun {
 		t.Fatal("upgrade by the only holder denied")
 	}
 	m.Commit(txn)
-	buf.TxnEnd()
+	rec.TxnEnd()
 
-	traces := buf.Take()
-	if len(traces) != 1 {
-		t.Fatalf("%d traces, want 1", len(traces))
+	r := loadRun{end: endStateOf(m)}
+	if buf, ok := rec.(*trace.Buffer); ok {
+		traces := buf.Take()
+		if len(traces) != 1 {
+			t.Fatalf("%d traces, want 1", len(traces))
+		}
+		if err := traces[0].Validate(); err != nil {
+			t.Fatal(err)
+		}
+		r.events = traces[0].Events
 	}
-	if err := traces[0].Validate(); err != nil {
-		t.Fatal(err)
-	}
-	r := loadRun{
-		events:   traces[0].Events,
-		logBytes: m.LogBytes(),
-		pages:    m.PagesAllocated(),
-		tableLen: len(m.lock.table),
-	}
-	r.acquires, r.releases, r.conflicts = m.LockStats()
-	return r
+	return m, r
 }
 
 // TestLoadTxnMatchesBegin is the load path's oracle: the same population
 // under Begin and under BeginLoad emits the same events and leaves the
 // same counters, and both leave the lock table empty.
 func TestLoadTxnMatchesBegin(t *testing.T) {
-	want := populate(t, (*Manager).Begin)
-	got := populate(t, (*Manager).BeginLoad)
+	_, want := populate(t, trace.NewBuffer(true), (*Manager).Begin)
+	_, got := populate(t, trace.NewBuffer(true), (*Manager).BeginLoad)
 	if !slices.Equal(got.events, want.events) {
 		t.Errorf("load trace differs: %d events, Begin gave %d", len(got.events), len(want.events))
 	}
-	if got.acquires != want.acquires || got.releases != want.releases || got.conflicts != want.conflicts {
-		t.Errorf("LockStats = %d/%d/%d, Begin gave %d/%d/%d",
-			got.acquires, got.releases, got.conflicts, want.acquires, want.releases, want.conflicts)
+	if got.end != want.end {
+		t.Errorf("load end state %+v\nBegin gave      %+v", got.end, want.end)
 	}
-	if got.acquires != got.releases || got.acquires < 4000 {
-		t.Errorf("acquires %d, releases %d: want every grant released", got.acquires, got.releases)
+	if got.end.acquires != got.end.releases || got.end.acquires < 4000 {
+		t.Errorf("acquires %d, releases %d: want every grant released", got.end.acquires, got.end.releases)
 	}
-	if got.logBytes != want.logBytes || got.pages != want.pages {
-		t.Errorf("LogBytes/PagesAllocated = %d/%d, Begin gave %d/%d", got.logBytes, got.pages, want.logBytes, want.pages)
+	if got.end.tableLen != 0 || want.end.tableLen != 0 {
+		t.Errorf("lock table holds %d (load) and %d (Begin) entries after commit", got.end.tableLen, want.end.tableLen)
 	}
-	if got.tableLen != 0 || want.tableLen != 0 {
-		t.Errorf("lock table holds %d (load) and %d (Begin) entries after commit", got.tableLen, want.tableLen)
+}
+
+// dropEvents drops every event like trace.Discard but is a different
+// type, so a manager recording into it stays traced.
+type dropEvents struct{ trace.Discard }
+
+// tracedTxn records one Begin transaction over populate's tables into a
+// strict buffer: probes, a scan, an update, inserts that grow the index
+// and the log, and a delete. Its events depend on the tree shapes, page
+// fill, buffer-pool residency and log position population left behind.
+func tracedTxn(t *testing.T, m *Manager) []trace.Event {
+	t.Helper()
+	buf := trace.NewBuffer(true)
+	m.SetRecorder(buf)
+	tbl, hist := m.MustTable("t"), m.MustTable("h")
+	idx := tbl.Index(0)
+
+	buf.TxnBegin(1, "after")
+	txn := m.Begin()
+	for _, k := range []uint64{3, 1000, 1999, 5000} {
+		m.IndexProbe(txn, tbl, idx, k)
+	}
+	if got := m.IndexScan(txn, idx, 500, 700, true, false, 0); len(got) != 200 {
+		t.Fatalf("scan returned %d rows, want 200", len(got))
+	}
+	rid, row, ok := m.IndexProbe(txn, tbl, idx, 42)
+	if !ok {
+		t.Fatal("probe 42 missed")
+	}
+	if err := m.UpdateTuple(txn, tbl, rid, 42, row); err != nil {
+		t.Fatal(err)
+	}
+	for k := uint64(2000); k < 2300; k++ {
+		if _, err := m.InsertTuple(txn, tbl, []uint64{k}, row); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.InsertTuple(txn, hist, nil, row[:40]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := m.DeleteTuple(txn, tbl, rid, []uint64{42}); err != nil {
+		t.Fatal(err)
+	}
+	m.Commit(txn)
+	buf.TxnEnd()
+	traces := buf.Take()
+	if err := traces[0].Validate(); err != nil {
+		t.Fatal(err)
+	}
+	return traces[0].Events
+}
+
+// TestUntracedPopulationMatchesTraced is the untraced path's oracle: the
+// same population under trace.Discard (untraced), under a recorder that
+// drops events but is not Discard (traced, nothing kept), and into a
+// strict buffer leaves the same end state, and a traced transaction run
+// afterwards records the same events on all three.
+func TestUntracedPopulationMatchesTraced(t *testing.T) {
+	recorders := []struct {
+		name     string
+		rec      trace.Recorder
+		untraced bool
+	}{
+		{"discard", trace.Discard{}, true},
+		{"drop", dropEvents{}, false},
+		{"buffer", trace.NewBuffer(true), false},
+	}
+	var want endState
+	var wantEvents []trace.Event
+	for i, r := range recorders {
+		m, run := populate(t, r.rec, (*Manager).BeginLoad)
+		if m.untraced != r.untraced {
+			t.Fatalf("%s: untraced = %v, want %v", r.name, m.untraced, r.untraced)
+		}
+		events := tracedTxn(t, m)
+		after := endStateOf(m)
+		if i == 0 {
+			want, wantEvents = run.end, events
+			if after.releases != after.acquires {
+				t.Errorf("%s: %d acquires, %d releases after commit", r.name, after.acquires, after.releases)
+			}
+			continue
+		}
+		if run.end != want {
+			t.Errorf("%s population end state %+v\ndiscard gave %+v", r.name, run.end, want)
+		}
+		if !slices.Equal(events, wantEvents) {
+			t.Errorf("%s: traced transaction after population recorded %d events, discard gave %d",
+				r.name, len(events), len(wantEvents))
+		}
+	}
+}
+
+// TestLoadRecorderSwitchKeepsLockCounts switches the recorder in the
+// middle of a load both ways: whether the load counts its grants or keeps
+// their names is fixed at BeginLoad, so every grant is still released
+// once.
+func TestLoadRecorderSwitchKeepsLockCounts(t *testing.T) {
+	for _, tc := range []struct {
+		name        string
+		first, then trace.Recorder
+	}{
+		{"discard then buffer", trace.Discard{}, trace.NewBuffer(false)},
+		{"buffer then discard", trace.NewBuffer(false), trace.Discard{}},
+	} {
+		m := NewManager(tc.first, codemap.NewLayout())
+		load := m.BeginLoad()
+		for k := uint64(0); k < 20; k++ {
+			if k == 10 {
+				m.SetRecorder(tc.then)
+			}
+			if !m.lock.acquire(m, load, 1, k, LockX) {
+				t.Fatalf("%s: load grant %d denied", tc.name, k)
+			}
+		}
+		if n := load.LockCount(); n != 20 {
+			t.Errorf("%s: LockCount = %d, want 20", tc.name, n)
+		}
+		m.Commit(load)
+		acquires, releases, _ := m.LockStats()
+		if acquires != 20 || releases != 20 || load.LockCount() != 0 {
+			t.Errorf("%s: acquires/releases = %d/%d, %d still held after commit", tc.name, acquires, releases, load.LockCount())
+		}
 	}
 }
 
@@ -161,4 +302,17 @@ func TestAbortLoadReleasesLocks(t *testing.T) {
 	if len(m.lock.table) != 10 {
 		t.Errorf("lock table holds %d entries, want 10", len(m.lock.table))
 	}
+}
+
+// TestUntracedKeepsBoundsChecks: an untraced manager computes no event,
+// but a code range outside its routine still panics.
+func TestUntracedKeepsBoundsChecks(t *testing.T) {
+	m := testManager()
+	if !m.untraced {
+		t.Fatal("manager on trace.Discard is traced")
+	}
+	seg := &m.seg.lockAcquire
+	mustPanic(t, "untraced emitRange past the routine", func() { m.emitRange(seg, 0, seg.NBlocks+1) })
+	mustPanic(t, "untraced emitLoop with an inverted range", func() { m.emitLoop(seg, 30, 20, 1) })
+	m.emitLoop(seg, 30, 20, 0) // zero iterations check nothing, as when traced
 }

@@ -77,7 +77,8 @@ func (e *lockEntry) holder(txn uint64) int {
 // requests would be granted: a first acquisition, or a re-entrant one by
 // the only holder. acquire and releaseAll therefore emit and count a load
 // transaction's grants and releases exactly as the table path would, but
-// create and delete no entries.
+// create and delete no entries. A load begun untraced keeps no names at
+// all: nothing would read them, so its grants are only counted.
 type lockManager struct {
 	table map[lockName]*lockEntry
 	free  []*lockEntry // released entries, reused by later acquisitions
@@ -99,6 +100,13 @@ func lockBucketAddr(n lockName) uint64 {
 // one of the paper's few commonly shared data blocks.
 func lockHeaderAddr() uint64 { return LockBase + LockBuckets*64 }
 
+// bucketAccess records a read or write of n's lock-table bucket.
+func (m *Manager) bucketAccess(n lockName, write bool) {
+	if !m.untraced {
+		m.rec.Data(lockBucketAddr(n), write)
+	}
+}
+
 // acquire takes a lock for txn, emitting the instrumented lock_acquire
 // path. Re-acquisition by the holder and S→X upgrade by a sole holder
 // succeed; conflicts return false.
@@ -115,10 +123,10 @@ func (lm *lockManager) acquire(m *Manager, txn *Txn, space uint32, key uint64, m
 		panic(fmt.Sprintf("storage: txn %d requested a lock during load txn %d", txn.id, lm.load.id))
 	}
 	name := lockName{space: uint64(space), key: key}
-	m.seg.lockAcquire.EmitRange(m.rec, 0, 30)
+	m.emitRange(&m.seg.lockAcquire, 0, 30)
 	m.dataRead(lockHeaderAddr())
-	m.seg.lockAcquire.EmitLoop(m.rec, 30, 50, 1)
-	m.dataRead(lockBucketAddr(name))
+	m.emitLoop(&m.seg.lockAcquire, 30, 50, 1)
+	m.bucketAccess(name, false)
 
 	if lm.load != nil {
 		lm.granted(m, txn, name, nil)
@@ -170,29 +178,36 @@ func (lm *lockManager) newEntry(mode LockMode, txn uint64) *lockEntry {
 }
 
 func (lm *lockManager) granted(m *Manager, txn *Txn, name lockName, e *lockEntry) {
-	m.seg.lockAcquire.EmitRange(m.rec, 50, 95)
-	m.dataWrite(lockBucketAddr(name))
-	txn.locks = append(txn.locks, heldLock{name: name, entry: e})
+	m.emitRange(&m.seg.lockAcquire, 50, 95)
+	m.bucketAccess(name, true)
+	if txn.countGrants {
+		txn.counted++
+	} else {
+		txn.locks = append(txn.locks, heldLock{name: name, entry: e})
+	}
 	lm.acquires++
 }
 
 func (lm *lockManager) conflict(m *Manager) {
-	m.seg.lockAcquire.EmitRange(m.rec, 95, 120)
+	m.emitRange(&m.seg.lockAcquire, 95, 120)
 	lm.conflicts++
 }
 
 // releaseAll drops every lock held by txn (commit-time release; strict
 // two-phase locking). The first release runs the full lock_release body;
 // subsequent ones run only its hot loop — modeling the i-cache-resident
-// release walk.
+// release walk. Counted grants of an untraced load are released by count
+// alone.
 func (lm *lockManager) releaseAll(m *Manager, txn *Txn) {
+	lm.releases += txn.counted
+	txn.counted = 0
 	for i, l := range txn.locks {
 		if i == 0 {
-			m.seg.lockRelease.EmitAll(m.rec)
+			m.emitAll(&m.seg.lockRelease)
 		} else {
-			m.seg.lockRelease.EmitRange(m.rec, 0, 12)
+			m.emitRange(&m.seg.lockRelease, 0, 12)
 		}
-		m.dataWrite(lockBucketAddr(l.name))
+		m.bucketAccess(l.name, true)
 		lm.releases++
 		e := l.entry
 		if e == nil { // load transaction: no table entry

@@ -25,12 +25,12 @@ const pageLockBit = uint32(1) << 31
 //	[0,50)   API entry, key normalization, index selection
 //	[50,170) tuple fetch, validation, and copy-out after the record lock
 func (m *Manager) IndexProbe(txn *Txn, tbl *Table, idx *BTree, key uint64) (RID, []byte, bool) {
-	m.rec.OpBegin(trace.OpIndexProbe)
-	defer m.rec.OpEnd(trace.OpIndexProbe)
+	m.opBegin(trace.OpIndexProbe)
+	defer m.opEnd(trace.OpIndexProbe)
 
-	m.seg.findKey.EmitRange(m.rec, 0, 50)
+	m.emitRange(&m.seg.findKey, 0, 50)
 	m.dataRead(idx.descriptorAddr())
-	m.seg.lookup.EmitAll(m.rec)
+	m.emitAll(&m.seg.lookup)
 
 	rid, found := idx.probe(key, m.traverseStyle())
 	if !found {
@@ -42,16 +42,14 @@ func (m *Manager) IndexProbe(txn *Txn, tbl *Table, idx *BTree, key uint64) (RID,
 		return RID{}, nil, false
 	}
 	// Fetch and copy out the tuple — the post-lock tail of find_key.
-	m.seg.findKey.EmitRange(m.rec, 50, 170)
+	m.emitRange(&m.seg.findKey, 50, 170)
 	f := tbl.page(rid.Page)
 	rec, ok := f.page.Read(int(rid.Slot))
 	if !ok {
 		m.bp.unpin(f)
 		panic(fmt.Sprintf("storage: index %q rid %v points at dead slot", idx.name, rid))
 	}
-	for b := uint64(0); b < uint64(len(rec)); b += 64 {
-		m.dataRead(f.page.addrOfSlot(int(rid.Slot)) + b)
-	}
+	m.recordAccess(f.page, int(rid.Slot), len(rec), false)
 	out := make([]byte, len(rec))
 	copy(out, rec)
 	m.bp.unpin(f)
@@ -80,12 +78,12 @@ type ScanResult struct {
 //	[20,40) leaf-boundary / page-switch advance
 //	[40,90) cursor finalize / boundary checks
 func (m *Manager) IndexScan(txn *Txn, idx *BTree, lo, hi uint64, inclLo, inclHi bool, limit int) []ScanResult {
-	m.rec.OpBegin(trace.OpIndexScan)
-	defer m.rec.OpEnd(trace.OpIndexScan)
+	m.opBegin(trace.OpIndexScan)
+	defer m.opEnd(trace.OpIndexScan)
 
-	m.seg.scanAPI.EmitAll(m.rec)
+	m.emitAll(&m.seg.scanAPI)
 	m.dataRead(idx.descriptorAddr())
-	m.seg.initCursor.EmitAll(m.rec)
+	m.emitAll(&m.seg.initCursor)
 
 	var out []ScanResult
 	st := m.traverseStyle()
@@ -102,18 +100,18 @@ func (m *Manager) IndexScan(txn *Txn, idx *BTree, lo, hi uint64, inclLo, inclHi 
 				lockLeaf(rid.Page)
 				first = false
 			}
-			m.seg.fetchNext.EmitRange(m.rec, 0, 20)
+			m.emitRange(&m.seg.fetchNext, 0, 20)
 			if pinned == nil || pinned.pid != rid.Page {
 				if pinned != nil {
 					m.bp.unpin(pinned)
 				}
-				m.seg.fetchNext.EmitRange(m.rec, 20, 40)
+				m.emitRange(&m.seg.fetchNext, 20, 40)
 				pinned = m.bp.find(m, rid.Page)
 			}
 			var rec []byte
 			if pinned.page != nil {
 				if raw, ok := pinned.page.Read(int(rid.Slot)); ok {
-					m.dataRead(pinned.page.addrOfSlot(int(rid.Slot)))
+					m.recordAccess(pinned.page, int(rid.Slot), 1, false)
 					rec = append([]byte(nil), raw...)
 				}
 			}
@@ -123,7 +121,7 @@ func (m *Manager) IndexScan(txn *Txn, idx *BTree, lo, hi uint64, inclLo, inclHi 
 	if pinned != nil {
 		m.bp.unpin(pinned)
 	}
-	m.seg.fetchNext.EmitRange(m.rec, 40, 90)
+	m.emitRange(&m.seg.fetchNext, 40, 90)
 	return out
 }
 
@@ -131,29 +129,26 @@ func (m *Manager) IndexScan(txn *Txn, idx *BTree, lo, hi uint64, inclLo, inclHi 
 // update page + log). The caller supplies the lock key (usually the primary
 // key) so record locks match probe locks.
 func (m *Manager) UpdateTuple(txn *Txn, tbl *Table, rid RID, lockKey uint64, newRec []byte) error {
-	m.rec.OpBegin(trace.OpUpdateTuple)
-	defer m.rec.OpEnd(trace.OpUpdateTuple)
+	m.opBegin(trace.OpUpdateTuple)
+	defer m.opEnd(trace.OpUpdateTuple)
 
-	m.seg.updateAPI.EmitAll(m.rec)
+	m.emitAll(&m.seg.updateAPI)
 	if !m.lock.acquire(m, txn, tbl.id, lockKey, LockX) {
 		return fmt.Errorf("storage: lock conflict updating %q key %d", tbl.name, lockKey)
 	}
 
 	// pin record page.
-	m.seg.pinRecord.EmitAll(m.rec)
+	m.emitAll(&m.seg.pinRecord)
 	f := tbl.page(rid.Page)
 	defer m.bp.unpin(f)
-	m.dataRead(f.page.addrOfSlot(int(rid.Slot)))
+	m.recordAccess(f.page, int(rid.Slot), 1, false)
 
 	// update page.
-	m.seg.updatePage.EmitAll(m.rec)
+	m.emitAll(&m.seg.updatePage)
 	if !f.page.Update(int(rid.Slot), newRec) {
 		return fmt.Errorf("storage: update of %q rid %v does not fit", tbl.name, rid)
 	}
-	addr := f.page.addrOfSlot(int(rid.Slot))
-	for b := uint64(0); b < uint64(len(newRec)); b += 64 {
-		m.dataWrite(addr + b)
-	}
+	m.recordAccess(f.page, int(rid.Slot), len(newRec), true)
 	m.wal.insert(m, txn, logUpdate, len(newRec))
 	return nil
 }
@@ -168,13 +163,13 @@ func (m *Manager) UpdateTuple(txn *Txn, tbl *Table, rid RID, lockKey uint64, new
 // guarantee key uniqueness, so this path never fires during trace
 // generation.
 func (m *Manager) InsertTuple(txn *Txn, tbl *Table, keys []uint64, rec []byte) (RID, error) {
-	m.rec.OpBegin(trace.OpInsertTuple)
-	defer m.rec.OpEnd(trace.OpInsertTuple)
+	m.opBegin(trace.OpInsertTuple)
+	defer m.opEnd(trace.OpInsertTuple)
 
 	if len(keys) != len(tbl.indexes) {
 		return RID{}, fmt.Errorf("storage: %d keys for %d indexes of %q", len(keys), len(tbl.indexes), tbl.name)
 	}
-	m.seg.insertAPI.EmitAll(m.rec)
+	m.emitAll(&m.seg.insertAPI)
 	lockKey := uint64(tbl.rows) // tables without indexes lock the row ordinal
 	if len(keys) > 0 {
 		lockKey = keys[0]
@@ -186,13 +181,13 @@ func (m *Manager) InsertTuple(txn *Txn, tbl *Table, keys []uint64, rec []byte) (
 	// create record: find a page with space (catalog read), falling back to
 	// allocate page — the rarely taken path that produces TPC-B's 40%
 	// uncommon insert code (Section 2.2.1).
-	m.seg.createRecord.EmitAll(m.rec)
+	m.emitAll(&m.seg.createRecord)
 	m.dataRead(tbl.catalogAddr())
 	f := tbl.page(tbl.cur)
 	slot, ok := f.page.Insert(rec)
 	if !ok {
 		m.bp.unpin(f)
-		m.seg.allocatePage.EmitAll(m.rec)
+		m.emitAll(&m.seg.allocatePage)
 		pid := m.allocPage()
 		pg := newPage(pid, tbl.id)
 		m.bp.install(m, &frame{pid: pid, page: pg})
@@ -208,17 +203,14 @@ func (m *Manager) InsertTuple(txn *Txn, tbl *Table, keys []uint64, rec []byte) (
 		}
 	}
 	rid := RID{Page: f.page.ID(), Slot: uint16(slot)}
-	addr := f.page.addrOfSlot(slot)
-	for b := uint64(0); b < uint64(len(rec)); b += 64 {
-		m.dataWrite(addr + b)
-	}
+	m.recordAccess(f.page, slot, len(rec), true)
 	m.bp.unpin(f)
 	m.wal.insert(m, txn, logInsert, len(rec))
 
 	// create index entry, per index; splits emit the SMO ranges inside
 	// insertEntry.
 	for i, idx := range tbl.indexes {
-		m.seg.createIndexEntry.EmitAll(m.rec)
+		m.emitAll(&m.seg.createIndexEntry)
 		m.dataRead(idx.descriptorAddr())
 		if !idx.insertEntry(keys[i], rid) {
 			return RID{}, fmt.Errorf("storage: duplicate key %d in index %q", keys[i], idx.name)
@@ -232,13 +224,13 @@ func (m *Manager) InsertTuple(txn *Txn, tbl *Table, keys []uint64, rec []byte) (
 // DeleteTuple removes the record at rid and its index entries (Section 2.1
 // omits delete from Figure 1 "because of its similarity to insert tuple").
 func (m *Manager) DeleteTuple(txn *Txn, tbl *Table, rid RID, keys []uint64) error {
-	m.rec.OpBegin(trace.OpDeleteTuple)
-	defer m.rec.OpEnd(trace.OpDeleteTuple)
+	m.opBegin(trace.OpDeleteTuple)
+	defer m.opEnd(trace.OpDeleteTuple)
 
 	if len(keys) != len(tbl.indexes) {
 		return fmt.Errorf("storage: %d keys for %d indexes of %q", len(keys), len(tbl.indexes), tbl.name)
 	}
-	m.seg.deleteAPI.EmitAll(m.rec)
+	m.emitAll(&m.seg.deleteAPI)
 	lockKey := uint64(rid.Page)<<16 | uint64(rid.Slot)
 	if len(keys) > 0 {
 		lockKey = keys[0]
@@ -248,7 +240,7 @@ func (m *Manager) DeleteTuple(txn *Txn, tbl *Table, rid RID, keys []uint64) erro
 	}
 
 	// remove record.
-	m.seg.removeRecord.EmitAll(m.rec)
+	m.emitAll(&m.seg.removeRecord)
 	f := tbl.page(rid.Page)
 	if !f.page.Delete(int(rid.Slot)) {
 		m.bp.unpin(f)
@@ -261,7 +253,7 @@ func (m *Manager) DeleteTuple(txn *Txn, tbl *Table, rid RID, keys []uint64) erro
 	// remove index entries; merges emit the btree_merge ranges inside
 	// deleteEntry.
 	for i, idx := range tbl.indexes {
-		m.seg.removeIndexEntry.EmitAll(m.rec)
+		m.emitAll(&m.seg.removeIndexEntry)
 		m.dataRead(idx.descriptorAddr())
 		if !idx.deleteEntry(keys[i]) {
 			return fmt.Errorf("storage: key %d missing from index %q", keys[i], idx.name)
@@ -276,17 +268,17 @@ func (m *Manager) DeleteTuple(txn *Txn, tbl *Table, rid RID, keys []uint64) erro
 // transactions only need existence/RID (and by tests). It still locks the
 // record, matching Shore-MT's index probe contract.
 func (m *Manager) ProbeIndexOnly(txn *Txn, idx *BTree, key uint64) (RID, bool) {
-	m.rec.OpBegin(trace.OpIndexProbe)
-	defer m.rec.OpEnd(trace.OpIndexProbe)
+	m.opBegin(trace.OpIndexProbe)
+	defer m.opEnd(trace.OpIndexProbe)
 
-	m.seg.findKey.EmitRange(m.rec, 0, 50)
+	m.emitRange(&m.seg.findKey, 0, 50)
 	m.dataRead(idx.descriptorAddr())
-	m.seg.lookup.EmitAll(m.rec)
+	m.emitAll(&m.seg.lookup)
 	rid, found := idx.probe(key, m.traverseStyle())
 	if !found {
 		return RID{}, false
 	}
 	m.lock.acquire(m, txn, idx.id, key, LockS)
-	m.seg.findKey.EmitRange(m.rec, 50, 110) // RID copy-out, no tuple fetch
+	m.emitRange(&m.seg.findKey, 50, 110) // RID copy-out, no tuple fetch
 	return rid, true
 }

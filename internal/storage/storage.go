@@ -61,12 +61,20 @@ func PageAddr(pid PageID, off int) uint64 {
 // Manager is the storage manager instance: it owns the buffer pool, lock
 // manager, log, catalog, and the trace recorder that instrumented routines
 // write to.
+//
+// While the recorder is trace.Discard (population and warm-up, which the
+// paper leaves untraced) the manager is untraced: instrumented routines
+// make every state change but compute no event. The emission helpers
+// return before any address is computed, searchNode runs a plain binary
+// search, the log skips its buffer-block writes, and a load transaction
+// counts its grants instead of keeping their names.
 type Manager struct {
-	rec  trace.Recorder
-	lay  *codemap.Layout
-	bp   *bufferPool
-	lock *lockManager
-	wal  *logManager
+	rec      trace.Recorder
+	untraced bool
+	lay      *codemap.Layout
+	bp       *bufferPool
+	lock     *lockManager
+	wal      *logManager
 
 	tables   []*Table
 	indexes  []*BTree
@@ -76,8 +84,10 @@ type Manager struct {
 	nextPage PageID
 	nextTxn  uint64
 
-	// seg caches the codemap segments on the hot emission path.
-	seg segments
+	// seg caches the codemap segments on the hot emission path, and
+	// styles the B+tree descent styles over them.
+	seg    segments
+	styles descentStyles
 }
 
 type segments struct {
@@ -108,6 +118,7 @@ func WithBufferPoolFrames(n int) Option {
 func NewManager(rec trace.Recorder, lay *codemap.Layout, opts ...Option) *Manager {
 	m := &Manager{
 		rec:      rec,
+		untraced: isDiscard(rec),
 		lay:      lay,
 		bp:       newBufferPool(0),
 		lock:     newLockManager(),
@@ -144,6 +155,7 @@ func NewManager(rec trace.Recorder, lay *codemap.Layout, opts ...Option) *Manage
 		removeIndexEntry: lay.Routine(codemap.RRemoveIndexEntry),
 		btreeMerge:       lay.Routine(codemap.RBtreeMerge),
 	}
+	m.styles = newDescentStyles(&m.seg)
 	for _, o := range opts {
 		o(m)
 	}
@@ -153,7 +165,20 @@ func NewManager(rec trace.Recorder, lay *codemap.Layout, opts ...Option) *Manage
 // SetRecorder swaps the trace recorder. Population runs with trace.Discard,
 // then the workload driver installs a trace.Buffer ("after a warm-up
 // period", Section 4.1).
-func (m *Manager) SetRecorder(rec trace.Recorder) { m.rec = rec }
+func (m *Manager) SetRecorder(rec trace.Recorder) {
+	m.rec = rec
+	m.untraced = isDiscard(rec)
+}
+
+// isDiscard reports whether rec drops every event, which makes a manager
+// recording into it untraced.
+func isDiscard(rec trace.Recorder) bool {
+	switch rec.(type) {
+	case trace.Discard, *trace.Discard:
+		return true
+	}
+	return false
+}
 
 // Recorder returns the current trace recorder.
 func (m *Manager) Recorder() trace.Recorder { return m.rec }
@@ -171,10 +196,77 @@ func (m *Manager) allocPage() PageID {
 // PagesAllocated returns the number of pages ever allocated.
 func (m *Manager) PagesAllocated() uint64 { return uint64(m.nextPage - 1) }
 
-// dataRead and dataWrite are the single funnels for data-block trace
-// emission.
-func (m *Manager) dataRead(addr uint64)  { m.rec.Data(addr, false) }
-func (m *Manager) dataWrite(addr uint64) { m.rec.Data(addr, true) }
+// The emission helpers below are the only way instrumented routines reach
+// the recorder. Each returns at once when the manager is untraced; the
+// code-range helpers still run the codemap bounds check, so a bad range
+// panics whether or not it is recorded.
+
+// emitAll records a straight-line execution of the whole routine s.
+func (m *Manager) emitAll(s *codemap.Segment) {
+	if m.untraced {
+		return
+	}
+	s.EmitAll(m.rec)
+}
+
+// emitRange records execution of blocks [from, to) of s.
+func (m *Manager) emitRange(s *codemap.Segment, from, to int) {
+	if m.untraced {
+		s.CheckRange(from, to)
+		return
+	}
+	s.EmitRange(m.rec, from, to)
+}
+
+// emitLoop records `times` iterations over blocks [from, to) of s.
+func (m *Manager) emitLoop(s *codemap.Segment, from, to, times int) {
+	if m.untraced {
+		if times > 0 {
+			s.CheckRange(from, to)
+		}
+		return
+	}
+	s.EmitLoop(m.rec, from, to, times)
+}
+
+// opBegin and opEnd bracket a database operation.
+func (m *Manager) opBegin(op trace.OpType) {
+	if !m.untraced {
+		m.rec.OpBegin(op)
+	}
+}
+
+func (m *Manager) opEnd(op trace.OpType) {
+	if !m.untraced {
+		m.rec.OpEnd(op)
+	}
+}
+
+// dataRead and dataWrite record a read or write of the data block at
+// addr.
+func (m *Manager) dataRead(addr uint64) {
+	if !m.untraced {
+		m.rec.Data(addr, false)
+	}
+}
+
+func (m *Manager) dataWrite(addr uint64) {
+	if !m.untraced {
+		m.rec.Data(addr, true)
+	}
+}
+
+// recordAccess records one access per 64-byte step of the first n bytes
+// of the record in slot of p (n = 1 touches only its first block).
+func (m *Manager) recordAccess(p *Page, slot, n int, write bool) {
+	if m.untraced {
+		return
+	}
+	addr := p.addrOfSlot(slot)
+	for b := uint64(0); b < uint64(n); b += 64 {
+		m.rec.Data(addr+b, write)
+	}
+}
 
 // Tables returns the catalog in creation order.
 func (m *Manager) Tables() []*Table { return m.tables }

@@ -15,17 +15,23 @@ import (
 // the same trace and counts the same LockStats as a Begin transaction
 // doing the same work, but its locks never enter the lock table.
 type Txn struct {
-	id      uint64
-	locks   []heldLock
-	lastLSN uint64
-	done    bool
+	id    uint64
+	locks []heldLock
+	// countGrants is fixed at BeginLoad: a load begun while the manager is
+	// untraced counts its grants in counted instead of appending them to
+	// locks, even if a recorder is installed before it ends, so its
+	// releases are counted and never recorded.
+	countGrants bool
+	counted     uint64
+	lastLSN     uint64
+	done        bool
 }
 
 // ID returns the transaction identifier.
 func (t *Txn) ID() uint64 { return t.id }
 
 // LockCount returns the number of lock acquisitions currently held.
-func (t *Txn) LockCount() int { return len(t.locks) }
+func (t *Txn) LockCount() int { return len(t.locks) + int(t.counted) }
 
 // Begin starts a transaction and emits the txn_begin glue code. The caller
 // is responsible for the surrounding trace markers (Recorder.TxnBegin with
@@ -33,7 +39,7 @@ func (t *Txn) LockCount() int { return len(t.locks) }
 func (m *Manager) Begin() *Txn {
 	m.nextTxn++
 	txn := &Txn{id: m.nextTxn}
-	m.seg.txnBegin.EmitAll(m.rec)
+	m.emitAll(&m.seg.txnBegin)
 	return txn
 }
 
@@ -47,6 +53,7 @@ func (m *Manager) BeginLoad() *Txn {
 		panic(fmt.Sprintf("storage: BeginLoad while %d locks are held", len(lm.table)))
 	}
 	txn := m.Begin()
+	txn.countGrants = m.untraced
 	m.lock.load = txn
 	return txn
 }
@@ -60,12 +67,12 @@ func (m *Manager) Commit(txn *Txn) {
 	if txn.done {
 		panic("storage: commit of finished transaction")
 	}
-	m.rec.OpBegin(trace.OpCommit)
-	m.seg.txnCommit.EmitRange(m.rec, 0, 50)
+	m.opBegin(trace.OpCommit)
+	m.emitRange(&m.seg.txnCommit, 0, 50)
 	m.wal.insert(m, txn, logCommit, 16)
 	m.lock.releaseAll(m, txn)
-	m.seg.txnCommit.EmitRange(m.rec, 50, 90)
-	m.rec.OpEnd(trace.OpCommit)
+	m.emitRange(&m.seg.txnCommit, 50, 90)
+	m.opEnd(trace.OpCommit)
 	txn.done = true
 }
 

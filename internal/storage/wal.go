@@ -32,7 +32,8 @@ func newLogManager() *logManager {
 }
 
 // insert appends one log record and returns its LSN, emitting the
-// instrumented log_insert path and the log-buffer block writes.
+// instrumented log_insert path and the log-buffer block writes. An untraced
+// manager skips both and only advances the log's position and counters.
 //
 // Code-range map for log_insert (120 blocks):
 //
@@ -40,28 +41,14 @@ func newLogManager() *logManager {
 //	[60,100)  payload copy loop (looped per 128 payload bytes)
 //	[100,120) flush/group-commit path (on 64KB boundary crossings)
 func (lg *logManager) insert(m *Manager, txn *Txn, kind logKind, payload int) uint64 {
-	m.seg.logInsert.EmitRange(m.rec, 0, 60)
 	size := uint64(logRecordHeader + payload)
-
-	// Copy loop: one iteration per 128 bytes of record.
-	iters := int((size + 127) / 128)
-	if iters > 8 {
-		iters = 8
-	}
-	m.seg.logInsert.EmitLoop(m.rec, 60, 100, 1)
-	for i := 1; i < iters; i++ {
-		m.seg.logInsert.EmitRange(m.rec, 60, 72) // hot inner copy loop
-	}
-
-	// Write the touched log-buffer blocks.
 	start := lg.offset
 	end := lg.offset + size
-	for blk := start &^ 63; blk < end; blk += 64 {
-		m.dataWrite(LogBase + blk%LogBufBytes)
+	flush := start/logFlushChunk != end/logFlushChunk
+	if !m.untraced {
+		lg.emitInsert(m, start, end, flush)
 	}
-
-	if start/logFlushChunk != end/logFlushChunk {
-		m.seg.logInsert.EmitRange(m.rec, 100, 120)
+	if flush {
 		lg.flushes++
 	}
 
@@ -71,4 +58,29 @@ func (lg *logManager) insert(m *Manager, txn *Txn, kind logKind, payload int) ui
 	lg.lsn++
 	txn.lastLSN = lsn
 	return lsn
+}
+
+// emitInsert records the log_insert path of a record occupying log bytes
+// [start, end).
+func (lg *logManager) emitInsert(m *Manager, start, end uint64, flush bool) {
+	m.emitRange(&m.seg.logInsert, 0, 60)
+
+	// Copy loop: one iteration per 128 bytes of record.
+	iters := int((end - start + 127) / 128)
+	if iters > 8 {
+		iters = 8
+	}
+	m.emitLoop(&m.seg.logInsert, 60, 100, 1)
+	for i := 1; i < iters; i++ {
+		m.emitRange(&m.seg.logInsert, 60, 72) // hot inner copy loop
+	}
+
+	// Write the touched log-buffer blocks.
+	for blk := start &^ 63; blk < end; blk += 64 {
+		m.dataWrite(LogBase + blk%LogBufBytes)
+	}
+
+	if flush {
+		m.emitRange(&m.seg.logInsert, 100, 120)
+	}
 }

@@ -18,14 +18,14 @@ import (
 
 // DefaultShardSize is the number of traces per generation shard. 256 keeps
 // the paper-faithful 1000-trace sets at 4-way generation parallelism. It
-// does not amortize the fixed per-shard cost: database population
-// dominates every shard. At scale 0.5 on a 2-vCPU Xeon host
-// (BenchmarkPopulate*, BenchmarkShard, medians of 8 runs), population
-// takes ~35 ms (TPC-E) to ~80 ms (synth:zipf-hot-rw), while the
+// does not amortize the fixed per-shard cost: database population is
+// still the larger part of every shard. At scale 0.5 on a 2-vCPU host
+// (BenchmarkPopulate*, BenchmarkShard, medians of 5 rounds), population
+// takes ~23 ms (TPC-E) to ~48 ms (synth:zipf-hot-rw), while the
 // ShardWarmup transactions plus the 256 traced ones take the remaining
-// ~2–20 ms; population is 70% (TPC-C, TPC-E) to over 90% (TPC-B) of a
-// shard. The size is part of the shard recipe, so changing it changes the
-// generated traces.
+// ~5 ms (TPC-B) to ~30 ms (TPC-C); population is about half of a TPC-C
+// shard and 85% of a TPC-B one. The size is part of the shard recipe, so
+// changing it changes the generated traces.
 const DefaultShardSize = 256
 
 // ShardWarmup is the number of untraced transactions every shard executes
