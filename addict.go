@@ -216,7 +216,7 @@ func NewWorkload(name string, seed int64, scale float64) (*Workload, error) {
 // ready for table creation and population — the substrate for custom
 // workloads.
 func NewStorageManager() *StorageManager {
-	return storage.NewManager(trace.Discard{}, codemap.NewLayout())
+	return storage.NewManager(codemap.NewLayout())
 }
 
 // NewCustomWorkload assembles a workload from transaction specs over a

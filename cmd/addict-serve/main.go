@@ -3,7 +3,6 @@ package main
 import (
 	"context"
 	"errors"
-	"expvar"
 	"flag"
 	"fmt"
 	"net"
@@ -48,9 +47,6 @@ func main() {
 		os.Exit(1)
 	}
 	s := newServer(eng, *maxRuns, *retryAfter, *respCache)
-	// One process-global publication; per-server maps stay unpublished so
-	// the test suite can build servers freely.
-	expvar.Publish("addict_serve", s.vars)
 
 	ctx, stop := sigctx.Context(1500 * time.Millisecond)
 	defer stop()

@@ -77,8 +77,9 @@ type server struct {
 // newServer assembles the serving state. maxRuns bounds concurrently
 // admitted computations (<= 0 = unlimited); respBudget bounds the
 // response cache's resident bytes (<= 0 = unbounded). The expvar map is
-// NOT published to the global registry — main does that once — so tests
-// can build many servers in one process.
+// the server's own, served by its /debug/vars and /metrics handlers and
+// never published to the global registry, so one process can build many
+// servers.
 func newServer(eng *addict.Engine, maxRuns int, retryAfter time.Duration, respBudget int64) *server {
 	s := &server{
 		eng:        eng,

@@ -203,9 +203,13 @@ func Run(ctx context.Context, cfg Config, progress io.Writer, arts *sweep.Artifa
 		if err != nil {
 			return fmt.Errorf("bench: %s: %w", name, err)
 		}
-		prof, err := arts.Profile(ctx, name, cfg.Machine)
-		if err != nil {
-			return fmt.Errorf("bench: %s: %w", name, err)
+		// Only ADDICT reads a profile; fetching one for any other cell
+		// would generate a whole profiling window for nothing.
+		var prof *core.Profile
+		if mech == sched.ADDICT {
+			if prof, err = arts.Profile(ctx, name, cfg.Machine); err != nil {
+				return fmt.Errorf("bench: %s: %w", name, err)
+			}
 		}
 		cell, err := measureCell(mech, set, prof, cfg)
 		if err != nil {

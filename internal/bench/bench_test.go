@@ -224,6 +224,25 @@ func TestRunAcceptsSynthWorkloads(t *testing.T) {
 	}
 }
 
+// TestRunFetchesProfileOnlyForADDICT: only ADDICT reads a profile, so a
+// run without ADDICT cells caches the evaluation set alone, not the
+// profiling window or the profile built from it.
+func TestRunFetchesProfileOnlyForADDICT(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Workloads = []string{"TPC-B"}
+	cfg.Mechanisms = []sched.Mechanism{sched.Baseline}
+	cfg.ExtraCells = nil
+	cfg.MinRuns = 1
+	cfg.MinDuration = 1
+	arts := sweep.NewArtifacts(3, 0.02, 10, 10, 1, 0, nil)
+	if _, err := Run(context.Background(), cfg, nil, arts); err != nil {
+		t.Fatal(err)
+	}
+	if n := arts.CacheStats().Entries; n != 1 {
+		t.Errorf("a Baseline-only run left %d cache entries, want 1 (the evaluation set)", n)
+	}
+}
+
 // BenchmarkReplay measures the full replay path (executor construction
 // plus event loop) for the Baseline mechanism — the headline
 // events-per-second number.

@@ -87,10 +87,10 @@ func (s Segment) End() uint64 { return s.Base + uint64(s.NBlocks)*trace.BlockSiz
 func (s Segment) Contains(addr uint64) bool { return addr >= s.Base && addr < s.End() }
 
 // EmitAll records a straight-line execution of the whole routine body.
-func (s *Segment) EmitAll(rec trace.Recorder) { s.EmitRange(rec, 0, s.NBlocks) }
+func (s *Segment) EmitAll(rec *trace.Buffer) { s.EmitRange(rec, 0, s.NBlocks) }
 
 // EmitRange records execution of blocks [from, to) of the routine.
-func (s *Segment) EmitRange(rec trace.Recorder, from, to int) {
+func (s *Segment) EmitRange(rec *trace.Buffer, from, to int) {
 	s.CheckRange(from, to)
 	rec.InstrRange(s.Base+uint64(from)*trace.BlockSize, to-from)
 }
@@ -120,7 +120,7 @@ func (e rangeError) Error() string {
 // form of a hot inner loop (B-tree binary search, scan fetch loop, lock hash
 // walk). Loop blocks are what give common instructions their high
 // within-instance reuse counts (Figure 3).
-func (s *Segment) EmitLoop(rec trace.Recorder, from, to, times int) {
+func (s *Segment) EmitLoop(rec *trace.Buffer, from, to, times int) {
 	for t := 0; t < times; t++ {
 		s.EmitRange(rec, from, to)
 	}

@@ -86,7 +86,7 @@ func TestNoMigrateZones(t *testing.T) {
 func TestEmitRangeAndLoop(t *testing.T) {
 	l := NewLayout()
 	s := l.Routine(RTraverse)
-	b := trace.NewBuffer(true)
+	b := trace.NewBuffer()
 	b.TxnBegin(0, "t")
 	s.EmitRange(b, 2, 5)
 	s.EmitLoop(b, 0, 2, 3)
@@ -112,7 +112,7 @@ func TestEmitRangeAndLoop(t *testing.T) {
 func TestEmitBoundsChecked(t *testing.T) {
 	l := NewLayout()
 	s := l.Routine(RLatch)
-	b := trace.NewBuffer(true)
+	b := trace.NewBuffer()
 	b.TxnBegin(0, "t")
 	defer func() {
 		if recover() == nil {

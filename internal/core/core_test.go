@@ -16,7 +16,7 @@ func tinyCfg() ProfileConfig {
 // mkOpTrace builds a single-txn trace with one op of the given instruction
 // addresses.
 func mkOpTrace(tt trace.TxnType, ops map[trace.OpType][]uint64, order []trace.OpType) *trace.Trace {
-	b := trace.NewBuffer(true)
+	b := trace.NewBuffer()
 	b.TxnBegin(tt, "x")
 	for _, op := range order {
 		b.OpBegin(op)

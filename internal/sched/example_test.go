@@ -11,7 +11,7 @@ import (
 // exampleSet builds a tiny two-type trace set with operation markers —
 // enough structure for every mechanism family to make its decisions.
 func exampleSet() *trace.Set {
-	b := trace.NewBuffer(true)
+	b := trace.NewBuffer()
 	for i := 0; i < 4; i++ {
 		tt := trace.TxnType(i % 2)
 		b.TxnBegin(tt, []string{"alpha", "beta"}[tt])
@@ -78,7 +78,7 @@ func ExampleRun_addict() {
 // window touching more lines than the set bound takes a capacity abort,
 // surfaced through the result's speculation counters.
 func ExampleRun_htmspec() {
-	b := trace.NewBuffer(true)
+	b := trace.NewBuffer()
 	b.TxnBegin(0, "wide")
 	b.OpBegin(0)
 	for i := 0; i < 8; i++ {

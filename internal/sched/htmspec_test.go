@@ -20,7 +20,7 @@ func htmSet(traces []*trace.Trace) *trace.Set {
 // with.
 func TestHTMSPECCapacityAbort(t *testing.T) {
 	build := func(writes bool) *trace.Set {
-		b := trace.NewBuffer(true)
+		b := trace.NewBuffer()
 		b.TxnBegin(0, "unit")
 		b.OpBegin(0)
 		b.Instr(0x400000)
@@ -62,7 +62,7 @@ func TestHTMSPECCapacityAbort(t *testing.T) {
 // the writer's own region commits (a thread never conflicts with itself).
 func TestHTMSPECConflictAbort(t *testing.T) {
 	const line = uint64(0x300000)
-	rb := trace.NewBuffer(true)
+	rb := trace.NewBuffer()
 	rb.TxnBegin(0, "unit")
 	rb.OpBegin(0)
 	rb.Data(line, false)
@@ -72,7 +72,7 @@ func TestHTMSPECConflictAbort(t *testing.T) {
 	rb.OpEnd(0)
 	rb.TxnEnd()
 
-	wb := trace.NewBuffer(true)
+	wb := trace.NewBuffer()
 	wb.TxnBegin(0, "unit")
 	for i := 0; i < 300; i++ {
 		wb.Instr(0x410000) // pre-region pad: the reader's region opens first
@@ -99,7 +99,7 @@ func TestHTMSPECConflictAbort(t *testing.T) {
 // first two operations abort, the thread falls back, and the third
 // operation must run non-speculatively (no third abort).
 func TestHTMSPECFallbackAfterMaxAborts(t *testing.T) {
-	b := trace.NewBuffer(true)
+	b := trace.NewBuffer()
 	b.TxnBegin(0, "unit")
 	for op := 0; op < 3; op++ {
 		b.OpBegin(trace.OpType(op))

@@ -13,7 +13,7 @@ func TestSTREXPlacementBalancesSkewedBatches(t *testing.T) {
 	cfg := DefaultConfig(sim.Shallow())
 	s := newStrexHooks(cfg)
 	mk := func(id, batch, events int) *sim.Thread {
-		b := trace.NewBuffer(true)
+		b := trace.NewBuffer()
 		b.TxnBegin(0, "x")
 		for i := 0; i < events; i++ {
 			b.Instr(uint64(0x400000 + i*64))
@@ -132,7 +132,7 @@ func TestMechanismsShareSameWork(t *testing.T) {
 
 func TestBatchByTypePreservesArrivalWithinType(t *testing.T) {
 	mk := func(tt trace.TxnType, tag int) *trace.Trace {
-		b := trace.NewBuffer(true)
+		b := trace.NewBuffer()
 		b.TxnBegin(tt, "x")
 		b.Instr(uint64(0x400000 + tag*64)) // tag encodes arrival order
 		b.TxnEnd()

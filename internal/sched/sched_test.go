@@ -28,7 +28,7 @@ func testSetup(t *testing.T, n int) (*trace.Set, *core.Profile, Config) {
 
 func TestBatchByTypeGroups(t *testing.T) {
 	mk := func(tt trace.TxnType) *trace.Trace {
-		b := trace.NewBuffer(true)
+		b := trace.NewBuffer()
 		b.TxnBegin(tt, "x")
 		b.Instr(0x400000)
 		b.TxnEnd()
@@ -50,7 +50,7 @@ func TestBatchByTypeGroups(t *testing.T) {
 
 func TestApplyBatchesBoundaries(t *testing.T) {
 	mk := func(tt trace.TxnType) *trace.Trace {
-		b := trace.NewBuffer(true)
+		b := trace.NewBuffer()
 		b.TxnBegin(tt, "x")
 		b.Instr(0x400000)
 		b.TxnEnd()

@@ -141,7 +141,7 @@ func (r *runAll) Act(*Thread, trace.Event) Action             { return Run }
 func (r *runAll) Observe(*Thread, trace.Event, AccessOutcome) {}
 
 func mkTrace(id int, blocks int) *trace.Trace {
-	b := trace.NewBuffer(true)
+	b := trace.NewBuffer()
 	b.TxnBegin(trace.TxnType(id%3), "t")
 	b.OpBegin(trace.OpIndexProbe)
 	for i := 0; i < blocks; i++ {

@@ -141,7 +141,7 @@ func (t *BTree) descriptorAddr() uint64 { return MetaBase + 0x10_0000 + uint64(t
 // without the emission.
 func (t *BTree) searchNode(n *bnode, key uint64, st *descentStyle) (int, bool) {
 	m := t.m
-	if m.untraced {
+	if m.rec == nil {
 		return slices.BinarySearch(n.keys, key)
 	}
 	lo, hi := 0, len(n.keys)

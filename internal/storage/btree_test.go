@@ -7,11 +7,10 @@ import (
 	"testing/quick"
 
 	"addict/internal/codemap"
-	"addict/internal/trace"
 )
 
 func testManager() *Manager {
-	return NewManager(trace.Discard{}, codemap.NewLayout())
+	return NewManager(codemap.NewLayout())
 }
 
 func newTestTree(m *Manager) *BTree {

@@ -51,7 +51,7 @@ func dirBucketAddr(pid PageID) uint64 {
 
 // dirBucketRead records the directory-bucket read of a probe for pid.
 func (m *Manager) dirBucketRead(pid PageID) {
-	if !m.untraced {
+	if m.rec != nil {
 		m.rec.Data(dirBucketAddr(pid), false)
 	}
 }

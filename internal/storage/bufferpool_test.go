@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"addict/internal/codemap"
-	"addict/internal/trace"
 )
 
 func TestBufferPoolFindPinsAndHits(t *testing.T) {
@@ -47,7 +46,7 @@ func TestBufferPoolMissingPagePanics(t *testing.T) {
 }
 
 func TestBoundedPoolEvictsAndReloads(t *testing.T) {
-	m := NewManager(trace.Discard{}, codemap.NewLayout(), WithBufferPoolFrames(4))
+	m := NewManager(codemap.NewLayout(), WithBufferPoolFrames(4))
 	// Install 10 pages through a table + manual allocs.
 	var pids []PageID
 	for i := 0; i < 10; i++ {
@@ -75,7 +74,7 @@ func TestBoundedPoolEvictsAndReloads(t *testing.T) {
 }
 
 func TestBoundedPoolRespectsPins(t *testing.T) {
-	m := NewManager(trace.Discard{}, codemap.NewLayout(), WithBufferPoolFrames(2))
+	m := NewManager(codemap.NewLayout(), WithBufferPoolFrames(2))
 	a := m.allocPage()
 	m.bp.install(m, &frame{pid: a, page: newPage(a, 1)})
 	fa := m.bp.find(m, a) // pin a
@@ -134,7 +133,7 @@ func TestFrameTableResidentCount(t *testing.T) {
 		t.Errorf("unbounded pool kept %d clock entries", len(m.bp.clock))
 	}
 
-	m = NewManager(trace.Discard{}, codemap.NewLayout(), WithBufferPoolFrames(3))
+	m = NewManager(codemap.NewLayout(), WithBufferPoolFrames(3))
 	var pids []PageID
 	for i := 0; i < 5; i++ {
 		pid := m.allocPage()

@@ -12,4 +12,8 @@
 // path runs only when a page actually fills, structural modifications only
 // when a node actually splits — which is what makes the Figure 2 overlap
 // structure organic rather than hardcoded.
+//
+// A Manager records into the *trace.Buffer installed with SetRecorder. With
+// none installed (population and warm-up, which the paper leaves untraced)
+// it makes exactly the same state changes and computes no event.
 package storage

@@ -42,19 +42,22 @@ func endStateOf(m *Manager) endState {
 }
 
 // populate runs one population transaction started by begin on a fresh
-// manager recording into rec. Besides first acquisitions (inserts into an
-// indexed and an unindexed table) it re-acquires locks it already holds:
-// probes and updates of its own rows, and an S lock upgraded to X. When
-// rec is a buffer, the population is recorded as one transaction whose
-// validated events are returned.
-func populate(t *testing.T, rec trace.Recorder, begin func(*Manager) *Txn) (*Manager, loadRun) {
+// manager recording into rec, or untraced when rec is nil. Besides first
+// acquisitions (inserts into an indexed and an unindexed table) it
+// re-acquires locks it already holds: probes and updates of its own rows,
+// and an S lock upgraded to X. When rec is a buffer, the population is
+// recorded as one transaction whose validated events are returned.
+func populate(t *testing.T, rec *trace.Buffer, begin func(*Manager) *Txn) (*Manager, loadRun) {
 	t.Helper()
-	m := NewManager(rec, codemap.NewLayout())
+	m := NewManager(codemap.NewLayout())
+	m.SetRecorder(rec)
 	tbl := m.CreateTable("t")
 	idx := tbl.CreateIndex("t_pk")
 	hist := m.CreateTable("h")
 
-	rec.TxnBegin(0, "load")
+	if rec != nil {
+		rec.TxnBegin(0, "load")
+	}
 	txn := begin(m)
 	row := make([]byte, 120)
 	for k := uint64(0); k < 2000; k++ {
@@ -78,11 +81,11 @@ func populate(t *testing.T, rec trace.Recorder, begin func(*Manager) *Txn) (*Man
 		t.Fatal("upgrade by the only holder denied")
 	}
 	m.Commit(txn)
-	rec.TxnEnd()
 
 	r := loadRun{end: endStateOf(m)}
-	if buf, ok := rec.(*trace.Buffer); ok {
-		traces := buf.Take()
+	if rec != nil {
+		rec.TxnEnd()
+		traces := rec.Take()
 		if len(traces) != 1 {
 			t.Fatalf("%d traces, want 1", len(traces))
 		}
@@ -98,8 +101,8 @@ func populate(t *testing.T, rec trace.Recorder, begin func(*Manager) *Txn) (*Man
 // under Begin and under BeginLoad emits the same events and leaves the
 // same counters, and both leave the lock table empty.
 func TestLoadTxnMatchesBegin(t *testing.T) {
-	_, want := populate(t, trace.NewBuffer(true), (*Manager).Begin)
-	_, got := populate(t, trace.NewBuffer(true), (*Manager).BeginLoad)
+	_, want := populate(t, trace.NewBuffer(), (*Manager).Begin)
+	_, got := populate(t, trace.NewBuffer(), (*Manager).BeginLoad)
 	if !slices.Equal(got.events, want.events) {
 		t.Errorf("load trace differs: %d events, Begin gave %d", len(got.events), len(want.events))
 	}
@@ -114,17 +117,13 @@ func TestLoadTxnMatchesBegin(t *testing.T) {
 	}
 }
 
-// dropEvents drops every event like trace.Discard but is a different
-// type, so a manager recording into it stays traced.
-type dropEvents struct{ trace.Discard }
-
 // tracedTxn records one Begin transaction over populate's tables into a
-// strict buffer: probes, a scan, an update, inserts that grow the index
+// buffer: probes, a scan, an update, inserts that grow the index
 // and the log, and a delete. Its events depend on the tree shapes, page
 // fill, buffer-pool residency and log position population left behind.
 func tracedTxn(t *testing.T, m *Manager) []trace.Event {
 	t.Helper()
-	buf := trace.NewBuffer(true)
+	buf := trace.NewBuffer()
 	m.SetRecorder(buf)
 	tbl, hist := m.MustTable("t"), m.MustTable("h")
 	idx := tbl.Index(0)
@@ -165,59 +164,45 @@ func tracedTxn(t *testing.T, m *Manager) []trace.Event {
 }
 
 // TestUntracedPopulationMatchesTraced is the untraced path's oracle: the
-// same population under trace.Discard (untraced), under a recorder that
-// drops events but is not Discard (traced, nothing kept), and into a
-// strict buffer leaves the same end state, and a traced transaction run
-// afterwards records the same events on all three.
+// same population untraced (no buffer) and into a buffer leaves the same
+// end state, and a traced transaction run afterwards records the same
+// events on both.
 func TestUntracedPopulationMatchesTraced(t *testing.T) {
-	recorders := []struct {
-		name     string
-		rec      trace.Recorder
-		untraced bool
-	}{
-		{"discard", trace.Discard{}, true},
-		{"drop", dropEvents{}, false},
-		{"buffer", trace.NewBuffer(true), false},
+	untraced, want := populate(t, nil, (*Manager).BeginLoad)
+	wantEvents := tracedTxn(t, untraced)
+	if after := endStateOf(untraced); after.releases != after.acquires {
+		t.Errorf("untraced: %d acquires, %d releases after commit", after.acquires, after.releases)
 	}
-	var want endState
-	var wantEvents []trace.Event
-	for i, r := range recorders {
-		m, run := populate(t, r.rec, (*Manager).BeginLoad)
-		if m.untraced != r.untraced {
-			t.Fatalf("%s: untraced = %v, want %v", r.name, m.untraced, r.untraced)
-		}
-		events := tracedTxn(t, m)
-		after := endStateOf(m)
-		if i == 0 {
-			want, wantEvents = run.end, events
-			if after.releases != after.acquires {
-				t.Errorf("%s: %d acquires, %d releases after commit", r.name, after.acquires, after.releases)
-			}
-			continue
-		}
-		if run.end != want {
-			t.Errorf("%s population end state %+v\ndiscard gave %+v", r.name, run.end, want)
-		}
-		if !slices.Equal(events, wantEvents) {
-			t.Errorf("%s: traced transaction after population recorded %d events, discard gave %d",
-				r.name, len(events), len(wantEvents))
-		}
+	traced, got := populate(t, trace.NewBuffer(), (*Manager).BeginLoad)
+	if got.end != want.end {
+		t.Errorf("buffer population end state %+v\nuntraced gave %+v", got.end, want.end)
+	}
+	if events := tracedTxn(t, traced); !slices.Equal(events, wantEvents) {
+		t.Errorf("traced transaction after population recorded %d events, untraced gave %d",
+			len(events), len(wantEvents))
 	}
 }
 
 // TestLoadRecorderSwitchKeepsLockCounts switches the recorder in the
-// middle of a load both ways: whether the load counts its grants or keeps
-// their names is fixed at BeginLoad, so every grant is still released
-// once.
+// middle of a load both ways. Grants made untraced are counted and the
+// others kept by name, so every grant is still released once. The buffer's
+// transaction is open before it is installed, as a workload driver opens
+// it, so the commit's markers are well formed.
 func TestLoadRecorderSwitchKeepsLockCounts(t *testing.T) {
 	for _, tc := range []struct {
 		name        string
-		first, then trace.Recorder
+		first, then *trace.Buffer
 	}{
-		{"discard then buffer", trace.Discard{}, trace.NewBuffer(false)},
-		{"buffer then discard", trace.NewBuffer(false), trace.Discard{}},
+		{"untraced then buffer", nil, trace.NewBuffer()},
+		{"buffer then untraced", trace.NewBuffer(), nil},
 	} {
-		m := NewManager(tc.first, codemap.NewLayout())
+		for _, buf := range []*trace.Buffer{tc.first, tc.then} {
+			if buf != nil {
+				buf.TxnBegin(0, "load")
+			}
+		}
+		m := NewManager(codemap.NewLayout())
+		m.SetRecorder(tc.first)
 		load := m.BeginLoad()
 		for k := uint64(0); k < 20; k++ {
 			if k == 10 {
@@ -308,7 +293,7 @@ func TestAbortLoadReleasesLocks(t *testing.T) {
 // but a code range outside its routine still panics.
 func TestUntracedKeepsBoundsChecks(t *testing.T) {
 	m := testManager()
-	if !m.untraced {
+	if m.rec != nil {
 		t.Fatal("manager on trace.Discard is traced")
 	}
 	seg := &m.seg.lockAcquire

@@ -77,8 +77,9 @@ func (e *lockEntry) holder(txn uint64) int {
 // requests would be granted: a first acquisition, or a re-entrant one by
 // the only holder. acquire and releaseAll therefore emit and count a load
 // transaction's grants and releases exactly as the table path would, but
-// create and delete no entries. A load begun untraced keeps no names at
-// all: nothing would read them, so its grants are only counted.
+// create and delete no entries. A load grant made while the manager is
+// untraced keeps no name: it is only counted, and released by count
+// without an event, so it costs no append during population.
 type lockManager struct {
 	table map[lockName]*lockEntry
 	free  []*lockEntry // released entries, reused by later acquisitions
@@ -102,7 +103,7 @@ func lockHeaderAddr() uint64 { return LockBase + LockBuckets*64 }
 
 // bucketAccess records a read or write of n's lock-table bucket.
 func (m *Manager) bucketAccess(n lockName, write bool) {
-	if !m.untraced {
+	if m.rec != nil {
 		m.rec.Data(lockBucketAddr(n), write)
 	}
 }
@@ -180,7 +181,7 @@ func (lm *lockManager) newEntry(mode LockMode, txn uint64) *lockEntry {
 func (lm *lockManager) granted(m *Manager, txn *Txn, name lockName, e *lockEntry) {
 	m.emitRange(&m.seg.lockAcquire, 50, 95)
 	m.bucketAccess(name, true)
-	if txn.countGrants {
+	if e == nil && m.rec == nil {
 		txn.counted++
 	} else {
 		txn.locks = append(txn.locks, heldLock{name: name, entry: e})
@@ -196,8 +197,7 @@ func (lm *lockManager) conflict(m *Manager) {
 // releaseAll drops every lock held by txn (commit-time release; strict
 // two-phase locking). The first release runs the full lock_release body;
 // subsequent ones run only its hot loop — modeling the i-cache-resident
-// release walk. Counted grants of an untraced load are released by count
-// alone.
+// release walk. A load's counted grants are released by count alone.
 func (lm *lockManager) releaseAll(m *Manager, txn *Txn) {
 	lm.releases += txn.counted
 	txn.counted = 0

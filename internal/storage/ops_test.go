@@ -8,7 +8,7 @@ import (
 	"addict/internal/trace"
 )
 
-// tracedManager returns a manager recording into a strict buffer, with one
+// tracedManager returns a manager recording into a buffer, with one
 // indexed table populated with n rows of the given payload size.
 func tracedManager(t *testing.T, n int, payload int) (*Manager, *trace.Buffer, *Table) {
 	t.Helper()
@@ -23,7 +23,7 @@ func tracedManager(t *testing.T, n int, payload int) (*Manager, *trace.Buffer, *
 		}
 	}
 	m.Commit(pop)
-	buf := trace.NewBuffer(true)
+	buf := trace.NewBuffer()
 	m.SetRecorder(buf)
 	return m, buf, tbl
 }
@@ -126,7 +126,7 @@ func TestInsertAllocatesPagesRarely(t *testing.T) {
 
 func TestInsertDuplicateKeyFails(t *testing.T) {
 	m, _, tbl := tracedManager(t, 10, 40)
-	m.SetRecorder(trace.Discard{})
+	m.SetRecorder(nil)
 	txn := m.Begin()
 	if _, err := m.InsertTuple(txn, tbl, []uint64{5}, make([]byte, 40)); err == nil {
 		t.Error("duplicate insert succeeded")
@@ -136,7 +136,7 @@ func TestInsertDuplicateKeyFails(t *testing.T) {
 
 func TestInsertKeyArityChecked(t *testing.T) {
 	m, _, tbl := tracedManager(t, 1, 40)
-	m.SetRecorder(trace.Discard{})
+	m.SetRecorder(nil)
 	txn := m.Begin()
 	if _, err := m.InsertTuple(txn, tbl, nil, make([]byte, 40)); err == nil {
 		t.Error("insert with missing keys succeeded")
@@ -349,7 +349,7 @@ func TestManagerCatalogAccessors(t *testing.T) {
 
 func TestCreateIndexOnNonEmptyTablePanics(t *testing.T) {
 	m, _, tbl := tracedManager(t, 5, 40)
-	m.SetRecorder(trace.Discard{})
+	m.SetRecorder(nil)
 	defer func() {
 		if recover() == nil {
 			t.Error("CreateIndex on populated table did not panic")

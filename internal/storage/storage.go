@@ -59,22 +59,21 @@ func PageAddr(pid PageID, off int) uint64 {
 }
 
 // Manager is the storage manager instance: it owns the buffer pool, lock
-// manager, log, catalog, and the trace recorder that instrumented routines
-// write to.
+// manager, log, catalog, and the trace buffer that instrumented routines
+// record into.
 //
-// While the recorder is trace.Discard (population and warm-up, which the
-// paper leaves untraced) the manager is untraced: instrumented routines
-// make every state change but compute no event. The emission helpers
-// return before any address is computed, searchNode runs a plain binary
-// search, the log skips its buffer-block writes, and a load transaction
-// counts its grants instead of keeping their names.
+// With no buffer installed (population and warm-up, which the paper leaves
+// untraced) the manager is untraced: instrumented routines make every
+// state change but compute no event. The emission helpers return before
+// any address is computed, searchNode runs a plain binary search, the log
+// skips its buffer-block writes, and a load transaction's lock grants are
+// counted instead of kept by name.
 type Manager struct {
-	rec      trace.Recorder
-	untraced bool
-	lay      *codemap.Layout
-	bp       *bufferPool
-	lock     *lockManager
-	wal      *logManager
+	rec  *trace.Buffer // nil while untraced
+	lay  *codemap.Layout
+	bp   *bufferPool
+	lock *lockManager
+	wal  *logManager
 
 	tables   []*Table
 	indexes  []*BTree
@@ -113,12 +112,10 @@ func WithBufferPoolFrames(n int) Option {
 	return func(m *Manager) { m.bp.capacity = n }
 }
 
-// NewManager creates a storage manager recording into rec using the given
-// code layout.
-func NewManager(rec trace.Recorder, lay *codemap.Layout, opts ...Option) *Manager {
+// NewManager creates an untraced storage manager using the given code
+// layout.
+func NewManager(lay *codemap.Layout, opts ...Option) *Manager {
 	m := &Manager{
-		rec:      rec,
-		untraced: isDiscard(rec),
 		lay:      lay,
 		bp:       newBufferPool(0),
 		lock:     newLockManager(),
@@ -162,26 +159,13 @@ func NewManager(rec trace.Recorder, lay *codemap.Layout, opts ...Option) *Manage
 	return m
 }
 
-// SetRecorder swaps the trace recorder. Population runs with trace.Discard,
-// then the workload driver installs a trace.Buffer ("after a warm-up
-// period", Section 4.1).
-func (m *Manager) SetRecorder(rec trace.Recorder) {
-	m.rec = rec
-	m.untraced = isDiscard(rec)
-}
+// SetRecorder installs the trace buffer the manager records into; nil
+// makes it untraced. Population runs untraced, then the workload driver
+// installs a buffer ("after a warm-up period", Section 4.1).
+func (m *Manager) SetRecorder(rec *trace.Buffer) { m.rec = rec }
 
-// isDiscard reports whether rec drops every event, which makes a manager
-// recording into it untraced.
-func isDiscard(rec trace.Recorder) bool {
-	switch rec.(type) {
-	case trace.Discard, *trace.Discard:
-		return true
-	}
-	return false
-}
-
-// Recorder returns the current trace recorder.
-func (m *Manager) Recorder() trace.Recorder { return m.rec }
+// Recorder returns the installed trace buffer, nil while untraced.
+func (m *Manager) Recorder() *trace.Buffer { return m.rec }
 
 // Layout returns the code layout the manager emits from.
 func (m *Manager) Layout() *codemap.Layout { return m.lay }
@@ -197,13 +181,13 @@ func (m *Manager) allocPage() PageID {
 func (m *Manager) PagesAllocated() uint64 { return uint64(m.nextPage - 1) }
 
 // The emission helpers below are the only way instrumented routines reach
-// the recorder. Each returns at once when the manager is untraced; the
+// the trace buffer. Each returns at once when the manager is untraced; the
 // code-range helpers still run the codemap bounds check, so a bad range
 // panics whether or not it is recorded.
 
 // emitAll records a straight-line execution of the whole routine s.
 func (m *Manager) emitAll(s *codemap.Segment) {
-	if m.untraced {
+	if m.rec == nil {
 		return
 	}
 	s.EmitAll(m.rec)
@@ -211,7 +195,7 @@ func (m *Manager) emitAll(s *codemap.Segment) {
 
 // emitRange records execution of blocks [from, to) of s.
 func (m *Manager) emitRange(s *codemap.Segment, from, to int) {
-	if m.untraced {
+	if m.rec == nil {
 		s.CheckRange(from, to)
 		return
 	}
@@ -220,7 +204,7 @@ func (m *Manager) emitRange(s *codemap.Segment, from, to int) {
 
 // emitLoop records `times` iterations over blocks [from, to) of s.
 func (m *Manager) emitLoop(s *codemap.Segment, from, to, times int) {
-	if m.untraced {
+	if m.rec == nil {
 		if times > 0 {
 			s.CheckRange(from, to)
 		}
@@ -231,13 +215,13 @@ func (m *Manager) emitLoop(s *codemap.Segment, from, to, times int) {
 
 // opBegin and opEnd bracket a database operation.
 func (m *Manager) opBegin(op trace.OpType) {
-	if !m.untraced {
+	if m.rec != nil {
 		m.rec.OpBegin(op)
 	}
 }
 
 func (m *Manager) opEnd(op trace.OpType) {
-	if !m.untraced {
+	if m.rec != nil {
 		m.rec.OpEnd(op)
 	}
 }
@@ -245,13 +229,13 @@ func (m *Manager) opEnd(op trace.OpType) {
 // dataRead and dataWrite record a read or write of the data block at
 // addr.
 func (m *Manager) dataRead(addr uint64) {
-	if !m.untraced {
+	if m.rec != nil {
 		m.rec.Data(addr, false)
 	}
 }
 
 func (m *Manager) dataWrite(addr uint64) {
-	if !m.untraced {
+	if m.rec != nil {
 		m.rec.Data(addr, true)
 	}
 }
@@ -259,7 +243,7 @@ func (m *Manager) dataWrite(addr uint64) {
 // recordAccess records one access per 64-byte step of the first n bytes
 // of the record in slot of p (n = 1 touches only its first block).
 func (m *Manager) recordAccess(p *Page, slot, n int, write bool) {
-	if m.untraced {
+	if m.rec == nil {
 		return
 	}
 	addr := p.addrOfSlot(slot)

@@ -17,14 +17,11 @@ import (
 type Txn struct {
 	id    uint64
 	locks []heldLock
-	// countGrants is fixed at BeginLoad: a load begun while the manager is
-	// untraced counts its grants in counted instead of appending them to
-	// locks, even if a recorder is installed before it ends, so its
-	// releases are counted and never recorded.
-	countGrants bool
-	counted     uint64
-	lastLSN     uint64
-	done        bool
+	// counted is the number of load grants made while the manager was
+	// untraced: they are kept by count, not by name, and released by count.
+	counted uint64
+	lastLSN uint64
+	done    bool
 }
 
 // ID returns the transaction identifier.
@@ -34,7 +31,7 @@ func (t *Txn) ID() uint64 { return t.id }
 func (t *Txn) LockCount() int { return len(t.locks) + int(t.counted) }
 
 // Begin starts a transaction and emits the txn_begin glue code. The caller
-// is responsible for the surrounding trace markers (Recorder.TxnBegin with
+// is responsible for the surrounding trace markers (Buffer.TxnBegin with
 // the workload's transaction type, which the storage manager does not know).
 func (m *Manager) Begin() *Txn {
 	m.nextTxn++
@@ -53,7 +50,6 @@ func (m *Manager) BeginLoad() *Txn {
 		panic(fmt.Sprintf("storage: BeginLoad while %d locks are held", len(lm.table)))
 	}
 	txn := m.Begin()
-	txn.countGrants = m.untraced
 	m.lock.load = txn
 	return txn
 }

@@ -45,7 +45,7 @@ func (lg *logManager) insert(m *Manager, txn *Txn, kind logKind, payload int) ui
 	start := lg.offset
 	end := lg.offset + size
 	flush := start/logFlushChunk != end/logFlushChunk
-	if !m.untraced {
+	if m.rec != nil {
 		lg.emitInsert(m, start, end, flush)
 	}
 	if flush {

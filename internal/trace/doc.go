@@ -7,6 +7,6 @@
 // data accesses, delimited by transaction and database-operation markers —
 // the same abstraction the paper obtains from Pin-collected x86 traces
 // (Section 4.1), at 64-byte cache-block granularity (Section 2.1). codec.go
-// adds the binary serialization (cmd/tracegen), recorder.go the recording
-// sinks the storage manager writes into.
+// adds the binary serialization (cmd/tracegen), recorder.go the Buffer
+// the storage manager records into.
 package trace

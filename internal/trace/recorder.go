@@ -1,38 +1,17 @@
 package trace
 
-import (
-	"fmt"
-	"slices"
-)
+import "slices"
 
-// Recorder receives the memory events produced by an executing transaction.
-// The storage manager calls it from every instrumented routine; trace
-// generation uses the buffering implementation below, while tests may supply
-// lightweight fakes.
-type Recorder interface {
-	// TxnBegin marks the entry of a transaction of the given type.
-	TxnBegin(tt TxnType, name string)
-	// TxnEnd marks the exit of the current transaction.
-	TxnEnd()
-	// OpBegin marks the entry of a database operation.
-	OpBegin(op OpType)
-	// OpEnd marks the exit of the current database operation.
-	OpEnd(op OpType)
-	// Instr records the fetch of one 64-byte instruction block.
-	Instr(blockAddr uint64)
-	// InstrRange records the straight-line fetch of n consecutive
-	// instruction blocks starting at base. It must be equivalent to
-	// Instr(base + i*BlockSize) for i in [0, n); n <= 0 records nothing.
-	// Code-range emission (codemap.Segment) goes through it, so a recorder
-	// pays per range rather than per block where it can.
-	InstrRange(base uint64, n int)
-	// Data records a data access to the 64-byte block containing addr.
-	Data(addr uint64, write bool)
-}
-
-// Buffer is a Recorder that accumulates events into Trace values.
-// It is not safe for concurrent use; trace generation is deterministic and
-// single-goroutine (DESIGN.md Section 2).
+// Buffer records the memory events of executing transactions into Trace
+// values. The storage manager writes into it from every instrumented
+// routine while it is installed (storage.Manager.SetRecorder); with no
+// buffer installed the manager records nothing. A protocol violation
+// (nested operations, an unmatched end marker) panics; instruction and data
+// events outside a transaction are dropped, since population and
+// background work are not traced.
+//
+// A Buffer is not safe for concurrent use; trace generation is
+// deterministic and single-goroutine (DESIGN.md Section 2).
 //
 // The open transaction's events collect in one scratch slice that the
 // buffer reuses across transactions; TxnEnd copies them into the trace at
@@ -45,36 +24,28 @@ type Buffer struct {
 	curOp  OpType
 	inTxn  bool
 	inOp   bool
-	panics bool
 }
 
-// NewBuffer returns an empty trace buffer. If strict is true, protocol
-// violations (nested operations, events outside transactions) panic instead
-// of being ignored; the storage-manager tests run strict.
-func NewBuffer(strict bool) *Buffer {
-	return &Buffer{panics: strict}
-}
+// NewBuffer returns an empty trace buffer.
+func NewBuffer() *Buffer { return &Buffer{} }
 
-// TxnBegin implements Recorder.
+// TxnBegin marks the entry of a transaction of the given type.
 func (b *Buffer) TxnBegin(tt TxnType, name string) {
 	if b.inTxn {
-		b.violation("TxnBegin inside open transaction")
-		return
+		panic("trace: protocol violation: TxnBegin inside open transaction")
 	}
 	b.inTxn = true
 	b.cur = &Trace{Type: tt, TypeName: name}
 	b.events = append(b.events[:0], MarkerEvent(KindTxnBegin, OpNone, uint16(tt)))
 }
 
-// TxnEnd implements Recorder.
+// TxnEnd marks the exit of the open transaction and completes its trace.
 func (b *Buffer) TxnEnd() {
 	if !b.inTxn {
-		b.violation("TxnEnd without TxnBegin")
-		return
+		panic("trace: protocol violation: TxnEnd without TxnBegin")
 	}
 	if b.inOp {
-		b.violation("TxnEnd with open operation")
-		return
+		panic("trace: protocol violation: TxnEnd with open operation")
 	}
 	b.events = append(b.events, MarkerEvent(KindTxnEnd, OpNone, 0))
 	// Copy out at exact size. The make+copy pair over plain local names is
@@ -88,28 +59,26 @@ func (b *Buffer) TxnEnd() {
 	b.inTxn = false
 }
 
-// OpBegin implements Recorder.
+// OpBegin marks the entry of a database operation.
 func (b *Buffer) OpBegin(op OpType) {
 	if !b.inTxn || b.inOp {
-		b.violation("OpBegin outside transaction or inside open operation")
-		return
+		panic("trace: protocol violation: OpBegin outside transaction or inside open operation")
 	}
 	b.inOp = true
 	b.curOp = op
 	b.events = append(b.events, MarkerEvent(KindOpBegin, op, 0))
 }
 
-// OpEnd implements Recorder.
+// OpEnd marks the exit of the open database operation.
 func (b *Buffer) OpEnd(op OpType) {
 	if !b.inOp || op != b.curOp {
-		b.violation("OpEnd mismatch")
-		return
+		panic("trace: protocol violation: OpEnd mismatch")
 	}
 	b.inOp = false
 	b.events = append(b.events, MarkerEvent(KindOpEnd, op, 0))
 }
 
-// Instr implements Recorder.
+// Instr records the fetch of one 64-byte instruction block.
 func (b *Buffer) Instr(blockAddr uint64) {
 	if !b.inTxn {
 		return // population and background work are not traced
@@ -117,7 +86,9 @@ func (b *Buffer) Instr(blockAddr uint64) {
 	b.events = append(b.events, MemEvent(KindInstr, blockAddr))
 }
 
-// InstrRange implements Recorder: one capacity check, then the run.
+// InstrRange records the straight-line fetch of n consecutive instruction
+// blocks starting at base: exactly the events of Instr(base + i*BlockSize)
+// for i in [0, n), in one capacity check. n <= 0 records nothing.
 func (b *Buffer) InstrRange(base uint64, n int) {
 	if !b.inTxn || n <= 0 {
 		return
@@ -130,7 +101,7 @@ func (b *Buffer) InstrRange(base uint64, n int) {
 	}
 }
 
-// Data implements Recorder.
+// Data records a data access to the 64-byte block containing addr.
 func (b *Buffer) Data(addr uint64, write bool) {
 	if !b.inTxn {
 		return
@@ -148,38 +119,3 @@ func (b *Buffer) Take() []*Trace {
 	b.done = nil
 	return t
 }
-
-// Len returns the number of completed traces held by the buffer.
-func (b *Buffer) Len() int { return len(b.done) }
-
-func (b *Buffer) violation(msg string) {
-	if b.panics {
-		panic(fmt.Sprintf("trace: protocol violation: %s", msg))
-	}
-}
-
-// Discard is a Recorder that drops everything. The storage manager uses it
-// during database population, which the paper excludes from tracing
-// ("after a warm-up period", Section 4.1).
-type Discard struct{}
-
-// TxnBegin implements Recorder.
-func (Discard) TxnBegin(TxnType, string) {}
-
-// TxnEnd implements Recorder.
-func (Discard) TxnEnd() {}
-
-// OpBegin implements Recorder.
-func (Discard) OpBegin(OpType) {}
-
-// OpEnd implements Recorder.
-func (Discard) OpEnd(OpType) {}
-
-// Instr implements Recorder.
-func (Discard) Instr(uint64) {}
-
-// InstrRange implements Recorder.
-func (Discard) InstrRange(uint64, int) {}
-
-// Data implements Recorder.
-func (Discard) Data(uint64, bool) {}

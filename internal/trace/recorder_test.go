@@ -6,11 +6,11 @@ import (
 	"testing"
 )
 
-// recordScript drives a recorder through a seeded random event script. Code
-// runs are recorded through emit, so two recorders that differ only in how
+// recordScript drives a buffer through a seeded random event script. Code
+// runs are recorded through emit, so two buffers that differ only in how
 // they record runs can be compared event for event. Runs also fall between
 // transactions, where a Buffer must drop them.
-func recordScript(rec Recorder, seed int64, emit func(rec Recorder, base uint64, n int)) {
+func recordScript(rec *Buffer, seed int64, emit func(rec *Buffer, base uint64, n int)) {
 	rng := rand.New(rand.NewSource(seed))
 	for txn := 0; txn < 20; txn++ {
 		emit(rec, uint64(rng.Intn(1<<20)), rng.Intn(40)) // outside any transaction
@@ -30,34 +30,32 @@ func recordScript(rec Recorder, seed int64, emit func(rec Recorder, base uint64,
 	}
 }
 
-func perBlock(rec Recorder, base uint64, n int) {
+func perBlock(rec *Buffer, base uint64, n int) {
 	for i := 0; i < n; i++ {
 		rec.Instr(base + uint64(i)*BlockSize)
 	}
 }
 
-func ranged(rec Recorder, base uint64, n int) { rec.InstrRange(base, n) }
+func ranged(rec *Buffer, base uint64, n int) { rec.InstrRange(base, n) }
 
-// TestInstrRangeMatchesPerBlock is the recorder range contract:
+// TestInstrRangeMatchesPerBlock is the buffer range contract:
 // InstrRange(base, n) records exactly the events of n Instr calls, inside a
-// transaction and (as nothing) outside one, in strict and lenient mode.
+// transaction and (as nothing) outside one.
 func TestInstrRangeMatchesPerBlock(t *testing.T) {
-	for _, strict := range []bool{true, false} {
-		for seed := int64(1); seed <= 5; seed++ {
-			want, got := NewBuffer(strict), NewBuffer(strict)
-			recordScript(want, seed, perBlock)
-			recordScript(got, seed, ranged)
-			w, g := want.Take(), got.Take()
-			if len(w) != 20 || len(g) != 20 {
-				t.Fatalf("strict=%v seed %d: %d and %d traces, want 20", strict, seed, len(w), len(g))
+	for seed := int64(1); seed <= 5; seed++ {
+		want, got := NewBuffer(), NewBuffer()
+		recordScript(want, seed, perBlock)
+		recordScript(got, seed, ranged)
+		w, g := want.Take(), got.Take()
+		if len(w) != 20 || len(g) != 20 {
+			t.Fatalf("seed %d: %d and %d traces, want 20", seed, len(w), len(g))
+		}
+		for i := range w {
+			if err := g[i].Validate(); err != nil {
+				t.Fatalf("seed %d trace %d: %v", seed, i, err)
 			}
-			for i := range w {
-				if err := g[i].Validate(); err != nil {
-					t.Fatalf("strict=%v seed %d trace %d: %v", strict, seed, i, err)
-				}
-				if !reflect.DeepEqual(w[i], g[i]) {
-					t.Fatalf("strict=%v seed %d trace %d: InstrRange events differ from per-block Instr", strict, seed, i)
-				}
+			if !reflect.DeepEqual(w[i], g[i]) {
+				t.Fatalf("seed %d trace %d: InstrRange events differ from per-block Instr", seed, i)
 			}
 		}
 	}
@@ -67,7 +65,7 @@ func TestInstrRangeMatchesPerBlock(t *testing.T) {
 // across transactions, so a completed trace must hold its own copy, at
 // exact size, that later transactions cannot overwrite.
 func TestBufferTracesOwnTheirEvents(t *testing.T) {
-	b := NewBuffer(true)
+	b := NewBuffer()
 	var kept []*Trace
 	var snapshots [][]Event
 	for txn := 0; txn < 4; txn++ {

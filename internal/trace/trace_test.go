@@ -11,7 +11,7 @@ import (
 )
 
 func mkTrace(tt TxnType, ops []OpType, blocksPerOp int) *Trace {
-	b := NewBuffer(true)
+	b := NewBuffer()
 	b.TxnBegin(tt, "test")
 	for _, op := range ops {
 		b.OpBegin(op)
@@ -213,33 +213,16 @@ func TestBufferStrictPanics(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("strict buffer did not panic on %q", c.name)
+					t.Errorf("buffer did not panic on %q", c.name)
 				}
 			}()
-			c.f(NewBuffer(true))
+			c.f(NewBuffer())
 		})
 	}
 }
 
-func TestBufferLenientIgnores(t *testing.T) {
-	b := NewBuffer(false)
-	b.TxnEnd() // ignored
-	b.OpBegin(OpIndexProbe)
-	b.Instr(0x400000) // outside txn: dropped
-	b.TxnBegin(1, "x")
-	b.Instr(0x400040)
-	b.TxnEnd()
-	traces := b.Take()
-	if len(traces) != 1 {
-		t.Fatalf("got %d traces, want 1", len(traces))
-	}
-	if got := traces[0].InstrBlocks(); got != 1 {
-		t.Errorf("InstrBlocks = %d, want 1 (pre-txn events must be dropped)", got)
-	}
-}
-
 func TestBufferAlignsAddresses(t *testing.T) {
-	b := NewBuffer(true)
+	b := NewBuffer()
 	b.TxnBegin(0, "t")
 	b.Instr(0x400013)
 	b.Data(0x10000077, true)
@@ -389,18 +372,6 @@ func TestOpTypeString(t *testing.T) {
 			t.Errorf("%d: String() = %q, want %q", i, o.String(), want[i])
 		}
 	}
-}
-
-func TestDiscardIsNoop(t *testing.T) {
-	var d Discard
-	d.TxnBegin(0, "x")
-	d.OpBegin(OpIndexProbe)
-	d.Instr(0x1000)
-	d.InstrRange(0x1000, 8)
-	d.Data(0x2000, true)
-	d.OpEnd(OpIndexProbe)
-	d.TxnEnd()
-	// Nothing to assert beyond "does not panic"; Discard has no state.
 }
 
 // TestCodecDecodedSizeIsBounded: a run record expands to at most maxRun

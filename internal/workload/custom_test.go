@@ -6,13 +6,12 @@ import (
 
 	"addict/internal/codemap"
 	"addict/internal/storage"
-	"addict/internal/trace"
 )
 
 // customManager builds a tiny populated manager for custom-workload tests.
 func customManager(t *testing.T) (*storage.Manager, *storage.Table) {
 	t.Helper()
-	m := storage.NewManager(trace.Discard{}, codemap.NewLayout())
+	m := storage.NewManager(codemap.NewLayout())
 	tbl := m.CreateTable("kv")
 	tbl.CreateIndex("kv_pk")
 	pop := m.Begin()

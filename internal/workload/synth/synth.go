@@ -346,7 +346,7 @@ func newBench(spec Spec, seed int64, scale float64, start int64) (*workload.Benc
 		// split-off seed (ShardSeed's finalizer with a reserved index —
 		// generation shards only ever use indexes >= 0).
 		rng:     rand.New(rand.NewSource(workload.ShardSeed(seed, -1))),
-		m:       storage.NewManager(trace.Discard{}, codemap.NewLayout()),
+		m:       storage.NewManager(codemap.NewLayout()),
 		rows:    rows,
 		g:       start,
 		nextKey: make([]uint64, spec.Tables),

@@ -6,7 +6,6 @@ import (
 
 	"addict/internal/codemap"
 	"addict/internal/storage"
-	"addict/internal/trace"
 )
 
 // TPC-B: the classic bank benchmark. One transaction type, AccountUpdate:
@@ -41,7 +40,7 @@ type tpcb struct {
 // scale 1.0 ≈ 160k accounts; the experiments use scale 1.0.
 func NewTPCB(seed int64, scale float64) *Benchmark {
 	rng := rand.New(rand.NewSource(seed))
-	m := storage.NewManager(trace.Discard{}, codemap.NewLayout())
+	m := storage.NewManager(codemap.NewLayout())
 	w := &tpcb{
 		m:        m,
 		rng:      rng,

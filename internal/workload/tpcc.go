@@ -6,7 +6,6 @@ import (
 
 	"addict/internal/codemap"
 	"addict/internal/storage"
-	"addict/internal/trace"
 )
 
 // TPC-C: the order-entry benchmark. Five transaction types at the spec mix
@@ -70,7 +69,7 @@ type recentOrder struct{ c, o int }
 // (scale 1.0 ≈ 60k customers across 2 warehouses).
 func NewTPCC(seed int64, scale float64) *Benchmark {
 	rng := rand.New(rand.NewSource(seed))
-	m := storage.NewManager(trace.Discard{}, codemap.NewLayout())
+	m := storage.NewManager(codemap.NewLayout())
 	w := &tpcc{
 		m:      m,
 		rng:    rng,

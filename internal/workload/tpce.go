@@ -6,7 +6,6 @@ import (
 
 	"addict/internal/codemap"
 	"addict/internal/storage"
-	"addict/internal/trace"
 )
 
 // TPC-E: the brokerage benchmark — ten transaction types, ~77% read-only,
@@ -63,7 +62,7 @@ type recentTrade struct{ id, acct, sec int }
 // (scale 1.0 ≈ 2000 customers, 20000 initial trades).
 func NewTPCE(seed int64, scale float64) *Benchmark {
 	rng := rand.New(rand.NewSource(seed))
-	m := storage.NewManager(trace.Discard{}, codemap.NewLayout())
+	m := storage.NewManager(codemap.NewLayout())
 	w := &tpce{
 		m:       m,
 		rng:     rng,

@@ -135,32 +135,30 @@ func (b *Benchmark) pickType() int {
 	return len(b.cum) - 1
 }
 
-// NextTxn runs one transaction, drawn from the mix, against the manager's
-// current recorder, and returns its type.
+// NextTxn runs one transaction, drawn from the mix, and returns its type.
+// The transaction is recorded as one trace when the manager has a trace
+// buffer installed, and runs untraced otherwise.
 func (b *Benchmark) NextTxn() trace.TxnType {
 	i := b.pickType()
 	spec := b.types[i]
-	rec := b.m.Recorder()
-	rec.TxnBegin(trace.TxnType(i), spec.Name)
+	buf := b.m.Recorder()
+	if buf != nil {
+		buf.TxnBegin(trace.TxnType(i), spec.Name)
+	}
 	txn := b.m.Begin()
 	spec.Run(txn)
 	b.m.Commit(txn)
-	rec.TxnEnd()
+	if buf != nil {
+		buf.TxnEnd()
+	}
 	return trace.TxnType(i)
 }
 
 // GenerateSet collects n transaction traces into a Set (the paper's trace
 // batches, Section 4.1).
 func GenerateSet(b *Benchmark, n int) *trace.Set {
-	buf := trace.NewBuffer(true)
-	prev := b.m.Recorder()
-	b.m.SetRecorder(buf)
-	defer b.m.SetRecorder(prev)
 	s := &trace.Set{Workload: b.name, TypeNames: b.TypeNames()}
-	for i := 0; i < n; i++ {
-		b.NextTxn()
-		s.Traces = append(s.Traces, buf.Take()[0])
-	}
+	Stream(b, n, func(_ int, t *trace.Trace) { s.Traces = append(s.Traces, t) })
 	return s
 }
 
@@ -168,7 +166,7 @@ func GenerateSet(b *Benchmark, n int) *trace.Set {
 // discarding it — the memory-bounded path for the 11,000-trace stability
 // experiment (Section 4.2).
 func Stream(b *Benchmark, n int, fn func(i int, t *trace.Trace)) {
-	buf := trace.NewBuffer(true)
+	buf := trace.NewBuffer()
 	prev := b.m.Recorder()
 	b.m.SetRecorder(buf)
 	defer b.m.SetRecorder(prev)
