@@ -273,6 +273,28 @@ func benchMechanism(b *testing.B, mech sched.Mechanism) {
 	b.ReportMetric(float64(events), "events/op")
 }
 
+// BenchmarkReplayCores64 replays Baseline and ADDICT on a 64-core machine
+// with more threads than cores. A wide machine is the ready ring's worst
+// case: an insertion may scan up to 63 slots, where a binary heap sifts
+// through at most six levels.
+func BenchmarkReplayCores64(b *testing.B) {
+	cfg, _ := guardInput(b)
+	cfg.Machine.Cores = 64
+	evalSet := workload.GenerateSet(workload.NewTPCC(12, 0.05), 160)
+	events := setEvents(evalSet)
+	for _, mech := range []sched.Mechanism{sched.Baseline, sched.ADDICT} {
+		b.Run(string(mech), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := sched.Run(mech, evalSet, cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(events), "events/op")
+		})
+	}
+}
+
 func BenchmarkSchedBaseline(b *testing.B) { benchMechanism(b, sched.Baseline) }
 func BenchmarkSchedSTREX(b *testing.B)    { benchMechanism(b, sched.STREX) }
 func BenchmarkSchedSLICC(b *testing.B)    { benchMechanism(b, sched.SLICC) }

@@ -190,3 +190,31 @@ func TestPinnedReplayCounters(t *testing.T) {
 		})
 	}
 }
+
+// TestReadySetWithinCores replays every mechanism on pinSetup's input on
+// machines of 1, 4, 16 and 64 cores. The executor's ready set panics on a
+// push past Cores threads, so a run that completes never held more ready
+// threads than cores.
+func TestReadySetWithinCores(t *testing.T) {
+	cfg, evalSet := pinSetup(t)
+	for _, cores := range []int{1, 4, 16, 64} {
+		c := cfg
+		c.Machine.Cores = cores
+		for _, mech := range AllMechanisms {
+			t.Run(fmt.Sprintf("%s/%dcores", mech, cores), func(t *testing.T) {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Fatalf("replay panicked: %v", r)
+					}
+				}()
+				res, err := Run(mech, evalSet, c)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Threads != len(evalSet.Traces) {
+					t.Errorf("replayed %d threads, want %d", res.Threads, len(evalSet.Traces))
+				}
+			})
+		}
+	}
+}

@@ -16,11 +16,11 @@ import (
 // Every event is dispatched the same way: one Act call before it, one
 // Observe call after it. The engine is written for zero steady-state
 // allocation around that dispatch: all per-thread and per-core state is
-// preallocated in NewExecutor, the ready set is a hand-rolled binary heap
-// of thread pointers (no interface boxing, comparisons inline), and a
-// running thread keeps executing without any heap traffic while it remains
-// earliest in the (time, ID) order. All of this is observationally
-// equivalent to popping one event at a time from a container/heap.
+// preallocated in NewExecutor, the ready set is a (time, ID)-sorted ring of
+// thread pointers bounded by the core count (see readyRing), and a running
+// thread keeps executing without touching the ring while it remains
+// earliest in that order. All of this is observationally equivalent to
+// popping one event at a time from a container/heap.
 
 // ActionKind is a scheduler directive for the next event of a thread.
 type ActionKind uint8
@@ -245,11 +245,10 @@ type Executor struct {
 
 	threads []*Thread
 	cores   []coreState
-	ready   threadHeap
+	ready   readyRing
 
 	nextAdmit int
 	live      int
-	clock     uint64 // latest event time seen; late admissions join "now"
 
 	migrations, switches, overhead uint64
 }
@@ -270,7 +269,7 @@ func NewExecutor(m *Machine, hooks Hooks, traces []*trace.Trace) *Executor {
 		store[i] = Thread{ID: i, Trace: tr, Core: -1}
 		ex.threads[i] = &store[i]
 	}
-	ex.ready.s = make([]*Thread, 0, len(traces))
+	ex.ready = newReadyRing(m.Cfg.Cores)
 	return ex
 }
 
@@ -281,8 +280,8 @@ func (ex *Executor) Threads() []*Thread { return ex.threads }
 func (ex *Executor) Run() Result {
 	// Admission: threads join their placement core's queue in thread order
 	// (which schedulers control by batching), up to AdmitLimit in flight.
-	ex.admit()
-	for ex.ready.len() > 0 {
+	ex.admit(0)
+	for ex.ready.n > 0 {
 		t := ex.ready.pop()
 		for t != nil {
 			t = ex.runThread(t)
@@ -317,18 +316,14 @@ func (ex *Executor) Run() Result {
 
 // runThread executes t's events until the thread finishes, blocks
 // (migration or yield), or another ready thread becomes earlier in the
-// (time, ID) order. In the last case t swaps places with the heap minimum
-// and the new earliest thread is returned — one sift instead of a
-// push+pop, and no heap traffic at all while t stays earliest. Each loop
-// iteration corresponds exactly to one pop of the one-event-at-a-time
-// engine, so the event interleaving (and therefore every simulated
-// counter) is identical.
+// (time, ID) order. In the last case t swaps places with the ready set's
+// earliest thread, which is returned; while t stays earliest the ready set
+// is only read. Each loop iteration corresponds exactly to one pop of the
+// one-event-at-a-time engine, so the event interleaving (and therefore
+// every simulated counter) is identical.
 func (ex *Executor) runThread(t *Thread) *Thread {
 	events := t.Trace.Events
 	for {
-		if t.time > ex.clock {
-			ex.clock = t.time
-		}
 		if t.pos >= len(events) {
 			ex.finish(t)
 			return nil
@@ -336,7 +331,7 @@ func (ex *Executor) runThread(t *Thread) *Thread {
 		if t.forceRun {
 			t.forceRun = false
 			if ex.execOne(t, events[t.pos]) {
-				return ex.ready.swapRoot(t)
+				return ex.ready.swapHead(t)
 			}
 			continue
 		}
@@ -351,7 +346,7 @@ func (ex *Executor) runThread(t *Thread) *Thread {
 			fallthrough // migrating to the current core is just running
 		case ActRun:
 			if ex.execOne(t, ev) {
-				return ex.ready.swapRoot(t)
+				return ex.ready.swapHead(t)
 			}
 		case ActYield:
 			if ex.yield(t) {
@@ -375,12 +370,16 @@ func (ex *Executor) execOne(t *Thread, ev trace.Event) (preempted bool) {
 	ex.cores[t.Core].active += out.Cycles
 	t.pos++
 	ex.hooks.Observe(t, ev, out)
-	return len(ex.ready.s) > 0 && before(ex.ready.s[0], t)
+	return ex.ready.n > 0 && before(ex.ready.s[ex.ready.head], t)
 }
 
-// admit places waiting threads until the in-flight bound is reached (or,
-// under BatchBarrier, the whole next batch once the previous one drained).
-func (ex *Executor) admit() {
+// admit places waiting threads at time now until the in-flight bound is
+// reached (or, under BatchBarrier, the whole next batch once the previous
+// one drained). Threads enter the ready set no earlier than the thread just
+// popped from it, so ready-set pops never go back in time, and the time of
+// the finishing thread that calls admit is the latest event time seen: a
+// late admission joins "now", not the past.
+func (ex *Executor) admit(now uint64) {
 	if ex.BatchBarrier {
 		if ex.live > 0 {
 			return
@@ -393,7 +392,7 @@ func (ex *Executor) admit() {
 			ex.nextAdmit++
 			ex.live++
 			dest := ex.hooks.Place(t)
-			ex.enqueue(t, dest, ex.clock)
+			ex.enqueue(t, dest, now)
 		}
 		return
 	}
@@ -402,7 +401,7 @@ func (ex *Executor) admit() {
 		ex.nextAdmit++
 		ex.live++
 		dest := ex.hooks.Place(t)
-		ex.enqueue(t, dest, ex.clock)
+		ex.enqueue(t, dest, now)
 	}
 }
 
@@ -417,7 +416,7 @@ func (ex *Executor) finish(t *Thread) {
 	ex.releaseCore(t.Core, t.time)
 	t.Core = -1
 	ex.live--
-	ex.admit()
+	ex.admit(t.time)
 }
 
 // migrate moves t to dest: the current core is released and t joins dest.
@@ -526,82 +525,69 @@ func (ex *Executor) CoreFree(core int) bool {
 }
 
 // before is the executor's strict total order on threads: (time, ID)
-// lexicographic. IDs are unique, so ties cannot exist and any correct heap
-// pops the same sequence the container/heap engine did.
+// lexicographic. IDs are unique, so ties cannot exist and any correct
+// priority queue pops the same sequence the container/heap engine did.
 func before(a, b *Thread) bool {
 	return a.time < b.time || (a.time == b.time && a.ID < b.ID)
 }
 
-// threadHeap is a hand-rolled binary min-heap of runnable threads. It
-// exists (instead of container/heap) because the heap is the replay loop's
-// hottest structure: concrete element type and inlined comparisons remove
-// the interface dispatch of Less/Swap/Push/Pop, and swapRoot replaces the
-// push-then-pop round trip of a preempted thread with a single sift-down.
-type threadHeap struct {
-	s []*Thread
+// readyRing is the ready set: the threads holding a core and waiting for
+// their next event, sorted by (time, ID) in a ring over a preallocated
+// slice, earliest at s[head]. Every ready thread occupies a core, so the
+// ring never holds more than cores threads and never grows; its length is
+// the next power of two, so an index wraps with one mask.
+//
+// A ring, not a binary heap: a preempted thread has just advanced by one
+// event, so it almost always belongs at or near the back of the order. An
+// insertion scanning back from the tail stops within a few slots, where a
+// heap's sift-down from the root walks nearly its whole depth.
+type readyRing struct {
+	s       []*Thread
+	mask    int // len(s) - 1
+	head, n int
+	cores   int // the bound on n
 }
 
-func (h *threadHeap) len() int { return len(h.s) }
+// newReadyRing returns an empty ring bounded at cores threads.
+func newReadyRing(cores int) readyRing {
+	size := 1
+	for size < cores {
+		size *= 2
+	}
+	return readyRing{s: make([]*Thread, size), mask: size - 1, cores: cores}
+}
 
-// push inserts t (hole-based sift-up: parents slide down, t is stored
-// once).
-func (h *threadHeap) push(t *Thread) {
-	h.s = append(h.s, t)
-	s := h.s
-	i := len(s) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !before(t, s[p]) {
+// push inserts t at its place in the order, scanning back from the tail.
+func (r *readyRing) push(t *Thread) {
+	if r.n == r.cores {
+		panic("sim: ready set holds more threads than there are cores")
+	}
+	s, mask := r.s, r.mask
+	i := (r.head + r.n) & mask // the free slot after the tail
+	for k := r.n; k > 0; k-- {
+		p := (i - 1) & mask
+		q := s[p]
+		if !before(t, q) {
 			break
 		}
-		s[i] = s[p]
+		s[i] = q
 		i = p
 	}
 	s[i] = t
+	r.n++
 }
 
 // pop removes and returns the earliest thread.
-func (h *threadHeap) pop() *Thread {
-	t := h.s[0]
-	last := len(h.s) - 1
-	h.s[0] = h.s[last]
-	h.s[last] = nil
-	h.s = h.s[:last]
-	if last > 0 {
-		h.siftDown(0)
-	}
+func (r *readyRing) pop() *Thread {
+	t := r.s[r.head]
+	r.head = (r.head + 1) & r.mask
+	r.n--
 	return t
 }
 
-// swapRoot exchanges the earliest thread for t — equivalent to push(t)
-// followed by pop() when t is known not to be the earliest.
-func (h *threadHeap) swapRoot(t *Thread) *Thread {
-	r := h.s[0]
-	h.s[0] = t
-	h.siftDown(0)
-	return r
-}
-
-// siftDown restores the heap below i (hole-based: children slide up, the
-// displaced thread is stored once at its final slot).
-func (h *threadHeap) siftDown(i int) {
-	s := h.s
-	n := len(s)
-	t := s[i]
-	for {
-		l := 2*i + 1
-		if l >= n {
-			break
-		}
-		m := l
-		if r := l + 1; r < n && before(s[r], s[l]) {
-			m = r
-		}
-		if !before(s[m], t) {
-			break
-		}
-		s[i] = s[m]
-		i = m
-	}
-	s[i] = t
+// swapHead exchanges the earliest thread for t: a pop, then a push of t.
+func (r *readyRing) swapHead(t *Thread) *Thread {
+	e := r.pop()
+	r.push(t)
+	return e
 }
