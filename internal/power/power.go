@@ -48,9 +48,8 @@ func Analyze(res sim.Result, w Weights) Report {
 	var rep Report
 
 	rep.Breakdown.Dynamic = float64(m.Instructions) * w.Instruction
-	l1i, l1d, shared := m.CacheStats()
-	rep.Breakdown.Caches = float64(l1i.Accesses+l1d.Accesses)*w.L1Access +
-		float64(shared.Accesses)*w.SharedAccess
+	rep.Breakdown.Caches = float64(m.L1IStats.Accesses+m.L1DStats.Accesses)*w.L1Access +
+		float64(m.SharedStats.Accesses)*w.SharedAccess
 	rep.Breakdown.NoC = float64(m.NoCHops)*w.NoCHop +
 		float64(m.Invalidation)*w.Invalidation
 	rep.Breakdown.Memory = float64(m.SharedMisses) * w.MemAccess

@@ -15,7 +15,7 @@ func fakeResult(makespan uint64, migrations uint64) sim.Result {
 		m.Exec(1, trace.MemEvent(trace.KindDataRead, uint64(0x2_0000_0000+i*64)))
 	}
 	return sim.Result{
-		Machine:    m,
+		Machine:    m.Snapshot(),
 		Makespan:   makespan,
 		Migrations: migrations,
 		CoreActive: make([]uint64, 16),

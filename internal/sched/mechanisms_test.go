@@ -66,26 +66,6 @@ func TestADDICTDisableReplicationSingleCores(t *testing.T) {
 	}
 }
 
-func TestADDICTBatchBarrierMode(t *testing.T) {
-	set, _, cfg := testSetup(t, 48)
-	cfg.BatchBarrier = true
-	res, err := Run(ADDICT, set, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Threads != 48 || res.Migrations == 0 {
-		t.Fatalf("barrier run broken: %+v threads, %d migrations", res.Threads, res.Migrations)
-	}
-	// Barrier admission must still complete deterministically.
-	res2, err := Run(ADDICT, set, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Makespan != res2.Makespan {
-		t.Error("barrier mode nondeterministic")
-	}
-}
-
 func TestSLICCFollowsLeaderCores(t *testing.T) {
 	// Same-type threads starting on the same core must end up reusing the
 	// leader's segment homes: total L1-I misses well below one-full-fault

@@ -43,21 +43,9 @@ func RunOnline(s *trace.Set, cfg Config, rampUp int, noMigrate func(uint64) bool
 	for i := 0; i < rampUp; i++ {
 		threads[i].Batch = i
 	}
-	batch := rampUp
-	count := 0
-	var cur trace.TxnType
-	for i := rampUp; i < len(threads); i++ {
-		if count == cfg.batchSize() || (count > 0 && ordered[i].Type != cur) {
-			batch++
-			count = 0
-		}
-		cur = ordered[i].Type
-		threads[i].Batch = batch
-		count++
-	}
+	applyBatches(threads[rampUp:], ordered[rampUp:], cfg.batchSize(), rampUp)
 	hooks.addict.bind(ex)
-	res := ex.Run()
-	return res, prof, nil
+	return ex.Run(), prof, nil
 }
 
 // onlineHooks runs ramp-up threads under baseline rules and the rest under

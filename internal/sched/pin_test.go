@@ -67,7 +67,7 @@ func countersOf(t *testing.T, r sim.Result) replayCounters {
 		t.Fatalf("CoreActive has %d cores, want %d", len(r.CoreActive), len(c.coreActive))
 	}
 	copy(c.coreActive[:], r.CoreActive)
-	c.l1i, c.l1d, c.shared = r.Machine.CacheStats()
+	c.l1i, c.l1d, c.shared = r.Machine.L1IStats, r.Machine.L1DStats, r.Machine.SharedStats
 	return c
 }
 

@@ -84,11 +84,6 @@ type Config struct {
 	// load-balancing ablation of Section 3.2.3's "fewer migration points
 	// than cores" rule.
 	DisableReplication bool
-
-	// BatchBarrier makes ADDICT and SLICC admit strictly one batch at a
-	// time (batch b+1 starts only after batch b drains) instead of the
-	// default sliding window of BatchSize in-flight transactions.
-	BatchBarrier bool
 }
 
 // DefaultConfig returns the paper's evaluation setup on the given machine.
@@ -140,14 +135,13 @@ func Run(mech Mechanism, s *trace.Set, cfg Config) (sim.Result, error) {
 		hooks := newStrexHooks(cfg)
 		ex = sim.NewExecutor(m, hooks, ordered)
 		ex.AdmitLimit = admit(0)
-		applyBatches(ex, ordered, cfg.batchSize())
+		applyBatches(ex.Threads(), ordered, cfg.batchSize(), 0)
 	case SLICC:
 		ordered := batchByType(s.Traces, cfg.batchSize())
 		hooks := newSliccHooks(cfg)
 		ex = sim.NewExecutor(m, hooks, ordered)
 		ex.AdmitLimit = admit(cfg.batchSize())
-		ex.BatchBarrier = cfg.BatchBarrier
-		applyBatches(ex, ordered, cfg.batchSize())
+		applyBatches(ex.Threads(), ordered, cfg.batchSize(), 0)
 		hooks.bind(ex)
 	case ADDICT:
 		if cfg.Profile == nil {
@@ -157,8 +151,7 @@ func Run(mech Mechanism, s *trace.Set, cfg Config) (sim.Result, error) {
 		hooks := newAddictHooks(cfg)
 		ex = sim.NewExecutor(m, hooks, ordered)
 		ex.AdmitLimit = admit(cfg.batchSize())
-		ex.BatchBarrier = cfg.BatchBarrier
-		applyBatches(ex, ordered, cfg.batchSize())
+		applyBatches(ex.Threads(), ordered, cfg.batchSize(), 0)
 		hooks.bind(ex)
 	case HTMSPEC:
 		ordered := batchByType(s.Traces, cfg.batchSize())
@@ -168,15 +161,14 @@ func Run(mech Mechanism, s *trace.Set, cfg Config) (sim.Result, error) {
 		// Baseline plus speculation, so it runs at Baseline's width and
 		// pays only for aborts.
 		ex.AdmitLimit = admit(0)
-		applyBatches(ex, ordered, cfg.batchSize())
+		applyBatches(ex.Threads(), ordered, cfg.batchSize(), 0)
 		hooks.bind(ex)
 	case CHAIN:
 		ordered := batchByType(s.Traces, cfg.batchSize())
 		hooks := newChainHooks(cfg, ordered)
 		ex = sim.NewExecutor(m, hooks, ordered)
 		ex.AdmitLimit = admit(cfg.batchSize())
-		ex.BatchBarrier = cfg.BatchBarrier
-		applyBatches(ex, ordered, cfg.batchSize())
+		applyBatches(ex.Threads(), ordered, cfg.batchSize(), 0)
 		hooks.bind(ex)
 	default:
 		return sim.Result{}, unknownMechanism(string(mech))
@@ -218,11 +210,10 @@ func batchByType(traces []*trace.Trace, b int) []*trace.Trace {
 	return out
 }
 
-// applyBatches stamps batch indices onto the executor's threads (threads
-// are created in `ordered` order).
-func applyBatches(ex *sim.Executor, ordered []*trace.Trace, b int) {
-	threads := ex.Threads()
-	batch := 0
+// applyBatches stamps batch indices, counting up from first, onto threads
+// created in `ordered` order: a batch holds at most b threads of one type.
+func applyBatches(threads []*sim.Thread, ordered []*trace.Trace, b, first int) {
+	batch := first
 	count := 0
 	var cur trace.TxnType
 	for i, th := range threads {

@@ -59,7 +59,7 @@ func TestApplyBatchesBoundaries(t *testing.T) {
 	// 3 of type 0, then 2 of type 1, batch size 2 → batches 0,0 | 1 | 2,2.
 	ordered := []*trace.Trace{mk(0), mk(0), mk(0), mk(1), mk(1)}
 	ex := sim.NewExecutor(sim.NewMachine(sim.Shallow()), &baselineHooks{cores: 16}, ordered)
-	applyBatches(ex, ordered, 2)
+	applyBatches(ex.Threads(), ordered, 2, 0)
 	got := make([]int, 5)
 	for i, th := range ex.Threads() {
 		got[i] = th.Batch

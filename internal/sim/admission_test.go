@@ -65,64 +65,6 @@ func TestAdmitUnlimitedByDefault(t *testing.T) {
 	}
 }
 
-// batchSpy records which batches were ever live together.
-type batchSpy struct {
-	liveBatch map[int]int // batch -> live count
-	overlap   bool
-}
-
-func (b *batchSpy) Place(t *Thread) int { return t.ID % 4 }
-func (b *batchSpy) Act(t *Thread, ev trace.Event) Action {
-	if b.liveBatch == nil {
-		b.liveBatch = make(map[int]int)
-	}
-	if t.Pos() == 0 {
-		b.liveBatch[t.Batch]++
-		if len(b.liveBatch) > 1 {
-			b.overlap = true
-		}
-	}
-	return Run
-}
-func (b *batchSpy) Observe(t *Thread, ev trace.Event, out AccessOutcome) {
-	if t.Pos() >= len(t.Trace.Events) {
-		b.liveBatch[t.Batch]--
-		if b.liveBatch[t.Batch] == 0 {
-			delete(b.liveBatch, t.Batch)
-		}
-	}
-}
-
-func TestBatchBarrierSerializesBatches(t *testing.T) {
-	var traces []*trace.Trace
-	for i := 0; i < 9; i++ {
-		traces = append(traces, mkTrace(i, 20))
-	}
-	spy := &batchSpy{}
-	ex := NewExecutor(NewMachine(smallConfig()), spy, traces)
-	ex.BatchBarrier = true
-	for i, th := range ex.Threads() {
-		th.Batch = i / 3 // batches of 3
-	}
-	res := ex.Run()
-	if res.Threads != 9 {
-		t.Fatalf("threads = %d", res.Threads)
-	}
-	if spy.overlap {
-		t.Error("batches overlapped despite BatchBarrier")
-	}
-}
-
-func TestBatchBarrierWithoutBatchesStillCompletes(t *testing.T) {
-	traces := []*trace.Trace{mkTrace(0, 10), mkTrace(1, 10)}
-	ex := NewExecutor(NewMachine(smallConfig()), &runAll{}, traces)
-	ex.BatchBarrier = true // all threads have Batch 0
-	res := ex.Run()
-	if res.Threads != 2 {
-		t.Fatalf("threads = %d", res.Threads)
-	}
-}
-
 // TestLateAdmissionJoinsAtCurrentClock: a thread admitted after others
 // finish must not start in the past.
 func TestLateAdmissionJoinsAtCurrentClock(t *testing.T) {

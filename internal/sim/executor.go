@@ -111,8 +111,9 @@ func (t *Thread) Latency() uint64 { return t.endTime - t.startTime }
 
 // Result aggregates a completed run.
 type Result struct {
-	// Machine is the machine the run executed on (with its counters).
-	Machine *Machine
+	// Machine is the run's counters, copied from the machine it executed
+	// on when the run ended.
+	Machine Counters
 	// Makespan is the cycle at which the last thread completed — the
 	// paper's "cycles to complete 1000 traces".
 	Makespan uint64
@@ -236,12 +237,6 @@ type Executor struct {
 	// average transaction latency drastically", Section 3.2.1); Baseline
 	// and STREX bound concurrency through their core queues instead.
 	AdmitLimit int
-	// BatchBarrier admits threads one batch at a time: batch b+1 starts
-	// only when every thread of batch b has finished. Instructions loaded
-	// by the previous batch stay resident, which is the paper's "the
-	// transactions from the previous batch might prefetch the instructions
-	// needed for current batch" (Section 4.5). Overrides AdmitLimit.
-	BatchBarrier bool
 
 	threads []*Thread
 	cores   []coreState
@@ -288,7 +283,7 @@ func (ex *Executor) Run() Result {
 		}
 	}
 	res := Result{
-		Machine:         ex.M,
+		Machine:         ex.M.Snapshot(),
 		Threads:         len(ex.threads),
 		Migrations:      ex.migrations,
 		ContextSwitches: ex.switches,
@@ -374,28 +369,11 @@ func (ex *Executor) execOne(t *Thread, ev trace.Event) (preempted bool) {
 }
 
 // admit places waiting threads at time now until the in-flight bound is
-// reached (or, under BatchBarrier, the whole next batch once the previous
-// one drained). Threads enter the ready set no earlier than the thread just
+// reached. Threads enter the ready set no earlier than the thread just
 // popped from it, so ready-set pops never go back in time, and the time of
 // the finishing thread that calls admit is the latest event time seen: a
 // late admission joins "now", not the past.
 func (ex *Executor) admit(now uint64) {
-	if ex.BatchBarrier {
-		if ex.live > 0 {
-			return
-		}
-		for ex.nextAdmit < len(ex.threads) {
-			t := ex.threads[ex.nextAdmit]
-			if ex.live > 0 && t.Batch != ex.threads[ex.nextAdmit-1].Batch {
-				break
-			}
-			ex.nextAdmit++
-			ex.live++
-			dest := ex.hooks.Place(t)
-			ex.enqueue(t, dest, now)
-		}
-		return
-	}
 	for ex.nextAdmit < len(ex.threads) && (ex.AdmitLimit == 0 || ex.live < ex.AdmitLimit) {
 		t := ex.threads[ex.nextAdmit]
 		ex.nextAdmit++

@@ -32,11 +32,44 @@ type AccessOutcome struct {
 	Cycles uint64
 }
 
-// Machine is the simulated multicore: per-core private caches plus the
-// shared NUCA cache and memory, with activity counters for the MPKI and
-// power analyses.
-type Machine struct {
+// Counters is what a run leaves behind: the machine configuration, the
+// activity counters the MPKI and power analyses read, and the per-level
+// cache aggregates. A Machine counts into its embedded Counters while it
+// executes; a Result keeps the copy Snapshot takes when the run ends, so a
+// finished result is a plain value that keeps no cache arrays alive.
+type Counters struct {
 	Cfg Config
+
+	Instructions uint64 // dynamic instructions (blocks × InstrPerBlock)
+	L1IMisses    uint64
+	L1DMisses    uint64
+	L2PMisses    uint64 // deep hierarchy only
+	SharedMisses uint64 // LLC misses = memory accesses
+	SharedHits   uint64
+	NoCHops      uint64
+	Invalidation uint64 // coherence invalidations caused by writes
+	DataReads    uint64
+	DataWrites   uint64
+
+	// L1IStats and L1DStats sum the private caches over all cores;
+	// SharedStats is the shared cache's. Snapshot fills them in (a live
+	// machine keeps them in its cache objects). The persisted result
+	// carries them beside the counters, not inside them.
+	L1IStats, L1DStats, SharedStats cache.Stats `json:"-"`
+}
+
+// MPKI returns misses per 1000 instructions for a raw miss count.
+func (c Counters) MPKI(misses uint64) float64 {
+	if c.Instructions == 0 {
+		return 0
+	}
+	return float64(misses) / float64(c.Instructions) * 1000
+}
+
+// Machine is the simulated multicore: per-core private caches plus the
+// shared NUCA cache and memory, counting its activity into Counters.
+type Machine struct {
+	Counters
 
 	l1i, l1d []*cache.Cache
 	l2p      []*cache.Cache // non-nil in deep hierarchies
@@ -48,26 +81,6 @@ type Machine struct {
 	// whole Config and divides floats, which is far too expensive for a
 	// per-instruction-event constant.
 	baseBlockCycles uint64
-
-	// restored* substitute for the live per-level cache aggregation when
-	// the machine was reconstructed from a persisted result
-	// (internal/store): the cache objects are not persisted, only their
-	// aggregate statistics, and a restored machine only answers counter
-	// queries — it never executes.
-	restored                                 bool
-	restoredL1I, restoredL1D, restoredShared cache.Stats
-
-	// Counters.
-	Instructions uint64 // dynamic instructions (blocks × InstrPerBlock)
-	L1IMisses    uint64
-	L1DMisses    uint64
-	L2PMisses    uint64 // deep hierarchy only
-	SharedMisses uint64 // LLC misses = memory accesses
-	SharedHits   uint64
-	NoCHops      uint64
-	Invalidation uint64 // coherence invalidations caused by writes
-	DataReads    uint64
-	DataWrites   uint64
 }
 
 // NewMachine builds a machine from cfg; it panics on invalid configuration.
@@ -75,7 +88,7 @@ func NewMachine(cfg Config) *Machine {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	m := &Machine{Cfg: cfg, shared: cache.New(cfg.Shared), baseBlockCycles: cfg.BaseBlockCycles()}
+	m := &Machine{Counters: Counters{Cfg: cfg}, shared: cache.New(cfg.Shared), baseBlockCycles: cfg.BaseBlockCycles()}
 	for i := 0; i < cfg.Cores; i++ {
 		m.l1i = append(m.l1i, cache.New(cfg.L1I))
 		m.l1d = append(m.l1d, cache.New(cfg.L1D))
@@ -238,43 +251,23 @@ func (m *Machine) L1IContains(core int, addr uint64) bool {
 	return m.l1i[core].Contains(addr)
 }
 
-// MarkRestored flags a machine deserialized from a persisted result,
-// recording the per-level aggregates its live caches held at serialization
-// time. CacheStats answers from the recorded aggregates; every other
-// counter is an exported field the decoder sets directly. A restored
-// machine must never execute events (its cache objects are gone) — it
-// exists to make persisted results interchangeable with fresh ones in the
-// metric and power reductions.
-func (m *Machine) MarkRestored(l1i, l1d, shared cache.Stats) {
-	m.restored = true
-	m.restoredL1I, m.restoredL1D, m.restoredShared = l1i, l1d, shared
+// Snapshot returns a copy of the counters with the per-level cache
+// aggregates filled in.
+func (m *Machine) Snapshot() Counters {
+	c := m.Counters
+	c.L1IStats = sumStats(m.l1i)
+	c.L1DStats = sumStats(m.l1d)
+	c.SharedStats = m.shared.Stats()
+	return c
 }
 
-// CacheStats returns per-level aggregate cache statistics.
-func (m *Machine) CacheStats() (l1i, l1d, shared cache.Stats) {
-	if m.restored {
-		return m.restoredL1I, m.restoredL1D, m.restoredShared
-	}
-	for _, c := range m.l1i {
+// sumStats adds up the statistics of one private level across cores.
+func sumStats(caches []*cache.Cache) (sum cache.Stats) {
+	for _, c := range caches {
 		s := c.Stats()
-		l1i.Accesses += s.Accesses
-		l1i.Misses += s.Misses
-		l1i.Evictions += s.Evictions
+		sum.Accesses += s.Accesses
+		sum.Misses += s.Misses
+		sum.Evictions += s.Evictions
 	}
-	for _, c := range m.l1d {
-		s := c.Stats()
-		l1d.Accesses += s.Accesses
-		l1d.Misses += s.Misses
-		l1d.Evictions += s.Evictions
-	}
-	shared = m.shared.Stats()
-	return
-}
-
-// MPKI returns misses per 1000 instructions for a raw miss count.
-func (m *Machine) MPKI(misses uint64) float64 {
-	if m.Instructions == 0 {
-		return 0
-	}
-	return float64(misses) / float64(m.Instructions) * 1000
+	return sum
 }

@@ -291,7 +291,7 @@ func TestYieldOnEmptyQueueKeepsRunning(t *testing.T) {
 }
 
 func TestResultHelpers(t *testing.T) {
-	r := Result{Machine: NewMachine(smallConfig()), Threads: 0}
+	var r Result
 	if r.AvgLatency() != 0 || r.SwitchesPerKInstr() != 0 || r.OverheadShare() != 0 {
 		t.Error("zero-state helpers nonzero")
 	}

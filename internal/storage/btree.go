@@ -460,9 +460,6 @@ func (t *BTree) node(pid PageID) *bnode {
 	if f := t.m.bp.lookup(pid); f != nil {
 		return f.node
 	}
-	if f, ok := t.m.bp.disk[pid]; ok {
-		return f.node
-	}
 	panic(fmt.Sprintf("storage: missing index node %d", pid))
 }
 

@@ -2,10 +2,10 @@ package storage
 
 import "fmt"
 
-// bufferPool keeps page frames resident. The evaluated configuration keeps
-// the whole database in memory (capacity 0 = unbounded, Section 4.1), but a
-// bounded pool with clock eviction and reload from the simulated disk is
-// implemented and tested for completeness.
+// bufferPool keeps page frames resident. Like the evaluated configuration
+// ("the buffer-pool is configured to keep the whole database in memory",
+// Section 4.1), it never evicts: every allocated page stays resident until
+// it is dropped.
 //
 // The pool is also where the paper's common-data effect comes from: the
 // directory buckets (fixed addresses at BufDirBase) and the index root
@@ -13,17 +13,12 @@ import "fmt"
 // spread across the sparse data address space.
 //
 // Resident frames sit in a slice indexed by PageID: allocPage hands out
-// dense IDs from 1, so the slice has no holes beyond evicted or dropped
-// pages.
+// dense IDs from 1, so the slice has no holes beyond dropped pages.
 type bufferPool struct {
-	frames   []*frame          // resident frames by PageID; nil = not resident
-	n        int               // resident frames
-	disk     map[PageID]*frame // evicted frames ("disk" contents)
-	capacity int               // 0 = unbounded
-	clock    []PageID          // eviction order; kept only when capacity > 0
-	hand     int
+	frames []*frame // resident frames by PageID; nil = not resident
+	n      int      // resident frames
 
-	hits, misses, evictions uint64
+	hits, misses uint64
 }
 
 // frame holds either a slotted data page or a B+tree node.
@@ -32,14 +27,6 @@ type frame struct {
 	page *Page  // non-nil for data pages
 	node *bnode // non-nil for index nodes
 	pins int
-	ref  bool
-}
-
-func newBufferPool(capacity int) *bufferPool {
-	return &bufferPool{
-		disk:     make(map[PageID]*frame),
-		capacity: capacity,
-	}
 }
 
 // dirBucketAddr returns the directory-bucket block read by every hash
@@ -57,34 +44,26 @@ func (m *Manager) dirBucketRead(pid PageID) {
 }
 
 // find runs the instrumented buffer-pool hash probe: buf_find's hash walk
-// and hit (or miss+reload) path, one directory-bucket read, and a latch on
-// the frame. The returned frame is pinned; callers unpin when done.
+// and hit path, one directory-bucket read, and a latch on the frame. The
+// returned frame is pinned; callers unpin when done.
 //
 // Code-range map for buf_find (50 blocks):
 //
 //	[0,30)  hash + bucket walk
-//	[30,40) hit path (pin, ref bit)
-//	[40,50) miss path (frame allocation / eviction / reload)
+//	[30,40) hit path (pin)
+//	[40,50) miss path (frame allocation, emitted by installFrame)
 func (bp *bufferPool) find(m *Manager, pid PageID) *frame {
 	m.emitRange(&m.seg.bufFind, 0, 30)
 	m.dirBucketRead(pid)
 	f := bp.lookup(pid)
 	if f == nil {
-		var ok bool
-		f, ok = bp.disk[pid]
-		if !ok {
-			panic(fmt.Sprintf("storage: page %d does not exist", pid))
-		}
-		delete(bp.disk, pid)
-		bp.installFrame(m, f)
-	} else {
-		m.emitRange(&m.seg.bufFind, 30, 40)
-		bp.hits++
+		panic(fmt.Sprintf("storage: page %d does not exist", pid))
 	}
+	m.emitRange(&m.seg.bufFind, 30, 40)
+	bp.hits++
 	m.emitAll(&m.seg.latch)
 	m.dataRead(PageAddr(pid, 0)) // frame/page header block
 	f.pins++
-	f.ref = true
 	return f
 }
 
@@ -101,24 +80,10 @@ func (bp *bufferPool) install(m *Manager, f *frame) {
 	if bp.lookup(f.pid) != nil {
 		panic(fmt.Sprintf("storage: page %d installed twice", f.pid))
 	}
-	if _, dup := bp.disk[f.pid]; dup {
-		panic(fmt.Sprintf("storage: page %d installed twice (on disk)", f.pid))
-	}
-	bp.installFrame(m, f)
-}
-
-// installFrame puts a frame into the resident set, evicting an unpinned
-// frame first when the pool is bounded and full. Emits the miss path of
-// buf_find (allocation happens under the same hash-bucket latch).
-func (bp *bufferPool) installFrame(m *Manager, f *frame) {
+	// The miss path of buf_find: allocation happens under the same
+	// hash-bucket latch.
 	m.emitRange(&m.seg.bufFind, 40, 50)
 	m.dirBucketRead(f.pid)
-	if bp.capacity > 0 {
-		if bp.n >= bp.capacity && !bp.evictOne() {
-			panic("storage: buffer pool full of pinned pages")
-		}
-		bp.clock = append(bp.clock, f.pid)
-	}
 	if need := int(f.pid) + 1 - len(bp.frames); need > 0 {
 		bp.frames = append(bp.frames, make([]*frame, need)...)
 	}
@@ -135,38 +100,12 @@ func (bp *bufferPool) lookup(pid PageID) *frame {
 	return nil
 }
 
-// drop removes pid from the resident set and from disk. A dropped page's
-// clock entry goes stale and evictOne discards it.
+// drop removes pid from the resident set.
 func (bp *bufferPool) drop(pid PageID) {
 	if bp.lookup(pid) != nil {
 		bp.frames[pid] = nil
 		bp.n--
 	}
-	delete(bp.disk, pid)
-}
-
-// evictOne runs the clock algorithm and evicts the first unpinned,
-// unreferenced frame to disk. It returns false if every frame is pinned.
-func (bp *bufferPool) evictOne() bool {
-	for sweep := 0; sweep < 2*len(bp.clock) && len(bp.clock) > 0; sweep++ {
-		bp.hand %= len(bp.clock)
-		pid := bp.clock[bp.hand]
-		f := bp.lookup(pid)
-		if f == nil { // stale clock entry
-			bp.clock = append(bp.clock[:bp.hand], bp.clock[bp.hand+1:]...)
-			continue
-		}
-		if f.pins == 0 && !f.ref {
-			bp.drop(pid)
-			bp.disk[pid] = f
-			bp.clock = append(bp.clock[:bp.hand], bp.clock[bp.hand+1:]...)
-			bp.evictions++
-			return true
-		}
-		f.ref = false
-		bp.hand++
-	}
-	return false
 }
 
 // resident returns the number of frames in the pool.

@@ -21,21 +21,20 @@ type endState struct {
 	acquires, releases, conflicts    uint64
 	logBytes, logRecords, logFlushes uint64
 	lsn, pages                       uint64
-	bufHits, bufMisses, bufEvictions uint64
+	bufHits, bufMisses               uint64
 	tableLen                         int
 }
 
 func endStateOf(m *Manager) endState {
 	s := endState{
-		logBytes:     m.LogBytes(),
-		logRecords:   m.wal.records,
-		logFlushes:   m.wal.flushes,
-		lsn:          m.wal.lsn,
-		pages:        m.PagesAllocated(),
-		bufHits:      m.bp.hits,
-		bufMisses:    m.bp.misses,
-		bufEvictions: m.bp.evictions,
-		tableLen:     len(m.lock.table),
+		logBytes:   m.LogBytes(),
+		logRecords: m.wal.records,
+		logFlushes: m.wal.flushes,
+		lsn:        m.wal.lsn,
+		pages:      m.PagesAllocated(),
+		bufHits:    m.bp.hits,
+		bufMisses:  m.bp.misses,
+		tableLen:   len(m.lock.table),
 	}
 	s.acquires, s.releases, s.conflicts = m.LockStats()
 	return s

@@ -102,22 +102,12 @@ type segments struct {
 	btreeMerge                                codemap.Segment
 }
 
-// Option configures a Manager.
-type Option func(*Manager)
-
-// WithBufferPoolFrames bounds the buffer pool to n frames (0 = unbounded,
-// the paper's "buffer-pool is configured to keep the whole database in
-// memory").
-func WithBufferPoolFrames(n int) Option {
-	return func(m *Manager) { m.bp.capacity = n }
-}
-
 // NewManager creates an untraced storage manager using the given code
 // layout.
-func NewManager(lay *codemap.Layout, opts ...Option) *Manager {
+func NewManager(lay *codemap.Layout) *Manager {
 	m := &Manager{
 		lay:      lay,
-		bp:       newBufferPool(0),
+		bp:       &bufferPool{},
 		lock:     newLockManager(),
 		wal:      newLogManager(),
 		byName:   make(map[string]*Table),
@@ -153,9 +143,6 @@ func NewManager(lay *codemap.Layout, opts ...Option) *Manager {
 		btreeMerge:       lay.Routine(codemap.RBtreeMerge),
 	}
 	m.styles = newDescentStyles(&m.seg)
-	for _, o := range opts {
-		o(m)
-	}
 	return m
 }
 

@@ -99,11 +99,10 @@ func machineSig(m sim.Config) string {
 }
 
 // resultWire is the persisted form of a replay result: the result's
-// exported counters (Machine included — its exported fields are the
-// counters and the configuration) plus the per-level cache aggregates,
-// which live inside unexported cache objects on a live machine. All fields
-// are integers or exactly-round-tripping float64s, so a decoded result
-// reduces to byte-identical metrics.
+// exported counters plus, beside them, the per-level cache aggregates
+// (sim.Counters keeps those out of its own JSON, so the layout predates
+// them). All fields are integers or exactly-round-tripping float64s, so a
+// decoded result equals the replayed one.
 type resultWire struct {
 	Result sim.Result  `json:"result"`
 	L1I    cache.Stats `json:"l1i"`
@@ -113,11 +112,10 @@ type resultWire struct {
 
 func encodeResult(w io.Writer, v any) error {
 	res := v.(sim.Result)
-	wire := resultWire{Result: res}
-	if res.Machine != nil {
-		wire.L1I, wire.L1D, wire.Shared = res.Machine.CacheStats()
-	}
-	return json.NewEncoder(w).Encode(wire)
+	c := res.Machine
+	return json.NewEncoder(w).Encode(resultWire{
+		Result: res, L1I: c.L1IStats, L1D: c.L1DStats, Shared: c.SharedStats,
+	})
 }
 
 func decodeResult(r io.Reader) (any, error) {
@@ -125,9 +123,10 @@ func decodeResult(r io.Reader) (any, error) {
 	if err := json.NewDecoder(r).Decode(&wire); err != nil {
 		return nil, err
 	}
-	if wire.Result.Machine == nil {
-		return nil, fmt.Errorf("sweep: persisted result carries no machine")
+	res := wire.Result
+	if err := res.Machine.Cfg.Validate(); err != nil {
+		return nil, fmt.Errorf("sweep: persisted result: %w", err)
 	}
-	wire.Result.Machine.MarkRestored(wire.L1I, wire.L1D, wire.Shared)
-	return wire.Result, nil
+	res.Machine.L1IStats, res.Machine.L1DStats, res.Machine.SharedStats = wire.L1I, wire.L1D, wire.Shared
+	return res, nil
 }

@@ -1,7 +1,10 @@
 package sweep
 
 import (
+	"bytes"
 	"context"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -120,9 +123,9 @@ func TestPersistProfileWarmStart(t *testing.T) {
 	}
 }
 
-// TestPersistResultWarmStart round-trips a replay result — the subtle
-// artifact: its machine's cache statistics live in unexported cache
-// objects, persisted as aggregates and answered by the restored machine.
+// TestPersistResultWarmStart round-trips a replay result: the result read
+// back from disk must equal the replayed one in every field, the per-level
+// cache aggregates (persisted beside the counters) included.
 func TestPersistResultWarmStart(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
@@ -143,18 +146,50 @@ func TestPersistResultWarmStart(t *testing.T) {
 	if hits := warm.disk.Stats().Hits; hits <= hitsBefore {
 		t.Fatal("warm result did not read from disk")
 	}
-
-	// Every metric downstream reports must match exactly.
-	if gm, wm := Measure(got), Measure(want); gm != wm {
-		t.Errorf("restored result metrics differ:\n got %+v\nwant %+v", gm, wm)
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("restored result differs:\n got %+v\nwant %+v", got, want)
 	}
-	// The restored machine must answer CacheStats (power.Analyze consumes
-	// it) with the recorded aggregates instead of touching nil caches.
-	gi, gd, gs := got.Machine.CacheStats()
-	wi, wd, ws := want.Machine.CacheStats()
-	if gi != wi || gd != wd || gs != ws {
-		t.Errorf("restored machine cache stats differ: %+v/%+v/%+v vs %+v/%+v/%+v",
-			gi, gd, gs, wi, wd, ws)
+}
+
+// TestPersistResultPinnedEntries decodes result entries encoded by an
+// earlier build of the result codec (testdata/result_*.json): each must
+// equal a fresh replay of the same unit, and encoding it again must give
+// back the stored bytes, so the on-disk format has not moved.
+func TestPersistResultPinnedEntries(t *testing.T) {
+	ctx := context.Background()
+	arts := NewArtifacts(5, 0.02, 20, 20, 1, 0, nil)
+	for _, c := range []struct {
+		file, workload string
+		mech           sched.Mechanism
+		machine        sim.Config
+	}{
+		{"result_addict_uniform-ro_shallow.json", "synth:uniform-ro", sched.ADDICT, sim.Shallow()},
+		{"result_htmspec_zipf-hot-rw_deep.json", "synth:zipf-hot-rw", sched.HTMSPEC, sim.Deep()},
+	} {
+		t.Run(c.file, func(t *testing.T) {
+			data, err := os.ReadFile(filepath.Join("testdata", c.file))
+			if err != nil {
+				t.Fatal(err)
+			}
+			v, err := decodeResult(bytes.NewReader(data))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := arts.Result(ctx, c.workload, c.mech, c.machine)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(v, want) {
+				t.Errorf("decoded entry differs from a fresh replay:\n got %+v\nwant %+v", v, want)
+			}
+			var buf bytes.Buffer
+			if err := encodeResult(&buf, v); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(buf.Bytes(), data) {
+				t.Errorf("re-encoded entry differs from the stored bytes:\n got %s\nwant %s", buf.Bytes(), data)
+			}
+		})
 	}
 }
 
