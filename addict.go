@@ -298,10 +298,7 @@ func Schedule(mech Mechanism, s *TraceSet, opts Options) (Result, error) {
 	if opts.Machine != nil {
 		machine = *opts.Machine
 	}
-	cfg := sched.DefaultConfig(machine)
-	cfg.Profile = opts.Profile
-	cfg.BatchSize = opts.BatchSize
-	return sched.Run(mech, s, cfg)
+	return sched.Run(mech, s, sched.Config{Machine: machine, BatchSize: opts.BatchSize, Profile: opts.Profile})
 }
 
 // AnalyzePower computes the activity-based power report of a run.
@@ -428,10 +425,8 @@ func ScheduleOnline(s *TraceSet, rampUp int, opts Options) (Result, *Profile, er
 	if opts.Machine != nil {
 		machine = *opts.Machine
 	}
-	cfg := sched.DefaultConfig(machine)
-	cfg.BatchSize = opts.BatchSize
-	lay := codemap.NewLayout()
-	return sched.RunOnline(s, cfg, rampUp, lay.NoMigrate)
+	cfg := sched.Config{Machine: machine, BatchSize: opts.BatchSize}
+	return sched.RunOnline(s, cfg, rampUp, codemap.NewLayout().NoMigrate)
 }
 
 // OverlapBuckets computes the Figure 2 frequency-bucket shares for a group

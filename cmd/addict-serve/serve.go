@@ -84,7 +84,7 @@ func newServer(eng *addict.Engine, maxRuns int, retryAfter time.Duration, respBu
 	s := &server{
 		eng:        eng,
 		retryAfter: retryAfter,
-		resp: pool.NewLRU[[]byte](respBudget, func(b []byte) int64 {
+		resp: pool.NewLRU[[]byte](respBudget, func(_ string, b []byte) int64 {
 			return int64(len(b)) + 128
 		}),
 		bench:         pool.NewLRU[*addict.BenchReport](0, nil),

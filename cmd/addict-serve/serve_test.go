@@ -351,11 +351,13 @@ func TestSweepCoalescing(t *testing.T) {
 // server-side computation — observable as a runs_cancelled tick, promptly.
 func TestCancellationPropagates(t *testing.T) {
 	_, c := newTestServer(t, 0)
-	// TPC-E population + four-mechanism replay cannot finish in 30ms, so
-	// the deadline always lands mid-run.
+	// Generating a 2000-trace TPC-E window and replaying it under four
+	// mechanisms cannot finish in 30ms, so the deadline always lands
+	// mid-run. (The session's own 40-trace window can: the sweep then
+	// succeeds and the test has nothing to observe.)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
-	_, err := c.Sweep(ctx, addict.SweepSpec{Workloads: []string{"TPC-E"}}, nil)
+	_, err := c.Sweep(ctx, addict.SweepSpec{Workloads: []string{"TPC-E"}, EvalTraces: 2000}, nil)
 	if err == nil {
 		t.Fatal("sweep with a 30ms deadline succeeded; cannot exercise cancellation")
 	}

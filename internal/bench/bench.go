@@ -263,16 +263,9 @@ func withDefaults(cfg Config) Config {
 	return cfg
 }
 
-// schedConfig builds the replay configuration for one cell.
-func schedConfig(machine sim.Config, prof *core.Profile) sched.Config {
-	cfg := sched.DefaultConfig(machine)
-	cfg.Profile = prof
-	return cfg
-}
-
 // measureCell times repeated replays of one mechanism over one set.
 func measureCell(mech sched.Mechanism, set *trace.Set, prof *core.Profile, cfg Config) (Cell, error) {
-	rcfg := schedConfig(cfg.Machine, prof)
+	rcfg := sched.Config{Machine: cfg.Machine, Profile: prof}
 	events := setEvents(set)
 	if events == 0 {
 		return Cell{}, fmt.Errorf("empty trace set")

@@ -24,7 +24,7 @@ func guardInput(tb testing.TB) (sched.Config, *trace.Set) {
 	w := workload.NewTPCC(11, 0.05)
 	profSet := workload.GenerateSet(w, 40)
 	evalSet := workload.GenerateSet(w, 40)
-	cfg := sched.DefaultConfig(sim.Shallow())
+	cfg := sched.Config{Machine: sim.Shallow()}
 	cfg.Profile = core.FindMigrationPoints(profSet, core.ProfileConfig{L1I: cfg.Machine.L1I})
 	return cfg, evalSet
 }

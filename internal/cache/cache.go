@@ -42,14 +42,6 @@ type Stats struct {
 	Evictions uint64
 }
 
-// MissRatio returns misses/accesses (0 when idle).
-func (s Stats) MissRatio() float64 {
-	if s.Accesses == 0 {
-		return 0
-	}
-	return float64(s.Misses) / float64(s.Accesses)
-}
-
 // Cache is a set-associative cache with true-LRU replacement per set.
 // Lines are identified by 64-byte block address; the zero address is valid
 // (tracked with an explicit valid bit). Not safe for concurrent use; the
@@ -219,17 +211,6 @@ func (c *Cache) Resident() int {
 		}
 	}
 	return n
-}
-
-// ResidentBlocks appends the addresses of all valid blocks to dst and
-// returns it. Diagnostic/analysis use only (it allocates).
-func (c *Cache) ResidentBlocks(dst []uint64) []uint64 {
-	for _, l := range c.lines {
-		if l != 0 {
-			dst = append(dst, l&^lineValid)
-		}
-	}
-	return dst
 }
 
 // BankOf maps a block address to one of nBanks NUCA banks (power of two) by

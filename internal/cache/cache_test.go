@@ -123,28 +123,6 @@ func TestFlush(t *testing.T) {
 	if c.Resident() != 0 {
 		t.Errorf("resident after flush = %d, want 0", c.Resident())
 	}
-	if got := c.ResidentBlocks(nil); len(got) != 0 {
-		t.Errorf("ResidentBlocks after flush = %v", got)
-	}
-}
-
-func TestResidentBlocks(t *testing.T) {
-	c := smallCache(t)
-	want := map[uint64]bool{}
-	for i := 0; i < 4; i++ {
-		a := addrForSet(c, i, 0)
-		c.Access(a)
-		want[a] = true
-	}
-	got := c.ResidentBlocks(nil)
-	if len(got) != len(want) {
-		t.Fatalf("ResidentBlocks = %d entries, want %d", len(got), len(want))
-	}
-	for _, a := range got {
-		if !want[a] {
-			t.Errorf("unexpected resident block %#x", a)
-		}
-	}
 }
 
 func TestStatsResetKeepsContents(t *testing.T) {
@@ -269,18 +247,6 @@ func TestResidencyNeverExceedsCapacity(t *testing.T) {
 	}
 }
 
-func TestMissRatio(t *testing.T) {
-	var s Stats
-	if s.MissRatio() != 0 {
-		t.Error("MissRatio of zero stats should be 0")
-	}
-	s = Stats{Accesses: 10, Misses: 4}
-	if got := s.MissRatio(); got != 0.4 {
-		t.Errorf("MissRatio = %v, want 0.4", got)
-	}
-}
-
-// BenchmarkAccess gauges the simulator's innermost loop.
 func BenchmarkAccess(b *testing.B) {
 	c := New(Config{SizeBytes: 32 << 10, Ways: 8, Name: "L1-I"})
 	rng := rand.New(rand.NewSource(1))

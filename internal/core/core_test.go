@@ -192,7 +192,7 @@ func TestPaperWorkedExample(t *testing.T) {
 
 	// Migration behavior (Section 3.2.2's instruction sequence): 0x899397
 	// first seen BEFORE 0x8b5f5f must not migrate; after it, it must.
-	tk := NewTracker(x1)
+	tk := MakeTracker(x1)
 	step := func(ev trace.Event) (int, bool) {
 		pt, ok := tk.Next(ev)
 		if !ok {
@@ -311,7 +311,7 @@ func TestFallbackWhenEntriesExceedCores(t *testing.T) {
 		t.Error("expected fallback on a machine smaller than the op entries")
 	}
 	// Tracker under fallback never migrates.
-	tk := NewTracker(asg.PerTxn[0])
+	tk := MakeTracker(asg.PerTxn[0])
 	if _, ok := tk.Next(trace.MarkerEvent(trace.KindTxnBegin, 0, 0)); ok {
 		t.Error("fallback tracker migrated")
 	}
@@ -331,7 +331,7 @@ func TestTrackerUnknownOp(t *testing.T) {
 		},
 		Config: DefaultProfileConfig(),
 	}
-	tk := NewTracker(prof.Assign(8).PerTxn[0])
+	tk := MakeTracker(prof.Assign(8).PerTxn[0])
 	tk.Next(trace.MarkerEvent(trace.KindTxnBegin, 0, 0))
 	// An operation that was never profiled: no hint, no crash.
 	if _, ok := tk.Next(trace.MarkerEvent(trace.KindOpBegin, trace.OpDeleteTuple, 0)); ok {
@@ -362,7 +362,7 @@ func TestTrackerReset(t *testing.T) {
 		},
 		Config: DefaultProfileConfig(),
 	}
-	tk := NewTracker(prof.Assign(8).PerTxn[0])
+	tk := MakeTracker(prof.Assign(8).PerTxn[0])
 	tk.Next(trace.MarkerEvent(trace.KindOpBegin, trace.OpIndexProbe, 0))
 	tk.Next(trace.MemEvent(trace.KindInstr, 0x40))
 	tk.Reset()

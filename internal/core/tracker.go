@@ -15,12 +15,8 @@ type Tracker struct {
 	inOp  bool
 }
 
-// NewTracker starts tracking one transaction under its type's core map.
-func NewTracker(asg *TxnAssignment) *Tracker {
-	return &Tracker{asg: asg}
-}
-
-// MakeTracker is NewTracker by value, for callers that keep trackers in a
+// MakeTracker starts tracking one transaction under its type's core map.
+// It returns the tracker by value, so callers keep trackers in a
 // preallocated slice (the zero-alloc replay path).
 func MakeTracker(asg *TxnAssignment) Tracker {
 	return Tracker{asg: asg}

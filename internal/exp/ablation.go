@@ -57,8 +57,7 @@ func Ablate(w *Workbench, workloadName string) AblationResult {
 	// critical sections.
 	pcfg := core.ProfileConfig{L1I: w.P.Machine.L1I} // no NoMigrate filter
 	profNoZones := core.FindMigrationPoints(w.ProfileSet(workloadName), pcfg)
-	cfg := sched.DefaultConfig(w.P.Machine)
-	cfg.Profile = profNoZones
+	cfg := sched.Config{Machine: w.P.Machine, Profile: profNoZones}
 	if r, err := sched.Run(sched.ADDICT, set, cfg); err == nil {
 		norm("no no-migrate zones", r)
 	}
@@ -67,9 +66,7 @@ func Ablate(w *Workbench, workloadName string) AblationResult {
 	// emulated by assigning on a machine of exactly the needed size — the
 	// scheduler still runs on the full machine, but no point has replicas.
 	profNoLB := w.Profile(workloadName)
-	cfg2 := sched.DefaultConfig(w.P.Machine)
-	cfg2.Profile = profNoLB
-	cfg2.DisableReplication = true
+	cfg2 := sched.Config{Machine: w.P.Machine, Profile: profNoLB, DisableReplication: true}
 	if r, err := sched.Run(sched.ADDICT, set, cfg2); err == nil {
 		norm("no surplus replication", r)
 	}
@@ -78,8 +75,7 @@ func Ablate(w *Workbench, workloadName string) AblationResult {
 	// emulating a dataset:LLC ratio closer to the paper's 100GB:16MB.
 	small := w.P.Machine
 	small.Shared.SizeBytes = small.Shared.SizeBytes / 16
-	cfg3 := sched.DefaultConfig(small)
-	cfg3.Profile = w.Profile(workloadName)
+	cfg3 := sched.Config{Machine: small, Profile: w.Profile(workloadName)}
 	baseSmall, err1 := sched.Run(sched.Baseline, set, cfg3)
 	addSmall, err2 := sched.Run(sched.ADDICT, set, cfg3)
 	if err1 == nil && err2 == nil {

@@ -66,7 +66,7 @@ var errFlightPanic = errors.New("pool: flight computation panicked")
 type LRU[V any] struct {
 	mu         sync.Mutex
 	budget     int64
-	weigh      func(V) int64
+	weigh      func(key string, v V) int64
 	m          map[string]*lruCell[V]
 	head, tail *lruCell[V] // recency list over resident cells; head = most recent
 
@@ -78,11 +78,11 @@ type LRU[V any] struct {
 }
 
 // NewLRU builds a cache with the given weight budget (<= 0 = unbounded).
-// weigh maps a completed value to its weight; nil weighs every entry 1,
-// making the budget a max entry count.
-func NewLRU[V any](budget int64, weigh func(V) int64) *LRU[V] {
+// weigh maps a completed value and its key to the entry's weight; nil
+// weighs every entry 1, making the budget a max entry count.
+func NewLRU[V any](budget int64, weigh func(key string, v V) int64) *LRU[V] {
 	if weigh == nil {
-		weigh = func(V) int64 { return 1 }
+		weigh = func(string, V) int64 { return 1 }
 	}
 	return &LRU[V]{budget: budget, weigh: weigh}
 }
@@ -189,7 +189,7 @@ func (l *LRU[V]) lead(c *lruCell[V], fn func() (V, error)) {
 				delete(l.m, c.key)
 			}
 		} else {
-			c.weight = l.weigh(c.val)
+			c.weight = l.weigh(c.key, c.val)
 			l.insert(c)
 		}
 		l.mu.Unlock()

@@ -47,7 +47,7 @@ func TestLRUEvictionOrder(t *testing.T) {
 
 // TestLRUUnbounded: budget <= 0 never evicts.
 func TestLRUUnbounded(t *testing.T) {
-	l := NewLRU[int](0, func(int) int64 { return 1 << 20 })
+	l := NewLRU[int](0, func(string, int) int64 { return 1 << 20 })
 	ctx := context.Background()
 	for i := 0; i < 50; i++ {
 		key := fmt.Sprintf("k%d", i)
@@ -81,7 +81,7 @@ func TestLRUErrorNotCached(t *testing.T) {
 // TestLRUOversizedEntry: an entry heavier than the whole budget still
 // returns its value, it just never becomes resident.
 func TestLRUOversizedEntry(t *testing.T) {
-	l := NewLRU[int](5, func(int) int64 { return 100 })
+	l := NewLRU[int](5, func(string, int) int64 { return 100 })
 	ctx := context.Background()
 	v, err := l.Do(ctx, "big", func() (int, error) { return 42, nil })
 	if err != nil || v != 42 {

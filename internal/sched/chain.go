@@ -25,13 +25,16 @@ import (
 // (the chain "fuses through" them).
 type chainHooks struct {
 	cores int
-	minOp int
 	ex    *sim.Executor
 	// home maps txnType*NumOpTypes+opType → home core (-1 unassigned);
 	// nextHome rotates assignments so chains pipeline across cores.
 	home     []int
 	nextHome int
 }
+
+// CHAINMinOpEvents is the minimum remaining length (in trace events) of an
+// operation window for CHAIN to chase it to the operation's home core.
+const CHAINMinOpEvents = 24
 
 // chainLookahead caps the op-length scan at Act time.
 const chainLookahead = 256
@@ -41,9 +44,9 @@ const chainLookahead = 256
 // costs more than refetching the operation's code).
 const chainMaxQueue = 2
 
-func newChainHooks(cfg Config, ordered []*trace.Trace) *chainHooks {
+func newChainHooks(cores int, traces []*trace.Trace) *chainHooks {
 	maxType := 0
-	for _, tr := range ordered {
+	for _, tr := range traces {
 		if int(tr.Type) > maxType {
 			maxType = int(tr.Type)
 		}
@@ -52,7 +55,7 @@ func newChainHooks(cfg Config, ordered []*trace.Trace) *chainHooks {
 	for i := range home {
 		home[i] = -1
 	}
-	return &chainHooks{cores: cfg.Machine.Cores, minOp: cfg.CHAINMinOpEvents, home: home}
+	return &chainHooks{cores: cores, home: home}
 }
 
 func (c *chainHooks) bind(ex *sim.Executor) { c.ex = ex }
@@ -76,7 +79,7 @@ func (c *chainHooks) Act(t *sim.Thread, ev trace.Event) sim.Action {
 		c.nextHome = (c.nextHome + 1) % c.cores
 		c.home[idx] = home
 	}
-	if home == t.Core || c.opLen(t) < c.minOp {
+	if home == t.Core || c.opLen(t) < CHAINMinOpEvents {
 		return sim.Run
 	}
 	if c.ex.QueueLen(home) >= chainMaxQueue {

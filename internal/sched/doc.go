@@ -48,7 +48,8 @@
 //
 // Mechanism names resolve through ParseMechanism (case-insensitive, with
 // a nearest-name suggestion on a typo); DESIGN.md §12 is the mechanism
-// reference manual (state machines, abort/handoff conditions, and knobs).
+// reference manual (state machines, abort/handoff conditions, and the
+// frozen constants each family keeps next to its hooks).
 //
 // Every family is a per-event scheduler: the executor asks Act before each
 // event and reports its outcome through Observe — one dispatch path, as in

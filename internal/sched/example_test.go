@@ -30,7 +30,7 @@ func exampleSet() *trace.Set {
 
 // Baseline: each transaction starts and finishes on one core.
 func ExampleRun() {
-	res, err := Run(Baseline, exampleSet(), DefaultConfig(sim.Shallow()))
+	res, err := Run(Baseline, exampleSet(), Config{Machine: sim.Shallow()})
 	if err != nil {
 		panic(err)
 	}
@@ -41,7 +41,7 @@ func ExampleRun() {
 // STREX: a batch of same-type transactions time-multiplexes one core,
 // switching on L1-I eviction pressure.
 func ExampleRun_strex() {
-	res, err := Run(STREX, exampleSet(), DefaultConfig(sim.Shallow()))
+	res, err := Run(STREX, exampleSet(), Config{Machine: sim.Shallow()})
 	if err != nil {
 		panic(err)
 	}
@@ -52,7 +52,7 @@ func ExampleRun_strex() {
 // SLICC: a miss-burst detector migrates threads as their fetches leave
 // the cached code segment.
 func ExampleRun_slicc() {
-	res, err := Run(SLICC, exampleSet(), DefaultConfig(sim.Shallow()))
+	res, err := Run(SLICC, exampleSet(), Config{Machine: sim.Shallow()})
 	if err != nil {
 		panic(err)
 	}
@@ -64,7 +64,7 @@ func ExampleRun_slicc() {
 // from the same set the replay then runs.
 func ExampleRun_addict() {
 	set := exampleSet()
-	cfg := DefaultConfig(sim.Shallow())
+	cfg := Config{Machine: sim.Shallow()}
 	cfg.Profile = core.FindMigrationPoints(set, core.ProfileConfig{L1I: cfg.Machine.L1I})
 	res, err := Run(ADDICT, set, cfg)
 	if err != nil {
@@ -81,16 +81,14 @@ func ExampleRun_htmspec() {
 	b := trace.NewBuffer()
 	b.TxnBegin(0, "wide")
 	b.OpBegin(0)
-	for i := 0; i < 8; i++ {
-		b.Data(uint64(0x200000+i*64), false) // 8 distinct lines
+	for i := 0; i < HTMSPECReadSetLines+1; i++ {
+		b.Data(uint64(0x200000+i*64), false) // one line past the read-set bound
 	}
 	b.OpEnd(0)
 	b.TxnEnd()
 	set := &trace.Set{Workload: "example", TypeNames: []string{"wide"}, Traces: b.Take()}
 
-	cfg := DefaultConfig(sim.Shallow())
-	cfg.HTMSPECReadSetLines = 4 // the 8-line window overflows this bound
-	res, err := Run(HTMSPEC, set, cfg)
+	res, err := Run(HTMSPEC, set, Config{Machine: sim.Shallow()})
 	if err != nil {
 		panic(err)
 	}
@@ -101,7 +99,7 @@ func ExampleRun_htmspec() {
 // CHAIN chases each operation window to the core owning that operation's
 // code — ADDICT's migration idea with markers instead of a profile.
 func ExampleRun_chain() {
-	res, err := Run(CHAIN, exampleSet(), DefaultConfig(sim.Shallow()))
+	res, err := Run(CHAIN, exampleSet(), Config{Machine: sim.Shallow()})
 	if err != nil {
 		panic(err)
 	}

@@ -31,11 +31,8 @@ import (
 // (a lost conflict), never invent one for a line nobody wrote. All
 // decisions happen at OpEnd markers only; every other event runs in place.
 type htmSpecHooks struct {
-	cores     int
-	readCap   int
-	writeCap  int
-	maxAborts int
-	ex        *sim.Executor
+	cores int
+	ex    *sim.Executor
 
 	// st is per-thread speculation state, indexed by thread ID and
 	// preallocated in bind (the replay loop must not allocate).
@@ -54,10 +51,21 @@ type htmSpecHooks struct {
 	stats sim.SpecStats
 }
 
+// The bounded hardware: HTMSPECReadSetLines and HTMSPECWriteSetLines cap a
+// thread's speculative read and write sets (in 64-byte cache lines); an
+// operation window touching more distinct lines than either cap takes a
+// capacity abort. After HTMSPECMaxAborts aborts a thread permanently falls
+// back to the non-speculative Baseline path.
+const (
+	HTMSPECReadSetLines  = 64
+	HTMSPECWriteSetLines = 32
+	HTMSPECMaxAborts     = 4
+)
+
 // htmState is one thread's speculation context.
 type htmState struct {
-	readSet  []uint64 // tracked read lines (readSet[:nr])
-	writeSet []uint64 // tracked written lines (writeSet[:nw])
+	readSet  [HTMSPECReadSetLines]uint64  // tracked read lines (readSet[:nr])
+	writeSet [HTMSPECWriteSetLines]uint64 // tracked written lines (writeSet[:nw])
 	nr, nw   int
 	// startStamp is the global write stamp at the current region's begin;
 	// only writes stamped after it can conflict.
@@ -72,30 +80,18 @@ type htmState struct {
 // fixed, so its cost amortizes to zero per event).
 const htmTableBits = 13
 
-func newHTMSpecHooks(cfg Config) *htmSpecHooks {
+func newHTMSpecHooks(cores int) *htmSpecHooks {
 	return &htmSpecHooks{
-		cores:     cfg.Machine.Cores,
-		readCap:   cfg.HTMSPECReadSetLines,
-		writeCap:  cfg.HTMSPECWriteSetLines,
-		maxAborts: cfg.HTMSPECMaxAborts,
-		lineTab:   make([]uint64, 1<<htmTableBits),
-		stampTab:  make([]uint64, 1<<htmTableBits),
-		ownerTab:  make([]int32, 1<<htmTableBits),
+		cores:    cores,
+		lineTab:  make([]uint64, 1<<htmTableBits),
+		stampTab: make([]uint64, 1<<htmTableBits),
+		ownerTab: make([]int32, 1<<htmTableBits),
 	}
 }
 
 func (h *htmSpecHooks) bind(ex *sim.Executor) {
 	h.ex = ex
-	n := len(ex.Threads())
-	h.st = make([]htmState, n)
-	// One backing array per set kind: per-thread slices carved out of it,
-	// so the steady-state loop never allocates.
-	reads := make([]uint64, n*h.readCap)
-	writes := make([]uint64, n*h.writeCap)
-	for i := range h.st {
-		h.st[i].readSet = reads[i*h.readCap : (i+1)*h.readCap]
-		h.st[i].writeSet = writes[i*h.writeCap : (i+1)*h.writeCap]
-	}
+	h.st = make([]htmState, len(ex.Threads()))
 }
 
 // SpecStats implements sim.SpecReporter: the run's abort/fallback counters.
@@ -166,7 +162,7 @@ func (h *htmSpecHooks) abort(t *sim.Thread, st *htmState, capacity bool) sim.Act
 	st.speculating = false
 	st.nr, st.nw = 0, 0
 	st.overflow = false
-	if st.aborts >= h.maxAborts && !st.fellBack {
+	if st.aborts >= HTMSPECMaxAborts && !st.fellBack {
 		st.fellBack = true
 		h.stats.Fallbacks++
 	}
@@ -204,7 +200,7 @@ func (h *htmSpecHooks) Observe(t *sim.Thread, ev trace.Event, out sim.AccessOutc
 		st.overflow = false
 	case trace.KindDataRead:
 		if st.speculating {
-			st.nr = addLine(st.readSet, st.nr, ev.Addr(), &st.overflow)
+			st.nr = addLine(st.readSet[:], st.nr, ev.Addr(), &st.overflow)
 		}
 	case trace.KindDataWrite:
 		h.clock++
@@ -213,7 +209,7 @@ func (h *htmSpecHooks) Observe(t *sim.Thread, ev trace.Event, out sim.AccessOutc
 		h.stampTab[s] = h.clock
 		h.ownerTab[s] = int32(t.ID)
 		if st.speculating {
-			st.nw = addLine(st.writeSet, st.nw, ev.Addr(), &st.overflow)
+			st.nw = addLine(st.writeSet[:], st.nw, ev.Addr(), &st.overflow)
 		}
 	}
 }

@@ -13,43 +13,79 @@ func htmSet(traces []*trace.Trace) *trace.Set {
 	return &trace.Set{Workload: "unit", TypeNames: []string{"unit"}, Traces: traces}
 }
 
-// TestHTMSPECCapacityAbort forces a set-overflow abort deterministically:
-// a single thread's operation touches more distinct lines than the set
-// bound, so validation at the operation's end must take exactly one
-// capacity abort — and with a single thread there is nothing to conflict
-// with.
-func TestHTMSPECCapacityAbort(t *testing.T) {
-	build := func(writes bool) *trace.Set {
-		b := trace.NewBuffer()
-		b.TxnBegin(0, "unit")
-		b.OpBegin(0)
-		b.Instr(0x400000)
-		for i := 0; i < 8; i++ {
-			b.Data(uint64(0x200000+i*64), writes)
-		}
-		b.OpEnd(0)
-		b.TxnEnd()
-		return htmSet(b.Take())
+// wideWindow is one transaction whose single operation window touches n
+// distinct data lines, all read or all written.
+func wideWindow(n int, writes bool) *trace.Set {
+	b := trace.NewBuffer()
+	b.TxnBegin(0, "unit")
+	b.OpBegin(0)
+	b.Instr(0x400000)
+	for i := 0; i < n; i++ {
+		b.Data(uint64(0x200000+i*64), writes)
 	}
-	for _, tc := range []struct {
-		name   string
-		writes bool
-	}{
-		{"read-set", false},
-		{"write-set", true},
-	} {
+	b.OpEnd(0)
+	b.TxnEnd()
+	return htmSet(b.Take())
+}
+
+// setCases are HTMSPEC's two bounded sets and their capacities.
+var setCases = []struct {
+	name   string
+	writes bool
+	lines  int
+}{
+	{"read-set", false, HTMSPECReadSetLines},
+	{"write-set", true, HTMSPECWriteSetLines},
+}
+
+// TestHTMSPECCapacityAbort forces a set-overflow abort deterministically:
+// a single thread's operation touches one line more than the set bound, so
+// validation at the operation's end must take exactly one capacity abort —
+// and with a single thread there is nothing to conflict with.
+func TestHTMSPECCapacityAbort(t *testing.T) {
+	for _, tc := range setCases {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := DefaultConfig(sim.Shallow())
-			cfg.HTMSPECReadSetLines = 4
-			cfg.HTMSPECWriteSetLines = 4
-			cfg.HTMSPECMaxAborts = 100 // keep the fallback out of the way
-			res, err := Run(HTMSPEC, build(tc.writes), cfg)
+			res, err := Run(HTMSPEC, wideWindow(tc.lines+1, tc.writes), Config{Machine: sim.Shallow()})
 			if err != nil {
 				t.Fatal(err)
 			}
 			want := sim.SpecStats{CapacityAborts: 1}
 			if res.Spec != want {
 				t.Errorf("Spec = %+v, want %+v", res.Spec, want)
+			}
+		})
+	}
+}
+
+// TestHTMSPECSetBoundary pins each set's capacity exactly: a window
+// touching as many distinct lines as the bound commits, and one more line
+// aborts. The capacities are spelled out (64 read, 32 written lines): the
+// bounds are frozen, and the pinned replay input never fills the read set,
+// so this is the test that holds HTMSPECReadSetLines to its value.
+func TestHTMSPECSetBoundary(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		writes bool
+		lines  int
+	}{
+		{"read-set", false, 64},
+		{"write-set", true, 32},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, c := range []struct {
+				lines int
+				want  sim.SpecStats
+			}{
+				{tc.lines, sim.SpecStats{}},
+				{tc.lines + 1, sim.SpecStats{CapacityAborts: 1}},
+			} {
+				res, err := Run(HTMSPEC, wideWindow(c.lines, tc.writes), Config{Machine: sim.Shallow()})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Spec != c.want {
+					t.Errorf("%d lines: Spec = %+v, want %+v", c.lines, res.Spec, c.want)
+				}
 			}
 		})
 	}
@@ -82,9 +118,7 @@ func TestHTMSPECConflictAbort(t *testing.T) {
 	wb.OpEnd(1)
 	wb.TxnEnd()
 
-	cfg := DefaultConfig(sim.Shallow())
-	cfg.HTMSPECMaxAborts = 100
-	res, err := Run(HTMSPEC, htmSet(append(rb.Take(), wb.Take()...)), cfg)
+	res, err := Run(HTMSPEC, htmSet(append(rb.Take(), wb.Take()...)), Config{Machine: sim.Shallow()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,30 +129,27 @@ func TestHTMSPECConflictAbort(t *testing.T) {
 }
 
 // TestHTMSPECFallbackAfterMaxAborts forces the bounded-retry fallback: with
-// a two-abort budget and every operation overflowing the read set, the
-// first two operations abort, the thread falls back, and the third
-// operation must run non-speculatively (no third abort).
+// every operation overflowing the read set, the first HTMSPECMaxAborts
+// operations abort, the thread falls back, and the next operation must run
+// non-speculatively (no further abort).
 func TestHTMSPECFallbackAfterMaxAborts(t *testing.T) {
 	b := trace.NewBuffer()
 	b.TxnBegin(0, "unit")
-	for op := 0; op < 3; op++ {
+	for op := 0; op < HTMSPECMaxAborts+1; op++ {
 		b.OpBegin(trace.OpType(op))
 		b.Instr(0x400000)
-		for i := 0; i < 4; i++ {
+		for i := 0; i < HTMSPECReadSetLines+1; i++ {
 			b.Data(uint64(0x500000+i*64), false)
 		}
 		b.OpEnd(trace.OpType(op))
 	}
 	b.TxnEnd()
 
-	cfg := DefaultConfig(sim.Shallow())
-	cfg.HTMSPECReadSetLines = 2
-	cfg.HTMSPECMaxAborts = 2
-	res, err := Run(HTMSPEC, htmSet(b.Take()), cfg)
+	res, err := Run(HTMSPEC, htmSet(b.Take()), Config{Machine: sim.Shallow()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := sim.SpecStats{CapacityAborts: 2, Fallbacks: 1}
+	want := sim.SpecStats{CapacityAborts: HTMSPECMaxAborts, Fallbacks: 1}
 	if res.Spec != want {
 		t.Errorf("Spec = %+v, want %+v", res.Spec, want)
 	}
@@ -138,14 +169,11 @@ func TestHTMSPECConflictTableNeverInvents(t *testing.T) {
 		lines   = 1 << 16 // 8x the table's slots, so aliasing is common
 		steps   = 200000
 	)
-	cfg := DefaultConfig(sim.Shallow())
-	h := newHTMSpecHooks(cfg)
+	h := newHTMSpecHooks(sim.Shallow().Cores)
 	h.st = make([]htmState, threads)
 	ths := make([]*sim.Thread, threads)
 	for i := range ths {
 		ths[i] = &sim.Thread{ID: i}
-		h.st[i].readSet = make([]uint64, cfg.HTMSPECReadSetLines)
-		h.st[i].writeSet = make([]uint64, cfg.HTMSPECWriteSetLines)
 	}
 
 	type write struct {

@@ -10,8 +10,7 @@ import (
 
 func TestSTREXPlacementBalancesSkewedBatches(t *testing.T) {
 	// Batches of wildly different sizes must not pile onto low cores.
-	cfg := DefaultConfig(sim.Shallow())
-	s := newStrexHooks(cfg)
+	s := newStrexHooks(sim.Shallow().Cores)
 	mk := func(id, batch, events int) *sim.Thread {
 		b := trace.NewBuffer()
 		b.TxnBegin(0, "x")
@@ -38,6 +37,99 @@ func TestSTREXPlacementBalancesSkewedBatches(t *testing.T) {
 	}
 }
 
+// The mechanism constants are frozen: the exp goldens and the pinned
+// counters were produced with them. The pinned replay input does not sit
+// on every boundary, so the tests below state each detector's threshold in
+// literal numbers, and a changed constant fails here.
+
+// TestSTREXEvictionThresholdBoundary: the 64th eviction on a core ends the
+// stratum; the 63rd does not.
+func TestSTREXEvictionThresholdBoundary(t *testing.T) {
+	s := newStrexHooks(1)
+	th := &sim.Thread{Core: 0}
+	instr := trace.MemEvent(trace.KindInstr, 0x400000)
+	s.evictions[0] = 63
+	if got := s.Act(th, instr); got != sim.Run {
+		t.Errorf("63 evictions: Act = %+v, want Run", got)
+	}
+	s.evictions[0] = 64
+	if got := s.Act(th, instr); got != sim.Yield {
+		t.Errorf("64 evictions: Act = %+v, want Yield", got)
+	}
+	if s.evictions[0] != 0 {
+		t.Errorf("monitor not reset after the switch: %d", s.evictions[0])
+	}
+}
+
+// TestSLICCDetectorBoundary: a thread migrates once its 32-fetch window
+// holds 16 misses and 128 fetches have passed since its last move, and not
+// one fetch or miss earlier.
+func TestSLICCDetectorBoundary(t *testing.T) {
+	b := trace.NewBuffer()
+	b.TxnBegin(0, "x")
+	for i := 0; i < 64; i++ {
+		b.Instr(uint64(0x400000 + i*64))
+	}
+	b.TxnEnd()
+	s := newSliccHooks(sim.Shallow().Cores)
+	ex := sim.NewExecutor(sim.NewMachine(sim.Shallow()), s, b.Take())
+	s.bind(ex)
+	th := ex.Threads()[0]
+	th.Core = 0
+	instr := trace.MemEvent(trace.KindInstr, 0x400000)
+	for _, tc := range []struct {
+		name                       string
+		fetches, misses, sinceMove int // state before the fetch
+		want                       sim.Action
+	}{
+		// Nothing upcoming is resident anywhere: the segment moves to the
+		// first idle core.
+		{"burst", 32, 16, 127, sim.MigrateTo(1)},
+		{"cooldown", 32, 16, 126, sim.Run},
+		{"short window", 31, 16, 127, sim.Run},
+		{"few misses", 32, 15, 127, sim.Run},
+	} {
+		s.st[0] = sliccState{fetches: tc.fetches, misses: tc.misses, sinceMove: tc.sinceMove}
+		s.rrPreferred = 0
+		if got := s.Act(th, instr); got != tc.want {
+			t.Errorf("%s: Act = %+v, want %+v", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestCHAINMinOpEventsBoundary: an operation window of 24 events chases
+// its home core; one of 23 runs in place.
+func TestCHAINMinOpEventsBoundary(t *testing.T) {
+	for _, tc := range []struct {
+		events     int // OpBegin up to (not including) OpEnd
+		migrations uint64
+	}{
+		{24, 1},
+		{23, 0},
+	} {
+		b := trace.NewBuffer()
+		b.TxnBegin(0, "x")
+		// The first operation's home is core 0, where the thread starts.
+		b.OpBegin(0)
+		b.Instr(0x400000)
+		b.OpEnd(0)
+		// The second operation's home is core 1.
+		b.OpBegin(1)
+		for i := 0; i < tc.events-1; i++ {
+			b.Instr(uint64(0x500000 + i*64))
+		}
+		b.OpEnd(1)
+		b.TxnEnd()
+		res, err := Run(CHAIN, htmSet(b.Take()), Config{Machine: sim.Shallow()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Migrations != tc.migrations {
+			t.Errorf("%d-event window: %d migrations, want %d", tc.events, res.Migrations, tc.migrations)
+		}
+	}
+}
+
 func TestADDICTDisableReplicationSingleCores(t *testing.T) {
 	set, _, cfg := testSetup(t, 32)
 	cfg.DisableReplication = true
@@ -50,14 +142,7 @@ func TestADDICTDisableReplicationSingleCores(t *testing.T) {
 	}
 	// Static single-core points serialize the pipeline: throughput must be
 	// clearly worse than replicated ADDICT (the ablation's finding).
-	full, err := Run(ADDICT, set, Config{
-		Machine:                cfg.Machine,
-		Profile:                cfg.Profile,
-		STREXEvictionThreshold: cfg.STREXEvictionThreshold,
-		SLICCWindow:            cfg.SLICCWindow,
-		SLICCMissThreshold:     cfg.SLICCMissThreshold,
-		SLICCCooldown:          cfg.SLICCCooldown,
-	})
+	full, err := Run(ADDICT, set, Config{Machine: cfg.Machine, Profile: cfg.Profile})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +157,7 @@ func TestSLICCFollowsLeaderCores(t *testing.T) {
 	// per thread.
 	b := workload.NewTPCB(5, 0.1)
 	set := workload.GenerateSet(b, 32)
-	cfg := DefaultConfig(sim.Shallow())
+	cfg := Config{Machine: sim.Shallow()}
 	res, err := Run(SLICC, set, cfg)
 	if err != nil {
 		t.Fatal(err)

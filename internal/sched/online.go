@@ -25,27 +25,17 @@ func RunOnline(s *trace.Set, cfg Config, rampUp int, noMigrate func(uint64) bool
 	pcfg := core.ProfileConfig{L1I: cfg.Machine.L1I, NoMigrate: noMigrate}
 	prof := core.FindMigrationPoints(s.Slice(0, rampUp), pcfg)
 
-	m := sim.NewMachine(cfg.Machine)
-	serving := s.Traces[rampUp:]
+	// Ramp-up transactions run in arrival order (no batching under
+	// traditional scheduling); serving-phase batches follow.
 	ordered := append(append([]*trace.Trace(nil), s.Traces[:rampUp]...),
-		batchByType(serving, cfg.batchSize())...)
-
+		batchByType(s.Traces[rampUp:], cfg.batchSize())...)
 	cfg.Profile = prof
-	hooks := &onlineHooks{
+	h := &onlineHooks{
 		rampUp:   rampUp,
 		baseline: &baselineHooks{cores: cfg.Machine.Cores},
 		addict:   newAddictHooks(cfg),
 	}
-	ex := sim.NewExecutor(m, hooks, ordered)
-	// Ramp-up transactions are one batch each (no batching under
-	// traditional scheduling); serving-phase batches follow.
-	threads := ex.Threads()
-	for i := 0; i < rampUp; i++ {
-		threads[i].Batch = i
-	}
-	applyBatches(threads[rampUp:], ordered[rampUp:], cfg.batchSize(), rampUp)
-	hooks.addict.bind(ex)
-	return ex.Run(), prof, nil
+	return replay(cfg, h, ordered, 0), prof, nil
 }
 
 // onlineHooks runs ramp-up threads under baseline rules and the rest under
@@ -80,3 +70,5 @@ func (o *onlineHooks) Observe(t *sim.Thread, ev trace.Event, out sim.AccessOutco
 	}
 	o.addict.Observe(t, ev, out)
 }
+
+func (o *onlineHooks) bind(ex *sim.Executor) { o.addict.bind(ex) }

@@ -12,7 +12,7 @@ func TestRunOnlineProfilesThenMigrates(t *testing.T) {
 	b := workload.NewTPCB(1, 0.1)
 	set := workload.GenerateSet(b, 160)
 	lay := codemap.NewLayout()
-	cfg := DefaultConfig(sim.Shallow())
+	cfg := Config{Machine: sim.Shallow()}
 
 	res, prof, err := RunOnline(set, cfg, 60, lay.NoMigrate)
 	if err != nil {
@@ -44,7 +44,7 @@ func TestRunOnlineProfilesThenMigrates(t *testing.T) {
 func TestRunOnlineValidatesRampUp(t *testing.T) {
 	b := workload.NewTPCB(2, 0.05)
 	set := workload.GenerateSet(b, 10)
-	cfg := DefaultConfig(sim.Shallow())
+	cfg := Config{Machine: sim.Shallow()}
 	if _, _, err := RunOnline(set, cfg, 0, nil); err == nil {
 		t.Error("ramp-up 0 accepted")
 	}
@@ -59,7 +59,7 @@ func TestRunOnlineValidatesRampUp(t *testing.T) {
 func TestRunOnlineDeterminism(t *testing.T) {
 	b := workload.NewTPCB(3, 0.05)
 	set := workload.GenerateSet(b, 60)
-	cfg := DefaultConfig(sim.Shallow())
+	cfg := Config{Machine: sim.Shallow()}
 	r1, p1, err := RunOnline(set, cfg, 20, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -3,6 +3,8 @@ package sched
 import (
 	"fmt"
 	"strings"
+
+	"addict/internal/suggest"
 )
 
 // ParseMechanism resolves a mechanism name to its canonical Mechanism
@@ -20,74 +22,22 @@ func ParseMechanism(name string) (Mechanism, error) {
 }
 
 // MechanismNames renders AllMechanisms for error messages and docs.
-func MechanismNames() string {
+func MechanismNames() string { return strings.Join(mechanismNames(), ", ") }
+
+func mechanismNames() []string {
 	names := make([]string, len(AllMechanisms))
 	for i, m := range AllMechanisms {
 		names[i] = string(m)
 	}
-	return strings.Join(names, ", ")
+	return names
 }
 
 // unknownMechanism builds the unknown-name error, with a did-you-mean
 // suggestion when some known mechanism is within edit distance.
 func unknownMechanism(name string) error {
-	if near := nearestMechanism(name); near != "" {
+	if near := suggest.Nearest(name, mechanismNames()); near != "" {
 		return fmt.Errorf("sched: unknown mechanism %q (did you mean %q? have %s)",
 			name, near, MechanismNames())
 	}
 	return fmt.Errorf("sched: unknown mechanism %q (have %s)", name, MechanismNames())
-}
-
-// nearestMechanism returns the known mechanism closest to name by
-// case-insensitive edit distance, or "" when nothing is plausibly close
-// (the same cutoff rule as synth's nearestPreset: a third of the name's
-// length, at least 2).
-func nearestMechanism(name string) string {
-	lower := strings.ToLower(name)
-	best, bestDist := "", -1
-	for _, m := range AllMechanisms {
-		d := editDistance(lower, strings.ToLower(string(m)))
-		if bestDist < 0 || d < bestDist {
-			best, bestDist = string(m), d
-		}
-	}
-	max := (len(name) + 2) / 3
-	if max < 2 {
-		max = 2
-	}
-	if bestDist < 0 || bestDist > max {
-		return ""
-	}
-	return best
-}
-
-// editDistance is the Levenshtein distance between a and b (two-row DP).
-func editDistance(a, b string) int {
-	prev := make([]int, len(b)+1)
-	cur := make([]int, len(b)+1)
-	for j := range prev {
-		prev[j] = j
-	}
-	for i := 1; i <= len(a); i++ {
-		cur[0] = i
-		for j := 1; j <= len(b); j++ {
-			cost := 1
-			if a[i-1] == b[j-1] {
-				cost = 0
-			}
-			cur[j] = minInt3(prev[j]+1, cur[j-1]+1, prev[j-1]+cost)
-		}
-		prev, cur = cur, prev
-	}
-	return prev[len(b)]
-}
-
-func minInt3(a, b, c int) int {
-	if b < a {
-		a = b
-	}
-	if c < a {
-		a = c
-	}
-	return a
 }

@@ -29,7 +29,7 @@ func pinSetup(t testing.TB) (Config, *trace.Set) {
 	w := workload.NewTPCC(7, 0.05)
 	profSet := workload.GenerateSet(w, 60)
 	evalSet := workload.GenerateSet(w, 60)
-	cfg := DefaultConfig(sim.Shallow())
+	cfg := Config{Machine: sim.Shallow()}
 	cfg.Profile = core.FindMigrationPoints(profSet, core.ProfileConfig{L1I: cfg.Machine.L1I})
 	return cfg, evalSet
 }

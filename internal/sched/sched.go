@@ -34,7 +34,10 @@ var Mechanisms = []Mechanism{Baseline, STREX, SLICC, ADDICT}
 // cells, and the synthchar characterization) span this set.
 var AllMechanisms = []Mechanism{Baseline, STREX, SLICC, ADDICT, HTMSPEC, CHAIN}
 
-// Config parameterizes a scheduling run.
+// Config parameterizes a scheduling run. A Config holding only a Machine is
+// the paper's evaluation setup on that machine; the mechanism knobs are
+// package constants (STREXEvictionThreshold, SLICCWindow, ...), calibrated
+// once against the paper's Figure 5/6/9 shape and frozen.
 type Config struct {
 	// Machine is the simulated hardware (Table 1 by default).
 	Machine sim.Config
@@ -43,64 +46,18 @@ type Config struct {
 	BatchSize int
 	// AdmitLimit caps the number of concurrently admitted transactions
 	// independently of the batch size (sweep axis: thread admission).
-	// 0 keeps each mechanism's default: the batch size for SLICC and
-	// ADDICT; unbounded (concurrency limited by the core queues) for
-	// STREX, and for Baseline unless BatchSize models the load.
+	// 0 keeps each mechanism's default: the batch size for SLICC, ADDICT
+	// and CHAIN; unbounded (concurrency limited by the core queues) for
+	// STREX, HTMSPEC and online ADDICT, and for Baseline unless BatchSize
+	// models the load.
 	AdmitLimit int
 	// Profile supplies ADDICT's migration points (required for ADDICT).
 	Profile *core.Profile
-
-	// STREXEvictionThreshold is the number of L1-I evictions a thread
-	// tolerates before STREX switches to the next thread in the batch.
-	STREXEvictionThreshold int
-	// SLICCWindow and SLICCMissThreshold define SLICC's miss-burst
-	// detector: a migration triggers when the last SLICCWindow instruction
-	// fetches contain at least SLICCMissThreshold misses.
-	SLICCWindow        int
-	SLICCMissThreshold int
-	// SLICCCooldown is the minimum number of fetches between two SLICC
-	// migrations of the same thread.
-	SLICCCooldown int
-
-	// HTMSPECReadSetLines and HTMSPECWriteSetLines bound HTMSPEC's
-	// per-thread speculative read/write sets (in 64-byte cache lines); an
-	// operation window touching more distinct lines than either cap takes
-	// a capacity abort.
-	HTMSPECReadSetLines  int
-	HTMSPECWriteSetLines int
-	// HTMSPECMaxAborts is the number of aborts a thread tolerates before
-	// it permanently falls back to the non-speculative Baseline path
-	// (the standard bounded-retry HTM fallback policy).
-	HTMSPECMaxAborts int
-
-	// CHAINMinOpEvents is the minimum remaining length (in trace events)
-	// of an operation window for CHAIN to chase it to the operation's
-	// home core; shorter windows run in place because the migration cost
-	// would outweigh the instruction-locality gain.
-	CHAINMinOpEvents int
-
 	// DisableReplication strips ADDICT's surplus-core replicas and dynamic
 	// stealing, leaving exactly one core per migration point — the
 	// load-balancing ablation of Section 3.2.3's "fewer migration points
 	// than cores" rule.
 	DisableReplication bool
-}
-
-// DefaultConfig returns the paper's evaluation setup on the given machine.
-// The mechanism knobs are calibrated once against the paper's Figure 5/6/9
-// shape (see EXPERIMENTS.md) and frozen.
-func DefaultConfig(machine sim.Config) Config {
-	return Config{
-		Machine:                machine,
-		STREXEvictionThreshold: 64,
-		SLICCWindow:            32,
-		SLICCMissThreshold:     16,
-		SLICCCooldown:          128,
-		HTMSPECReadSetLines:    64,
-		HTMSPECWriteSetLines:   32,
-		HTMSPECMaxAborts:       4,
-		CHAINMinOpEvents:       24,
-	}
 }
 
 func (c Config) batchSize() int {
@@ -110,70 +67,68 @@ func (c Config) batchSize() int {
 	return c.Machine.Cores
 }
 
-// Run wires the mechanism's hooks, batching, and admission policy into an
-// executor, replays the trace set, and returns the simulation result.
+// hooks is one mechanism's runtime half: the executor callbacks plus bind,
+// which sizes per-thread state once the executor has created the threads
+// (the replay loop must not allocate).
+type hooks interface {
+	sim.Hooks
+	bind(ex *sim.Executor)
+}
+
+// Run picks the mechanism's hooks, trace order, and default in-flight
+// bound, replays the trace set, and returns the simulation result.
 func Run(mech Mechanism, s *trace.Set, cfg Config) (sim.Result, error) {
-	m := sim.NewMachine(cfg.Machine)
-	// admit applies the explicit admission cap, if any, over a mechanism's
-	// default in-flight bound.
-	admit := func(def int) int {
-		if cfg.AdmitLimit > 0 {
-			return cfg.AdmitLimit
-		}
-		return def
-	}
-	var ex *sim.Executor
+	cores := cfg.Machine.Cores
+	var h hooks
+	// By default a mechanism admits one batch at a time.
+	limit := cfg.batchSize()
 	switch mech {
 	case Baseline:
-		hooks := &baselineHooks{cores: cfg.Machine.Cores}
-		ex = sim.NewExecutor(m, hooks, s.Traces)
 		// An explicit batch size models server load for Baseline too
 		// (Figure 7 compares mechanisms at equal concurrency).
-		ex.AdmitLimit = admit(cfg.BatchSize)
+		h, limit = &baselineHooks{cores: cores}, cfg.BatchSize
 	case STREX:
-		ordered := batchByType(s.Traces, cfg.batchSize())
-		hooks := newStrexHooks(cfg)
-		ex = sim.NewExecutor(m, hooks, ordered)
-		ex.AdmitLimit = admit(0)
-		applyBatches(ex.Threads(), ordered, cfg.batchSize(), 0)
+		h, limit = newStrexHooks(cores), 0
 	case SLICC:
-		ordered := batchByType(s.Traces, cfg.batchSize())
-		hooks := newSliccHooks(cfg)
-		ex = sim.NewExecutor(m, hooks, ordered)
-		ex.AdmitLimit = admit(cfg.batchSize())
-		applyBatches(ex.Threads(), ordered, cfg.batchSize(), 0)
-		hooks.bind(ex)
+		h = newSliccHooks(cores)
 	case ADDICT:
 		if cfg.Profile == nil {
 			return sim.Result{}, fmt.Errorf("sched: ADDICT requires a migration-point profile")
 		}
-		ordered := batchByType(s.Traces, cfg.batchSize())
-		hooks := newAddictHooks(cfg)
-		ex = sim.NewExecutor(m, hooks, ordered)
-		ex.AdmitLimit = admit(cfg.batchSize())
-		applyBatches(ex.Threads(), ordered, cfg.batchSize(), 0)
-		hooks.bind(ex)
+		h = newAddictHooks(cfg)
 	case HTMSPEC:
-		ordered := batchByType(s.Traces, cfg.batchSize())
-		hooks := newHTMSpecHooks(cfg)
-		ex = sim.NewExecutor(m, hooks, ordered)
 		// Concurrency bounded by the core queues (like STREX): HTMSPEC is
 		// Baseline plus speculation, so it runs at Baseline's width and
 		// pays only for aborts.
-		ex.AdmitLimit = admit(0)
-		applyBatches(ex.Threads(), ordered, cfg.batchSize(), 0)
-		hooks.bind(ex)
+		h, limit = newHTMSpecHooks(cores), 0
 	case CHAIN:
-		ordered := batchByType(s.Traces, cfg.batchSize())
-		hooks := newChainHooks(cfg, ordered)
-		ex = sim.NewExecutor(m, hooks, ordered)
-		ex.AdmitLimit = admit(cfg.batchSize())
-		applyBatches(ex.Threads(), ordered, cfg.batchSize(), 0)
-		hooks.bind(ex)
+		h = newChainHooks(cores, s.Traces)
 	default:
 		return sim.Result{}, unknownMechanism(string(mech))
 	}
-	return ex.Run(), nil
+	// Baseline runs in arrival order; every other mechanism batches
+	// same-type transactions.
+	ordered := s.Traces
+	if mech != Baseline {
+		ordered = batchByType(s.Traces, cfg.batchSize())
+	}
+	return replay(cfg, h, ordered, limit), nil
+}
+
+// replay is the one executor construction: a fresh machine, threads in
+// ordered order stamped with their batches, the in-flight bound (the
+// explicit AdmitLimit over the mechanism's default), and the hooks bound
+// to the threads. Batch numbers steer only STREX, SLICC and CHAIN
+// placement and STREX's yield; the other hooks never read them.
+func replay(cfg Config, h hooks, ordered []*trace.Trace, limit int) sim.Result {
+	ex := sim.NewExecutor(sim.NewMachine(cfg.Machine), h, ordered)
+	if cfg.AdmitLimit > 0 {
+		limit = cfg.AdmitLimit
+	}
+	ex.AdmitLimit = limit
+	applyBatches(ex.Threads(), ordered, cfg.batchSize())
+	h.bind(ex)
+	return ex.Run()
 }
 
 // batchByType reorders traces so same-type transactions are grouped into
@@ -210,10 +165,10 @@ func batchByType(traces []*trace.Trace, b int) []*trace.Trace {
 	return out
 }
 
-// applyBatches stamps batch indices, counting up from first, onto threads
-// created in `ordered` order: a batch holds at most b threads of one type.
-func applyBatches(threads []*sim.Thread, ordered []*trace.Trace, b, first int) {
-	batch := first
+// applyBatches stamps batch indices onto threads created in `ordered`
+// order: a batch holds at most b consecutive threads of one type.
+func applyBatches(threads []*sim.Thread, ordered []*trace.Trace, b int) {
+	batch := 0
 	count := 0
 	var cur trace.TxnType
 	for i, th := range threads {
@@ -246,3 +201,5 @@ func (b *baselineHooks) Act(*sim.Thread, trace.Event) sim.Action { return sim.Ru
 
 // Observe implements sim.Hooks.
 func (b *baselineHooks) Observe(*sim.Thread, trace.Event, sim.AccessOutcome) {}
+
+func (b *baselineHooks) bind(*sim.Executor) {}

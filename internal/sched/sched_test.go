@@ -21,9 +21,7 @@ func testSetup(t *testing.T, n int) (*trace.Set, *core.Profile, Config) {
 	pcfg := core.DefaultProfileConfig()
 	pcfg.NoMigrate = lay.NoMigrate
 	prof := core.FindMigrationPoints(profSet, pcfg)
-	cfg := DefaultConfig(sim.Shallow())
-	cfg.Profile = prof
-	return evalSet, prof, cfg
+	return evalSet, prof, Config{Machine: sim.Shallow(), Profile: prof}
 }
 
 func TestBatchByTypeGroups(t *testing.T) {
@@ -59,7 +57,7 @@ func TestApplyBatchesBoundaries(t *testing.T) {
 	// 3 of type 0, then 2 of type 1, batch size 2 → batches 0,0 | 1 | 2,2.
 	ordered := []*trace.Trace{mk(0), mk(0), mk(0), mk(1), mk(1)}
 	ex := sim.NewExecutor(sim.NewMachine(sim.Shallow()), &baselineHooks{cores: 16}, ordered)
-	applyBatches(ex.Threads(), ordered, 2, 0)
+	applyBatches(ex.Threads(), ordered, 2)
 	got := make([]int, 5)
 	for i, th := range ex.Threads() {
 		got[i] = th.Batch

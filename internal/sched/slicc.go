@@ -16,12 +16,8 @@ import (
 // than ADDICT and cannot avoid migrating inside critical sections
 // (Section 5.2).
 type sliccHooks struct {
-	cores         int
-	window        int
-	missThreshold int
-	cooldown      int
-
-	ex *sim.Executor
+	cores int
+	ex    *sim.Executor
 	// st is per-thread state, indexed by thread ID (preallocated in bind —
 	// the replay loop must not allocate).
 	st []sliccState
@@ -42,14 +38,21 @@ type sliccState struct {
 	migrations int
 }
 
-func newSliccHooks(cfg Config) *sliccHooks {
+// SLICC's miss-burst detector: a migration triggers when the last
+// SLICCWindow instruction fetches contain at least SLICCMissThreshold
+// misses, and at least SLICCCooldown fetches have passed since the
+// thread's previous migration.
+const (
+	SLICCWindow        = 32
+	SLICCMissThreshold = 16
+	SLICCCooldown      = 128
+)
+
+func newSliccHooks(cores int) *sliccHooks {
 	return &sliccHooks{
-		cores:         cfg.Machine.Cores,
-		window:        cfg.SLICCWindow,
-		missThreshold: cfg.SLICCMissThreshold,
-		cooldown:      cfg.SLICCCooldown,
-		segSeen:       make(map[uint64]struct{}, segmentLookahead),
-		segBuf:        make([]uint64, 0, segmentLookahead),
+		cores:   cores,
+		segSeen: make(map[uint64]struct{}, segmentLookahead),
+		segBuf:  make([]uint64, 0, segmentLookahead),
 	}
 }
 
@@ -80,7 +83,7 @@ func (s *sliccHooks) Act(t *sim.Thread, ev trace.Event) sim.Action {
 	}
 	st := s.state(t.ID)
 	st.sinceMove++
-	if st.fetches < s.window || st.misses < s.missThreshold || st.sinceMove < s.cooldown {
+	if st.fetches < SLICCWindow || st.misses < SLICCMissThreshold || st.sinceMove < SLICCCooldown {
 		return sim.Run
 	}
 	dest := s.pickCore(t)
@@ -185,7 +188,7 @@ func (s *sliccHooks) Observe(t *sim.Thread, ev trace.Event, out sim.AccessOutcom
 	if out.L1Miss {
 		st.misses++
 	}
-	if st.fetches > s.window {
+	if st.fetches > SLICCWindow {
 		// Restart the window (block-granular approximation of a sliding
 		// window; SLICC's hardware uses saturating counters).
 		st.fetches = 0

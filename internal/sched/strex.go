@@ -16,8 +16,7 @@ import (
 // every transaction spans its whole batch) and LLC pressure (+50%, one
 // core's L2 window serves 16 live transactions).
 type strexHooks struct {
-	cores     int
-	threshold int
+	cores int
 	// evictions is the per-core cache-fill monitor: L1-I evictions on the
 	// core since the last switch, regardless of which thread caused them.
 	// (A per-core monitor is what the STREX hardware implements; it also
@@ -31,15 +30,21 @@ type strexHooks struct {
 	coreWork  []uint64
 }
 
-func newStrexHooks(cfg Config) *strexHooks {
+// STREXEvictionThreshold is the number of L1-I evictions a core's monitor
+// counts before STREX switches to the next thread in the batch (the
+// stratum boundary).
+const STREXEvictionThreshold = 64
+
+func newStrexHooks(cores int) *strexHooks {
 	return &strexHooks{
-		cores:     cfg.Machine.Cores,
-		threshold: cfg.STREXEvictionThreshold,
-		evictions: make([]int, cfg.Machine.Cores),
+		cores:     cores,
+		evictions: make([]int, cores),
 		batchCore: make(map[int]int),
-		coreWork:  make([]uint64, cfg.Machine.Cores),
+		coreWork:  make([]uint64, cores),
 	}
 }
+
+func (s *strexHooks) bind(*sim.Executor) {}
 
 // Place implements sim.Hooks: each batch is pinned to one core — the
 // least-loaded one when the batch first arrives.
@@ -59,12 +64,12 @@ func (s *strexHooks) Place(t *sim.Thread) int {
 }
 
 // Act implements sim.Hooks: switch to the next batch thread once the
-// core's monitor has seen `threshold` evictions (the stratum boundary).
+// core's monitor has seen STREXEvictionThreshold evictions.
 func (s *strexHooks) Act(t *sim.Thread, ev trace.Event) sim.Action {
 	if ev.Kind() != trace.KindInstr {
 		return sim.Run
 	}
-	if s.evictions[t.Core] >= s.threshold {
+	if s.evictions[t.Core] >= STREXEvictionThreshold {
 		s.evictions[t.Core] = 0
 		return sim.Yield
 	}

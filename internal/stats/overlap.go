@@ -1,7 +1,5 @@
 package stats
 
-import "sort"
-
 // OverlapBucket labels the appearance-frequency bands of Figure 2's pies.
 type OverlapBucket int
 
@@ -168,30 +166,4 @@ func (c *FootprintCounter) ReuseProfile() []ReuseBand {
 		out = append(out, band)
 	}
 	return out
-}
-
-// TopBlocks returns the n most-accessed blocks (address, total accesses),
-// most-accessed first — used to identify the common hot data (index roots,
-// lock table, metadata) in reports.
-func (c *FootprintCounter) TopBlocks(n int) []BlockCount {
-	out := make([]BlockCount, 0, len(c.accesses))
-	for a, cnt := range c.accesses {
-		out = append(out, BlockCount{Addr: a, Count: cnt})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Count != out[j].Count {
-			return out[i].Count > out[j].Count
-		}
-		return out[i].Addr < out[j].Addr
-	})
-	if len(out) > n {
-		out = out[:n]
-	}
-	return out
-}
-
-// BlockCount pairs a block address with an access count.
-type BlockCount struct {
-	Addr  uint64
-	Count uint64
 }

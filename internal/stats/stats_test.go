@@ -140,18 +140,6 @@ func TestReuseProfile(t *testing.T) {
 	}
 }
 
-func TestTopBlocks(t *testing.T) {
-	c := NewFootprintCounter()
-	c.AddInstance(map[uint64]uint64{0x40: 5, 0x80: 50, 0xC0: 7})
-	top := c.TopBlocks(2)
-	if len(top) != 2 || top[0].Addr != 0x80 || top[1].Addr != 0xC0 {
-		t.Errorf("TopBlocks = %+v", top)
-	}
-	if got := c.TopBlocks(10); len(got) != 3 {
-		t.Errorf("TopBlocks(10) returned %d", len(got))
-	}
-}
-
 func TestBucketOf(t *testing.T) {
 	cases := []struct {
 		f float64
@@ -188,11 +176,5 @@ func TestTableRender(t *testing.T) {
 func TestFormatHelpers(t *testing.T) {
 	if N(5) != "5" || U(7) != "7" {
 		t.Error("N/U wrong")
-	}
-	if Norm(2, 4) != "0.500" {
-		t.Errorf("Norm = %q", Norm(2, 4))
-	}
-	if Norm(1, 0) != "n/a" {
-		t.Errorf("Norm by zero = %q", Norm(1, 0))
 	}
 }

@@ -81,12 +81,3 @@ func N(v int) string { return fmt.Sprintf("%d", v) }
 
 // U formats a uint64.
 func U(v uint64) string { return fmt.Sprintf("%d", v) }
-
-// Norm formats a value normalized over a baseline (the paper's
-// "normalized over Baseline (=1 on Y-axis)" convention).
-func Norm(v, base float64) string {
-	if base == 0 {
-		return "n/a"
-	}
-	return fmt.Sprintf("%.3f", v/base)
-}

@@ -263,22 +263,3 @@ func (m *Manager) DeleteTuple(txn *Txn, tbl *Table, rid RID, keys []uint64) erro
 	tbl.rows--
 	return nil
 }
-
-// ProbeIndexOnly is IndexProbe without the tuple fetch — used where TPC
-// transactions only need existence/RID (and by tests). It still locks the
-// record, matching Shore-MT's index probe contract.
-func (m *Manager) ProbeIndexOnly(txn *Txn, idx *BTree, key uint64) (RID, bool) {
-	m.opBegin(trace.OpIndexProbe)
-	defer m.opEnd(trace.OpIndexProbe)
-
-	m.emitRange(&m.seg.findKey, 0, 50)
-	m.dataRead(idx.descriptorAddr())
-	m.emitAll(&m.seg.lookup)
-	rid, found := idx.probe(key, m.traverseStyle())
-	if !found {
-		return RID{}, false
-	}
-	m.lock.acquire(m, txn, idx.id, key, LockS)
-	m.emitRange(&m.seg.findKey, 50, 110) // RID copy-out, no tuple fetch
-	return rid, true
-}

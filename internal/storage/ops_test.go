@@ -244,23 +244,6 @@ func TestFigure1FootprintShape(t *testing.T) {
 	}
 }
 
-func TestProbeIndexOnly(t *testing.T) {
-	m, buf, tbl := tracedManager(t, 50, 40)
-	buf.TxnBegin(0, "p")
-	txn := m.Begin()
-	rid, ok := m.ProbeIndexOnly(txn, tbl.Index(0), 7)
-	if !ok || rid == (RID{}) {
-		t.Fatalf("ProbeIndexOnly = %v,%v", rid, ok)
-	}
-	if _, ok := m.ProbeIndexOnly(txn, tbl.Index(0), 70000); ok {
-		t.Error("ProbeIndexOnly found missing key")
-	}
-	m.Commit(txn)
-	buf.TxnEnd()
-}
-
-// TestTraceStructureAcrossMixedTransaction validates the trace protocol over
-// a transaction touching every operation type.
 func TestTraceStructureAcrossMixedTransaction(t *testing.T) {
 	m, buf, tbl := tracedManager(t, 500, 60)
 	buf.TxnBegin(3, "mixed")

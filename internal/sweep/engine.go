@@ -70,15 +70,11 @@ func Measure(r sim.Result) Metrics {
 }
 
 // Replay executes one unit over prepared artifacts: the scheduling
-// configuration is assembled from the unit's machine and load parameters on
-// top of the frozen mechanism knobs (sched.DefaultConfig). This is the
+// configuration is the unit's machine and load parameters. This is the
 // single execution path shared by the sweep engine and internal/exp's
 // figure runners — a figure is a preset grid point replayed here.
 func Replay(u Unit, set *trace.Set, prof *core.Profile) (sim.Result, error) {
-	cfg := sched.DefaultConfig(u.Machine)
-	cfg.Profile = prof
-	cfg.BatchSize = u.Threads
-	cfg.AdmitLimit = u.Admit
+	cfg := sched.Config{Machine: u.Machine, BatchSize: u.Threads, AdmitLimit: u.Admit, Profile: prof}
 	return sched.Run(u.Mechanism, set, cfg)
 }
 
@@ -212,21 +208,25 @@ func (a *Artifacts) do(ctx context.Context, e entry, compute func() (any, error)
 // eventBytes is the resident size of one trace event.
 const eventBytes = int64(unsafe.Sizeof(trace.Event{}))
 
-// artifactWeight estimates an artifact's resident footprint in bytes for
-// the cache's weight accounting. Trace sets dominate (eventBytes per event
-// plus per-trace overhead); profiles and replay results are small but still
-// accounted so a tiny budget behaves sanely.
-func artifactWeight(v any) int64 {
-	const entryOverhead = 256 // cell, map entry, list links, key
+// resultBytes is the resident size of a replay result boxed in the cache.
+const resultBytes = int64(unsafe.Sizeof(sim.Result{}))
+
+// artifactWeight estimates the resident footprint in bytes of an artifact
+// and its cache key (the full spec string) for the cache's weight
+// accounting. Trace sets dominate (eventBytes per event plus per-trace
+// overhead); profiles and replay results are small, so for them the key
+// is a large share of the entry.
+func artifactWeight(key string, v any) int64 {
+	entryOverhead := 256 + int64(len(key)) // cell, map entry, list links, key
 	switch x := v.(type) {
 	case *trace.Set:
-		w := int64(entryOverhead)
+		w := entryOverhead
 		for _, t := range x.Traces {
 			w += 96 + eventBytes*int64(len(t.Events))
 		}
 		return w
 	case *core.Profile:
-		w := int64(entryOverhead)
+		w := entryOverhead
 		for _, tp := range x.Txns {
 			w += 128
 			for _, op := range tp.Ops {
@@ -235,7 +235,7 @@ func artifactWeight(v any) int64 {
 		}
 		return w
 	case sim.Result:
-		return entryOverhead + 512 + 8*int64(len(x.CoreActive))
+		return entryOverhead + resultBytes + 8*int64(len(x.CoreActive))
 	default:
 		// An unrecognized kind must never undermine the budget: a flat
 		// guess lets a large value count as a few bytes and the resident

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"addict/internal/pool"
 	"addict/internal/sched"
@@ -233,8 +234,32 @@ func TestArtifactWeightCountsPackedEvents(t *testing.T) {
 	}
 	events := make([]trace.Event, 1000)
 	set := &trace.Set{Traces: []*trace.Trace{{Events: events}, {Events: events[:10]}}}
-	if got, want := artifactWeight(set), int64(256+2*96+8*1010); got != want {
+	if got, want := artifactWeight("", set), int64(256+2*96+8*1010); got != want {
 		t.Errorf("artifactWeight = %d, want %d", got, want)
+	}
+}
+
+// TestArtifactWeightChargesResultEntry: a cached replay result is charged
+// at least what the entry keeps live — its spec key (mostly the machine
+// signature), the boxed sim.Result, and the per-core activity slice.
+func TestArtifactWeightChargesResultEntry(t *testing.T) {
+	ctx := context.Background()
+	a := NewArtifacts(5, 0.05, 20, 20, 1, 0, nil)
+	machine := sim.Shallow()
+	if _, err := a.EvalSet(ctx, "TPC-C"); err != nil {
+		t.Fatal(err)
+	}
+	before := a.CacheStats().Bytes
+	r, err := a.Result(ctx, "TPC-C", sched.Baseline, machine)
+	if err != nil {
+		t.Fatal(err)
+	}
+	charged := a.CacheStats().Bytes - before
+	key := a.resultEntry("TPC-C", sched.Baseline, machine).spec
+	floor := int64(len(key)) + int64(unsafe.Sizeof(sim.Result{})) + 8*int64(len(r.CoreActive))
+	if charged < floor {
+		t.Errorf("a cached TPC-C result is charged %d B, below the %d B it keeps live (key %d B)",
+			charged, floor, len(key))
 	}
 }
 
@@ -245,10 +270,10 @@ func TestArtifactWeightCountsPackedEvents(t *testing.T) {
 func TestArtifactWeightBudget(t *testing.T) {
 	// The fallback must scale with the value, not flat-guess.
 	big := make([]int, 4096)
-	if w := artifactWeight(big); w < 4096 {
+	if w := artifactWeight("", big); w < 4096 {
 		t.Fatalf("fallback weight %d for a 4096-int slice is below its encoded size", w)
 	}
-	if w := artifactWeight(func() {}); w < 1<<20 {
+	if w := artifactWeight("", func() {}); w < 1<<20 {
 		t.Fatalf("unencodable value weighed %d, want the large-value assumption", w)
 	}
 

@@ -5,6 +5,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"addict/internal/suggest"
 )
 
 // NamePrefix marks encoded synthetic-workload names ("synth:...") apart
@@ -110,59 +112,11 @@ func Preset(name string) (Spec, bool) {
 // (the "synth:" prefix) rather than a TPC benchmark.
 func IsName(name string) bool { return strings.HasPrefix(name, NamePrefix) }
 
-// nearestPreset returns the shipped preset closest to name by edit
-// distance, or "" when nothing is plausibly close (more than a third of
-// the name would have to change). Unknown-preset errors name it, so a typo
-// ("zipf-hot-rm") points at the intended preset instead of only echoing
-// the bad name.
-func nearestPreset(name string) string {
-	best, bestDist := "", -1
-	for _, p := range Presets() {
-		d := editDistance(name, p)
-		if bestDist < 0 || d < bestDist {
-			best, bestDist = p, d
-		}
-	}
-	max := (len(name) + 2) / 3
-	if max < 2 {
-		max = 2
-	}
-	if bestDist < 0 || bestDist > max {
-		return ""
-	}
-	return best
-}
-
-// editDistance is the Levenshtein distance between two short names.
-func editDistance(a, b string) int {
-	prev := make([]int, len(b)+1)
-	cur := make([]int, len(b)+1)
-	for j := range prev {
-		prev[j] = j
-	}
-	for i := 1; i <= len(a); i++ {
-		cur[0] = i
-		for j := 1; j <= len(b); j++ {
-			cost := 1
-			if a[i-1] == b[j-1] {
-				cost = 0
-			}
-			cur[j] = min3(prev[j]+1, cur[j-1]+1, prev[j-1]+cost)
-		}
-		prev, cur = cur, prev
-	}
-	return prev[len(b)]
-}
-
-func min3(a, b, c int) int {
-	if b < a {
-		a = b
-	}
-	if c < a {
-		a = c
-	}
-	return a
-}
+// nearestPreset returns the shipped preset closest to name (see
+// suggest.Nearest), or "" when nothing is plausibly close. Unknown-preset
+// errors name it, so a typo ("zipf-hot-rm") points at the intended preset
+// instead of only echoing the bad name.
+func nearestPreset(name string) string { return suggest.Nearest(name, Presets()) }
 
 // EncodeName renders a preset plus overrides as a stable workload name:
 // "synth:<preset>[+z<theta>][+w<frac>][+h<keys>]". A zero theta or hotKeys

@@ -114,16 +114,6 @@ func (b *Benchmark) TypeNames() []string {
 	return names
 }
 
-// TypeByName returns the TxnType for a transaction name.
-func (b *Benchmark) TypeByName(name string) (trace.TxnType, bool) {
-	for i, t := range b.types {
-		if t.Name == name {
-			return trace.TxnType(i), true
-		}
-	}
-	return 0, false
-}
-
 // pickType draws a transaction type from the mix.
 func (b *Benchmark) pickType() int {
 	r := b.rng.Float64()
@@ -187,12 +177,6 @@ func Builder(name string) (func(seed int64, scale float64) *Benchmark, error) {
 		return NewTPCE, nil
 	}
 	return nil, fmt.Errorf("workload: unknown benchmark %q (want TPC-B, TPC-C, or TPC-E)", name)
-}
-
-// All returns the three standard benchmarks at the given scale, in paper
-// order.
-func All(seed int64, scale float64) []*Benchmark {
-	return []*Benchmark{NewTPCB(seed, scale), NewTPCC(seed, scale), NewTPCE(seed, scale)}
 }
 
 // scaled returns max(1, int(n*scale)).

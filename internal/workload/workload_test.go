@@ -102,7 +102,7 @@ func TestTPCEMixReadOnlyShare(t *testing.T) {
 }
 
 func TestAllTracesValidate(t *testing.T) {
-	for _, b := range All(3, testScale) {
+	for _, b := range []*Benchmark{NewTPCB(3, testScale), NewTPCC(3, testScale), NewTPCE(3, testScale)} {
 		s := GenerateSet(b, 120)
 		for i, tr := range s.Traces {
 			if err := tr.Validate(); err != nil {
@@ -251,16 +251,5 @@ func TestBuilder(t *testing.T) {
 	}
 	if _, err := Builder("TPC-Z"); err == nil {
 		t.Error("Builder accepted unknown benchmark")
-	}
-}
-
-func TestTypeByName(t *testing.T) {
-	b := NewTPCC(1, testScale)
-	tt, ok := b.TypeByName("Payment")
-	if !ok || b.TypeNames()[tt] != "Payment" {
-		t.Errorf("TypeByName(Payment) = %d, %v", tt, ok)
-	}
-	if _, ok := b.TypeByName("NoSuch"); ok {
-		t.Error("TypeByName of unknown name succeeded")
 	}
 }
