@@ -198,18 +198,18 @@ func NewTPCC(seed int64, scale float64) *Workload { return workload.NewTPCC(seed
 // customers, 20k initial trades).
 func NewTPCE(seed int64, scale float64) *Workload { return workload.NewTPCE(seed, scale) }
 
-// NewWorkload resolves a benchmark by name through the workload registry:
-// the TPC names ("TPC-B", "TPC-C", "TPC-E") and any registered encoded
-// name space — today the synthetic workloads
-// ("synth:<preset>[+z<theta>][+w<frac>][+h<keys>]"). One registry backs
-// every by-name consumer (sweep grids, bench configs, cmd/tracegen, this
-// facade), so a name accepted anywhere is accepted everywhere.
+// NewWorkload builds a benchmark by name: the TPC names ("TPC-B",
+// "TPC-C", "TPC-E") or an encoded synthetic workload
+// ("synth:<preset>[+z<theta>][+w<frac>][+h<keys>]"). One name resolver
+// backs every by-name consumer (sweep grids, bench configs, cmd/tracegen,
+// the serving daemon, this facade), so a name accepted anywhere is
+// accepted everywhere.
 func NewWorkload(name string, seed int64, scale float64) (*Workload, error) {
-	r, err := workload.Resolve(name)
+	_, build, err := synth.Workload(name)
 	if err != nil {
 		return nil, err
 	}
-	return r.Build(seed, scale)
+	return build(seed, scale, 0), nil
 }
 
 // NewStorageManager returns a storage manager on the standard code layout,
@@ -340,11 +340,15 @@ var SweepFormats = sweep.Formats
 // and a sweep row report identical quantities.
 func MeasureSweepMetrics(r Result) SweepMetrics { return sweep.Measure(r) }
 
-// ValidateWorkload reports whether the registry resolves a workload name
-// ("TPC-B", "TPC-C", "TPC-E", or an encoded "synth:" name) without
-// building anything — the cheap pre-flight check for servers that want to
-// reject unknown names before admitting a run.
-func ValidateWorkload(name string) error { return workload.Validate(name) }
+// ValidateWorkload resolves a workload name ("TPC-B", "TPC-C", "TPC-E", or
+// an encoded "synth:" name) without building anything and returns its
+// canonical spelling — the cheap pre-flight check for servers that want to
+// reject unknown names before admitting a run, and key their caches on one
+// spelling per workload.
+func ValidateWorkload(name string) (string, error) {
+	canon, _, err := synth.Workload(name)
+	return canon, err
+}
 
 // ExpandSweep resolves a sweep grid into its units without running them —
 // for previewing unit counts and IDs before committing to a long sweep.

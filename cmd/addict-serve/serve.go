@@ -1,6 +1,6 @@
 // Command addict-serve exposes one long-lived addict.Engine session over
 // HTTP/JSON: profile, schedule, sweep, and bench requests resolve workload
-// names through the one registry (TPC names and encoded "synth:" names),
+// names through the one resolver (TPC names and encoded "synth:" names),
 // run on the session's shared artifact cache, and stream long results as
 // NDJSON. The server hardens the session for multi-tenant use: identical
 // concurrent requests coalesce into one computation, an admission limiter
@@ -231,13 +231,16 @@ func (s *server) handleProfile(w http.ResponseWriter, r *http.Request) {
 	if !wire.Decode(w, r, &req) {
 		return
 	}
-	if err := addict.ValidateWorkload(req.Workload); err != nil {
+	// Cells are keyed on, and echo, the canonical name, so every spelling
+	// of one workload shares one cell.
+	name, err := addict.ValidateWorkload(req.Workload)
+	if err != nil {
 		s.fail(w, badRequest("%v", err))
 		return
 	}
-	s.respond(w, r, "profile", "profile\x00"+req.Workload, "application/json",
+	s.respond(w, r, "profile", "profile\x00"+name, "application/json",
 		func(ctx context.Context) ([]byte, error) {
-			p, err := s.eng.Profile(ctx, req.Workload)
+			p, err := s.eng.Profile(ctx, name)
 			if err != nil {
 				return nil, err
 			}
@@ -249,7 +252,7 @@ func (s *server) handleProfile(w http.ResponseWriter, r *http.Request) {
 				}
 			}
 			return json.Marshal(client.ProfileSummary{
-				Workload: req.Workload, TxnTypes: len(p.Txns), Ops: ops, MigrationPoints: points,
+				Workload: name, TxnTypes: len(p.Txns), Ops: ops, MigrationPoints: points,
 			})
 		})
 }
@@ -274,7 +277,10 @@ func (s *server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	if !wire.Decode(w, r, &req) {
 		return
 	}
-	if err := addict.ValidateWorkload(req.Workload); err != nil {
+	// Keyed on, and echoing, the canonical workload and mechanism, as
+	// handleProfile is.
+	name, err := addict.ValidateWorkload(req.Workload)
+	if err != nil {
 		s.fail(w, badRequest("%v", err))
 		return
 	}
@@ -283,15 +289,15 @@ func (s *server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, err)
 		return
 	}
-	key := "schedule\x00" + req.Workload + "\x00" + req.Mechanism
+	key := "schedule\x00" + name + "\x00" + string(mech)
 	s.respond(w, r, "schedule", key, "application/json",
 		func(ctx context.Context) ([]byte, error) {
-			res, err := s.eng.Schedule(ctx, mech, req.Workload)
+			res, err := s.eng.Schedule(ctx, mech, name)
 			if err != nil {
 				return nil, err
 			}
 			return json.Marshal(client.ScheduleResult{
-				Workload: req.Workload, Mechanism: req.Mechanism, Metrics: addict.MeasureSweepMetrics(res),
+				Workload: name, Mechanism: string(mech), Metrics: addict.MeasureSweepMetrics(res),
 			})
 		})
 }
@@ -405,7 +411,7 @@ func (s *server) handleBench(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	for _, name := range req.Workloads {
-		if err := addict.ValidateWorkload(name); err != nil {
+		if _, err := addict.ValidateWorkload(name); err != nil {
 			s.fail(w, badRequest("%v", err))
 			return
 		}

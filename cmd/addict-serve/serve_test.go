@@ -111,8 +111,46 @@ func TestScheduleSynthMatchesEngine(t *testing.T) {
 	}
 }
 
+// TestOneCellPerSpelling: spellings of one workload or mechanism share one
+// response-cache cell — one computation, byte-identical bodies — and the
+// replies echo the canonical names.
+func TestOneCellPerSpelling(t *testing.T) {
+	s, c := newTestServer(t, 0)
+	h := s.handler()
+	post := func(path, body string) []byte {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("POST", path, strings.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s %s: status %d: %s", path, body, rec.Code, rec.Body)
+		}
+		return rec.Body.Bytes()
+	}
+	a := post("/v1/schedule", `{"workload":"synth:uniform-ro+w0.5","mechanism":"addict"}`)
+	b := post("/v1/schedule", `{"workload":"synth:uniform-ro+w.5","mechanism":"ADDICT"}`)
+	if !bytes.Equal(a, b) {
+		t.Errorf("schedule bodies differ:\n%s\n%s", a, b)
+	}
+	if !bytes.Contains(a, []byte(`"workload":"synth:uniform-ro+w0.5","mechanism":"ADDICT"`)) {
+		t.Errorf("schedule reply does not echo the canonical names: %s", a)
+	}
+	a = post("/v1/profile", `{"workload":"synth:uniform-ro+w.5"}`)
+	b = post("/v1/profile", `{"workload":"synth:uniform-ro+w0.5"}`)
+	if !bytes.Equal(a, b) || !bytes.Contains(a, []byte(`"workload":"synth:uniform-ro+w0.5"`)) {
+		t.Errorf("profile bodies differ or echo a raw name:\n%s\n%s", a, b)
+	}
+	m, err := c.Metrics(context.Background())
+	if err != nil {
+		t.Fatalf("Metrics: %v", err)
+	}
+	if m.Computations["schedule"] != 1 || m.Computations["profile"] != 1 {
+		t.Errorf("computations schedule/profile = %d/%d, want 1/1",
+			m.Computations["schedule"], m.Computations["profile"])
+	}
+}
+
 // TestScheduleUnknownNames: resolution failures are 400s with the
-// registry's error text — including the nearest-preset suggestion for
+// resolver's error text — including the nearest-preset suggestion for
 // synth typos.
 func TestScheduleUnknownNames(t *testing.T) {
 	_, c := newTestServer(t, 0)

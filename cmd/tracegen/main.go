@@ -15,7 +15,7 @@
 // -synth accepts a shipped preset name ("zipf-hot-rw"), an encoded
 // workload name with overrides ("synth:<preset>[+z<theta>][+w<frac>]
 // [+h<keys>]"), or a path to a spec JSON file (see SynthSpec). -workload
-// resolves through the one workload-name registry, so encoded synth:...
+// resolves through the one workload-name resolver, so encoded synth:...
 // names work there too. All generation is sharded: the output is
 // byte-identical for every -parallel value, and Ctrl-C cancels between
 // shards with a non-zero exit instead of writing a truncated file.
@@ -72,7 +72,7 @@ func main() {
 			set, err = eng.SynthTraces(ctx, spec, *n)
 		}
 	} else {
-		// The workload registry resolves both name spaces, so -workload
+		// The workload-name resolver takes both name spaces, so -workload
 		// accepts encoded synthetic names too.
 		set, err = eng.GenerateTraces(ctx, *name, *n)
 	}

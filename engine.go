@@ -184,8 +184,9 @@ func (e *Engine) ExperimentParams() ExperimentParams {
 
 // Traces returns the session's evaluation trace window for a workload (the
 // paper's "next 1000") — cached: every call after the first returns the
-// same set. The name resolves through the workload registry: TPC names
-// ("TPC-B", "TPC-C", "TPC-E") and encoded synthetic names ("synth:...").
+// same set. The name is a TPC name ("TPC-B", "TPC-C", "TPC-E") or an
+// encoded synthetic name ("synth:..."); every spelling of one workload
+// shares one set.
 func (e *Engine) Traces(ctx context.Context, workloadName string) (*TraceSet, error) {
 	return e.arts.EvalSet(ctx, workloadName)
 }
@@ -251,23 +252,27 @@ func (e *Engine) eachMechanism(ctx context.Context, run func(mech Mechanism) (Re
 	return out, nil
 }
 
-// GenerateTraces generates n traces of a registry workload name under the
+// GenerateTraces generates n traces of a named workload under the
 // deterministic shard recipe: byte-identical for every session worker
 // count, uncached (each call generates afresh — use Traces for the
 // session's reusable evaluation window).
 func (e *Engine) GenerateTraces(ctx context.Context, workloadName string, n int) (*TraceSet, error) {
-	r, err := workload.Resolve(workloadName)
+	_, build, err := synth.Workload(workloadName)
 	if err != nil {
 		return nil, err
 	}
-	return r.GenerateSharded(ctx, e.seed, e.scale, 0, n, workload.DefaultShardSize, e.workers)
+	return workload.GenerateSetShardedWith(ctx, build, e.seed, e.scale, 0, n, workload.DefaultShardSize, e.workers)
 }
 
 // SynthTraces generates n traces of a synthetic-workload spec under the
 // same shard recipe as GenerateTraces (phase schedules follow the absolute
 // trace index, so multi-phase specs shard deterministically too).
 func (e *Engine) SynthTraces(ctx context.Context, spec SynthSpec, n int) (*TraceSet, error) {
-	return synth.GenerateSetSharded(ctx, spec, e.seed, e.scale, 0, n, workload.DefaultShardSize, e.workers)
+	build, err := synth.Compile(spec)
+	if err != nil {
+		return nil, err
+	}
+	return workload.GenerateSetShardedWith(ctx, build, e.seed, e.scale, 0, n, workload.DefaultShardSize, e.workers)
 }
 
 // Sweep expands a declarative grid and executes it on the session workers,

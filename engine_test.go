@@ -274,8 +274,8 @@ func TestEngineCancellationIsPrompt(t *testing.T) {
 	}
 }
 
-// TestEngineUnknownNames: every by-name entry point funnels through the
-// one registry, so unknown names fail uniformly.
+// TestEngineUnknownNames: every by-name entry point resolves through the
+// one workload-name resolver, so unknown names fail uniformly.
 func TestEngineUnknownNames(t *testing.T) {
 	e := tinyEngine(1)
 	ctx := context.Background()
@@ -398,5 +398,30 @@ func TestSweepDistributedReadsSessionCache(t *testing.T) {
 	}
 	if serial.Len() == 0 || !bytes.Equal(dist.Bytes(), serial.Bytes()) {
 		t.Errorf("distributed output diverges from Sweep:\n%s\nvs\n%s", dist.Bytes(), serial.Bytes())
+	}
+}
+
+// TestTracesOneSetPerSpelling: every spelling of one workload keys one
+// cache entry, so the session generates its window once and labels it with
+// the canonical name.
+func TestTracesOneSetPerSpelling(t *testing.T) {
+	e := tinyEngine(1)
+	ctx := context.Background()
+	var sets []*TraceSet
+	for _, name := range []string{"synth:uniform-ro+w0.5", "synth:uniform-ro+w.5", "synth:uniform-ro+w0.50"} {
+		s, err := e.Traces(ctx, name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sets = append(sets, s)
+	}
+	if sets[1] != sets[0] || sets[2] != sets[0] {
+		t.Error("spellings of one workload returned different trace sets")
+	}
+	if sets[0].Workload != "synth:uniform-ro+w0.5" {
+		t.Errorf("set labelled %q, want the canonical synth:uniform-ro+w0.5", sets[0].Workload)
+	}
+	if st := e.CacheStats(); st.Misses != 1 || st.Hits != 2 {
+		t.Errorf("cache misses/hits = %d/%d, want 1/2", st.Misses, st.Hits)
 	}
 }

@@ -23,7 +23,7 @@ import (
 	"addict/internal/sim"
 	"addict/internal/sweep"
 	"addict/internal/trace"
-	"addict/internal/workload"
+	"addict/internal/workload/synth"
 )
 
 // Config scopes what one harness run measures and how long; the seed,
@@ -173,12 +173,12 @@ var knownSchemas = map[string]bool{
 func Run(ctx context.Context, cfg Config, progress io.Writer, arts *sweep.Artifacts) (*Report, error) {
 	cfg = withDefaults(cfg)
 	for _, name := range cfg.Workloads {
-		if err := workload.Validate(name); err != nil {
+		if _, _, err := synth.Workload(name); err != nil {
 			return nil, fmt.Errorf("bench: %w", err)
 		}
 	}
 	for _, ec := range cfg.ExtraCells {
-		if err := workload.Validate(ec.Workload); err != nil {
+		if _, _, err := synth.Workload(ec.Workload); err != nil {
 			return nil, fmt.Errorf("bench: %w", err)
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"addict/internal/stats"
 	"addict/internal/trace"
 	"addict/internal/workload"
+	"addict/internal/workload/synth"
 )
 
 // Fig4 measures migration-point stability (Section 4.2): the percentage of
@@ -39,7 +40,11 @@ func Fig4(w *Workbench, workloadName string) Fig4Result {
 	// eval set (same shard range); the stream then continues into further
 	// shards for the large count, staying memory-bounded.
 	base := workload.NumShards(w.P.ProfileTraces, workload.DefaultShardSize)
-	err := workload.StreamSharded(w.ctx, workloadName, w.P.Seed, w.P.Scale,
+	_, build, err := synth.Workload(workloadName)
+	if err != nil {
+		panic(err) // w.Profile has already resolved the name
+	}
+	err = workload.StreamSharded(w.ctx, build, w.P.Seed, w.P.Scale,
 		base, large, workload.DefaultShardSize, func(i int, t *trace.Trace) {
 			counterLarge.AddTrace(t)
 			if i < small {

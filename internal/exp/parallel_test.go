@@ -11,6 +11,7 @@ import (
 	"addict/internal/sched"
 	"addict/internal/sim"
 	"addict/internal/workload"
+	"addict/internal/workload/synth"
 )
 
 // quickSerial caches one serial (one-worker) QuickParams() report per test
@@ -153,11 +154,11 @@ func TestWorkbenchConcurrentSingleFlight(t *testing.T) {
 func TestGenerateSetShardedMatchesWorkbench(t *testing.T) {
 	p := tinyParams()
 	w := NewWorkbench(context.Background(), p, 1)
-	r, err := workload.Resolve("TPC-B")
+	_, build, err := synth.Workload("TPC-B")
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := r.GenerateSharded(context.Background(), p.Seed, p.Scale, 0, p.ProfileTraces, workload.DefaultShardSize, 3)
+	s, err := workload.GenerateSetShardedWith(context.Background(), build, p.Seed, p.Scale, 0, p.ProfileTraces, workload.DefaultShardSize, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,6 +16,7 @@ import (
 	"addict/internal/store"
 	"addict/internal/trace"
 	"addict/internal/workload"
+	"addict/internal/workload/synth"
 )
 
 // Metrics are the per-unit outcomes every emitter reports. All values are
@@ -255,8 +256,9 @@ func (a *Artifacts) Layout() *codemap.Layout { return a.layout }
 
 // ProfileSet returns the workload's profiling window (the paper's "first
 // 1000" traces): shards [0, NumShards(profileTraces)) of the sharded trace
-// space, worker-count independent. The workload name resolves through the
-// workload-name registry (TPC benchmarks, "synth:" encoded names).
+// space, worker-count independent. The workload name resolves through
+// synth.Workload (TPC benchmarks, "synth:" encoded names), and every
+// artifact is keyed on its canonical spelling.
 func (a *Artifacts) ProfileSet(ctx context.Context, name string) (*trace.Set, error) {
 	return a.window(ctx, "profset", name, 0, a.profileTraces)
 }
@@ -271,12 +273,12 @@ func (a *Artifacts) EvalSet(ctx context.Context, name string) (*trace.Set, error
 
 // window returns n traces of the workload starting at shard first.
 func (a *Artifacts) window(ctx context.Context, kind, name string, first, n int) (*trace.Set, error) {
+	name, build, err := synth.Workload(name)
+	if err != nil {
+		return nil, err
+	}
 	v, err := a.do(ctx, a.setEntry(kind, name), func() (any, error) {
-		r, err := workload.Resolve(name)
-		if err != nil {
-			return nil, err
-		}
-		return r.GenerateSharded(ctx, a.seed, a.scale, first, n, workload.DefaultShardSize, a.workers)
+		return workload.GenerateSetShardedWith(ctx, build, a.seed, a.scale, first, n, workload.DefaultShardSize, a.workers)
 	})
 	if err != nil {
 		return nil, err
@@ -288,6 +290,10 @@ func (a *Artifacts) window(ctx context.Context, kind, name string, first, n int)
 // machine's L1-I geometry, with the storage manager's no-migrate zones
 // applied (Section 3.1.3).
 func (a *Artifacts) Profile(ctx context.Context, name string, m sim.Config) (*core.Profile, error) {
+	name, _, err := synth.Workload(name)
+	if err != nil {
+		return nil, err
+	}
 	v, err := a.do(ctx, a.profileEntry(name, m), func() (any, error) {
 		set, err := a.ProfileSet(ctx, name)
 		if err != nil {
@@ -310,6 +316,10 @@ func (a *Artifacts) Profile(ctx context.Context, name string, m sim.Config) (*co
 // (workload, mechanism) point is the default-load sweep unit on its
 // machine.
 func (a *Artifacts) Result(ctx context.Context, name string, mech sched.Mechanism, machine sim.Config) (sim.Result, error) {
+	name, _, err := synth.Workload(name)
+	if err != nil {
+		return sim.Result{}, err
+	}
 	v, err := a.do(ctx, a.resultEntry(name, mech, machine), func() (any, error) {
 		return a.replay(ctx, NewUnit(name, mech, machine, 0, 0))
 	})

@@ -23,7 +23,6 @@ import (
 
 	"addict/internal/sched"
 	"addict/internal/sim"
-	"addict/internal/workload"
 	"addict/internal/workload/synth"
 )
 
@@ -191,7 +190,8 @@ func (s Spec) Resolved() Spec {
 }
 
 // synthNames expands the synthetic-workload axes into encoded workload
-// names, validating every combination by parsing it back.
+// names; ExpandOn validates and canonicalizes them with the rest of the
+// workload axis.
 func (s Spec) synthNames() ([]string, error) {
 	if s.Synth == "" {
 		if len(s.SynthThetas)+len(s.SynthWriteFracs)+len(s.SynthHotKeys) > 0 {
@@ -220,11 +220,7 @@ func (s Spec) synthNames() ([]string, error) {
 	for _, z := range thetas {
 		for _, w := range writes {
 			for _, h := range hots {
-				name := synth.EncodeName(s.Synth, z, w, h)
-				if _, err := synth.ParseName(name); err != nil {
-					return nil, fmt.Errorf("sweep: %w", err)
-				}
-				names = append(names, name)
+				names = append(names, synth.EncodeName(s.Synth, z, w, h))
 			}
 		}
 	}
@@ -256,8 +252,8 @@ func orZero[T any](axis []T) []T {
 // fraction, hot-set size innermost). The order is part of the contract: it
 // decides the emission order of every run over the same spec. Machine
 // overrides are validated at expansion, so an unbuildable grid point fails
-// here instead of mid-run, and so are workload names the registry does
-// not resolve.
+// here instead of mid-run, and every workload name is resolved there to
+// its canonical spelling (synth.Workload), which the units carry.
 func (s Spec) Expand() ([]Unit, error) {
 	return s.ExpandOn(s.BaseMachine())
 }
@@ -343,10 +339,12 @@ func (s Spec) ExpandOn(base sim.Config) ([]Unit, error) {
 		return nil, err
 	}
 	workloads := append(append([]string{}, s.Workloads...), synthNames...)
-	for _, w := range workloads {
-		if err := workload.Validate(w); err != nil {
+	for i, w := range workloads {
+		canon, _, err := synth.Workload(w)
+		if err != nil {
 			return nil, fmt.Errorf("sweep: %w", err)
 		}
+		workloads[i] = canon
 	}
 	var units []Unit
 	for _, w := range workloads {

@@ -3,6 +3,7 @@ package sweep
 import (
 	"bytes"
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -76,6 +77,38 @@ func TestSynthAxesRejectBadValues(t *testing.T) {
 		if _, err := s.Expand(); err == nil {
 			t.Errorf("bad synth spec %d accepted: %+v", i, s)
 		}
+	}
+}
+
+// TestWorkloadSpellingsExpandToOneID: every spelling of one workload — a
+// value written differently, a preset or TPC name in another form, in the
+// workload axis or the synth axes — expands to the canonical unit IDs.
+func TestWorkloadSpellingsExpandToOneID(t *testing.T) {
+	ids := func(s Spec) []string {
+		t.Helper()
+		s.Mechanisms = []string{"Baseline", "ADDICT"}
+		units, err := s.Expand()
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make([]string, len(units))
+		for i, u := range units {
+			out[i] = u.ID
+		}
+		return out
+	}
+	want := ids(Spec{Workloads: []string{"synth:uniform-ro+w0.5", "TPC-B"}})
+	if !strings.HasPrefix(want[0], "synth:uniform-ro+w0.5/") {
+		t.Fatalf("first unit ID %q", want[0])
+	}
+	for _, alias := range [][]string{{"synth:uniform-ro+w.5", "TPC-B"}, {"synth:Uniform-RO+w0.50", "tpcb"}} {
+		if got := ids(Spec{Workloads: alias}); !reflect.DeepEqual(got, want) {
+			t.Errorf("workloads %q expand to %q, want %q", alias, got, want)
+		}
+	}
+	want = ids(Spec{Synth: "zipf-hot-rw", SynthThetas: []float64{0.9}})
+	if got := ids(Spec{Synth: "Zipf-Hot-RW", SynthThetas: []float64{0.9}}); !reflect.DeepEqual(got, want) {
+		t.Errorf("synth=Zipf-Hot-RW expands to %q, want %q", got, want)
 	}
 }
 

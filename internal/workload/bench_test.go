@@ -60,13 +60,13 @@ func BenchmarkPopulateSynth(b *testing.B) {
 func BenchmarkShard(b *testing.B) {
 	for _, name := range []string{"TPC-B", "TPC-C", "TPC-E", "synth:zipf-hot-rw"} {
 		b.Run(name, func(b *testing.B) {
-			res, err := workload.Resolve(name)
+			_, build, err := synth.Workload(name)
 			if err != nil {
 				b.Fatal(err)
 			}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				set, err := res.GenerateSharded(context.Background(), 1, benchScale, 0, workload.DefaultShardSize, workload.DefaultShardSize, 1)
+				set, err := workload.GenerateSetShardedWith(context.Background(), build, 1, benchScale, 0, workload.DefaultShardSize, workload.DefaultShardSize, 1)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -7,7 +7,7 @@ import (
 
 	"addict/internal/trace"
 	"addict/internal/workload"
-	_ "addict/internal/workload/synth" // registers the "synth:" names
+	"addict/internal/workload/synth"
 )
 
 // TestCodecRoundTripsRealWindows: every workload family's windows survive
@@ -16,11 +16,11 @@ import (
 // records, which would still round-trip.
 func TestCodecRoundTripsRealWindows(t *testing.T) {
 	for _, name := range []string{"TPC-B", "TPC-C", "TPC-E", "synth:zipf-hot-rw", "synth:uniform-ro"} {
-		r, err := workload.Resolve(name)
+		_, build, err := synth.Workload(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, err := r.GenerateSharded(context.Background(), 3, 0.05, 0, 40, workload.DefaultShardSize, 2)
+		s, err := workload.GenerateSetShardedWith(context.Background(), build, 3, 0.05, 0, 40, workload.DefaultShardSize, 2)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

@@ -51,63 +51,49 @@ var pinned = []struct {
 	{"synth:uniform-ro", 0xc31131610abbccf4, [pinShards]managerState{{212, 1605312, 8120, 8120, 0}, {212, 1605312, 8085, 8085, 0}}},
 }
 
-// shardBuilder returns the per-shard constructor of the named workload's
-// sharded recipe (the build function the registry's GenerateSharded uses).
-func shardBuilder(t *testing.T, name string) func(shard int) *workload.Benchmark {
+// generatePinned generates the named workload's pinned window through the
+// one name resolver and the shard recipe.
+func generatePinned(t *testing.T, name string) *trace.Set {
 	t.Helper()
-	if synth.IsName(name) {
-		spec, err := synth.ParseName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		build, err := synth.ShardBuilder(spec, pinSeed, pinScale, pinShardSize)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return build
-	}
-	build, err := workload.Builder(name)
+	_, build, err := synth.Workload(name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return func(shard int) *workload.Benchmark {
-		return build(workload.ShardSeed(pinSeed, shard), pinScale)
+	set, err := workload.GenerateSetShardedWith(context.Background(), build, pinSeed, pinScale, 0, pinShards*pinShardSize, pinShardSize, 2)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return set
 }
 
 // TestPinnedGenerationDigests freezes the trace-set digest and every
 // shard's storage-manager end state for the three TPC benchmarks and two
-// synthetic presets, two shards each. The digest is checked on both the
-// registry path every consumer uses and the explicit shard recipe whose
-// managers are inspected.
+// synthetic presets, two shards each, generated through the resolver every
+// consumer uses. A serial second run keeps each shard's benchmark to
+// inspect its manager.
 func TestPinnedGenerationDigests(t *testing.T) {
-	n := pinShards * pinShardSize
 	for _, p := range pinned {
 		t.Run(p.name, func(t *testing.T) {
-			res, err := workload.Resolve(p.name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			set, err := res.GenerateSharded(context.Background(), pinSeed, pinScale, 0, n, pinShardSize, 2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := set.Digest(); got != p.digest {
-				t.Errorf("registry digest = %#x, want %#x", got, p.digest)
+			if got := generatePinned(t, p.name).Digest(); got != p.digest {
+				t.Errorf("digest = %#x, want %#x", got, p.digest)
 			}
 
-			build := shardBuilder(t, p.name)
-			var benches [pinShards]*workload.Benchmark
-			recipe, err := workload.GenerateSetShardedWith(context.Background(), func(shard int) *workload.Benchmark {
-				b := build(shard)
-				benches[shard] = b
-				return b
-			}, 0, n, pinShardSize, 1)
+			_, build, err := synth.Workload(p.name)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := recipe.Digest(); got != p.digest {
-				t.Errorf("shard-recipe digest = %#x, want %#x", got, p.digest)
+			var benches [pinShards]*workload.Benchmark
+			keep := func(seed int64, scale float64, first int64) *workload.Benchmark {
+				b := build(seed, scale, first)
+				benches[(first+workload.ShardWarmup)/pinShardSize] = b
+				return b
+			}
+			serial, err := workload.GenerateSetShardedWith(context.Background(), keep, pinSeed, pinScale, 0, pinShards*pinShardSize, pinShardSize, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := serial.Digest(); got != p.digest {
+				t.Errorf("serial digest = %#x, want %#x", got, p.digest)
 			}
 			var got [pinShards]managerState
 			for s, b := range benches {
@@ -138,19 +124,10 @@ var pinnedWire = map[string]string{
 
 // TestPinnedWireDigests freezes the encoded bytes of each pinned window.
 func TestPinnedWireDigests(t *testing.T) {
-	n := pinShards * pinShardSize
 	for _, p := range pinned {
 		t.Run(p.name, func(t *testing.T) {
-			res, err := workload.Resolve(p.name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			set, err := res.GenerateSharded(context.Background(), pinSeed, pinScale, 0, n, pinShardSize, 2)
-			if err != nil {
-				t.Fatal(err)
-			}
 			var buf bytes.Buffer
-			if err := trace.WriteSet(&buf, set); err != nil {
+			if err := trace.WriteSet(&buf, generatePinned(t, p.name)); err != nil {
 				t.Fatal(err)
 			}
 			sum := sha256.Sum256(buf.Bytes())

@@ -64,8 +64,18 @@ func ShardSeed(seed int64, shard int) int64 {
 	return int64(z ^ (z >> 31))
 }
 
-// shardCounts splits an n-trace request into per-shard trace counts.
-func shardCounts(n, shardSize int) []int {
+// Constructor builds one populated benchmark instance. first is the global
+// index of the first transaction the instance runs, its warm-up included:
+// shard s of a sharded request starts at s*shardSize - ShardWarmup, so its
+// traced window continues the global trace stream exactly where the shard
+// boundaries place it. Only workloads whose behaviour follows the absolute
+// trace index (synthetic phase schedules) read first; the TPC benchmarks
+// ignore it. A Constructor must be a pure function of its arguments.
+type Constructor func(seed int64, scale float64, first int64) *Benchmark
+
+// shardCounts defaults shardSize and splits an n-trace request into
+// per-shard trace counts of at most that size each.
+func shardCounts(n, shardSize int) (int, []int) {
 	if shardSize <= 0 {
 		shardSize = DefaultShardSize
 	}
@@ -79,36 +89,27 @@ func shardCounts(n, shardSize int) []int {
 		counts[s] = c
 		remaining -= c
 	}
-	return counts
+	return shardSize, counts
 }
 
-// warmStart advances a freshly built shard benchmark by ShardWarmup
-// untraced transactions (the manager still records to Discard) — the one
-// definition of the warm-up half of the shard recipe.
-func warmStart(b *Benchmark) *Benchmark {
+// warmShard is the shard recipe: shard `shard` is built from
+// ShardSeed(seed, shard) at its global start offset, then advanced by
+// ShardWarmup untraced transactions (the manager records nowhere).
+func warmShard(build Constructor, seed int64, scale float64, shard, shardSize int) *Benchmark {
+	b := build(ShardSeed(seed, shard), scale, int64(shard)*int64(shardSize)-ShardWarmup)
 	for i := 0; i < ShardWarmup; i++ {
 		b.NextTxn()
 	}
 	return b
 }
 
-// shardBenchmark builds shard `shard`'s warm-started benchmark instance.
-func shardBenchmark(build func(int64, float64) *Benchmark, seed int64, scale float64, shard int) *Benchmark {
-	return warmStart(build(ShardSeed(seed, shard), scale))
-}
-
-// GenerateSetShardedWith is the sharded generator every by-name entry
-// point (Resolve's GenerateSharded, and the synthetic-workload compiler in
-// workload/synth) builds on: build constructs one shard's benchmark from
-// its absolute shard index, and this function applies the rest of the
-// shard recipe — ShardWarmup untraced transactions, counts[s] traced
-// transactions, merge in shard order. Shard s (counting from baseShard)
-// runs on up to `workers` goroutines; the result depends only on (build,
-// baseShard, n, shardSize), never on workers. build must itself be a pure
-// function of the shard index for the byte-identity guarantee to hold
-// (derive per-shard randomness from ShardSeed). Disjoint trace windows —
-// the paper's "first 1000" vs "next 1000" (Section 4.1) — are expressed as
-// disjoint shard ranges via baseShard.
+// GenerateSetShardedWith generates traces [baseShard*shardSize, ...+n) of
+// the workload build constructs under the shard recipe (warmShard): each
+// shard traces its count of transactions, and the shards merge in shard
+// order. Shards run on up to `workers` goroutines; the result depends only
+// on (build, seed, scale, baseShard, n, shardSize), never on workers.
+// Disjoint trace windows — the paper's "first 1000" vs "next 1000"
+// (Section 4.1) — are expressed as disjoint shard ranges via baseShard.
 //
 // Generation stops between shards once ctx is cancelled, and the call
 // returns ctx's error instead of a partial set. A single shard
@@ -116,12 +117,11 @@ func shardBenchmark(build func(int64, float64) *Benchmark, seed int64, scale flo
 // cancellation granularity of every trace-generation pipeline.
 //
 // shardSize <= 0 selects DefaultShardSize; workers < 1 runs serially.
-func GenerateSetShardedWith(ctx context.Context, build func(shard int) *Benchmark, baseShard, n, shardSize, workers int) (*trace.Set, error) {
-	counts := shardCounts(n, shardSize)
+func GenerateSetShardedWith(ctx context.Context, build Constructor, seed int64, scale float64, baseShard, n, shardSize, workers int) (*trace.Set, error) {
+	shardSize, counts := shardCounts(n, shardSize)
 	parts := make([]*trace.Set, len(counts))
 	err := pool.RunCtx(ctx, workers, len(counts), func(s int) {
-		b := warmStart(build(baseShard + s))
-		parts[s] = GenerateSet(b, counts[s])
+		parts[s] = GenerateSet(warmShard(build, seed, scale, baseShard+s, shardSize), counts[s])
 	})
 	if err != nil {
 		return nil, err
@@ -129,26 +129,21 @@ func GenerateSetShardedWith(ctx context.Context, build func(shard int) *Benchmar
 	return trace.MergeSets(parts...), nil
 }
 
-// StreamSharded generates n traces of the named benchmark with exactly the
-// same sharded recipe as GenerateSetShardedWith but hands each trace to fn
-// and discards it — the memory-bounded path for the stability experiment
-// (Section 4.2), which replays 10x more traces than it could hold. Shards
-// are processed serially in shard order, so fn observes the same trace
-// sequence the merged set would contain. Once ctx is cancelled no further
-// shard is generated and the call returns ctx's error (fn has then seen a
-// prefix of the stream).
-func StreamSharded(ctx context.Context, name string, seed int64, scale float64, baseShard, n, shardSize int, fn func(i int, t *trace.Trace)) error {
-	build, err := Builder(name)
-	if err != nil {
-		return err
-	}
+// StreamSharded generates the same traces as GenerateSetShardedWith but
+// hands each one to fn and discards it — the memory-bounded path for the
+// stability experiment (Section 4.2), which replays 10x more traces than it
+// could hold. Shards are processed serially in shard order, so fn observes
+// the same trace sequence the merged set would contain. Once ctx is
+// cancelled no further shard is generated and the call returns ctx's error
+// (fn has then seen a prefix of the stream).
+func StreamSharded(ctx context.Context, build Constructor, seed int64, scale float64, baseShard, n, shardSize int, fn func(i int, t *trace.Trace)) error {
+	shardSize, counts := shardCounts(n, shardSize)
 	idx := 0
-	for s, count := range shardCounts(n, shardSize) {
+	for s, count := range counts {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		b := shardBenchmark(build, seed, scale, baseShard+s)
-		Stream(b, count, func(_ int, t *trace.Trace) {
+		Stream(warmShard(build, seed, scale, baseShard+s, shardSize), count, func(_ int, t *trace.Trace) {
 			fn(idx, t)
 			idx++
 		})

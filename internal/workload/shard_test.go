@@ -1,19 +1,23 @@
-package workload
+package workload_test
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
 	"addict/internal/trace"
+	"addict/internal/workload"
+	"addict/internal/workload/synth"
 )
 
-// generateSharded generates through the registry's by-name entry point.
+// generateSharded generates a named workload through the one name resolver
+// and the shard recipe.
 func generateSharded(name string, seed int64, scale float64, baseShard, n, shardSize, workers int) (*trace.Set, error) {
-	r, err := Resolve(name)
+	_, build, err := synth.Workload(name)
 	if err != nil {
 		return nil, err
 	}
-	return r.GenerateSharded(context.Background(), seed, scale, baseShard, n, shardSize, workers)
+	return workload.GenerateSetShardedWith(context.Background(), build, seed, scale, baseShard, n, shardSize, workers)
 }
 
 // TestShardSeedDistinct: neighbouring (seed, shard) pairs must yield
@@ -22,14 +26,14 @@ func TestShardSeedDistinct(t *testing.T) {
 	seen := make(map[int64][2]int64)
 	for _, seed := range []int64{0, 1, 42, -7} {
 		for shard := 0; shard < 64; shard++ {
-			s := ShardSeed(seed, shard)
+			s := workload.ShardSeed(seed, shard)
 			if prev, dup := seen[s]; dup {
 				t.Fatalf("ShardSeed collision: (%d,%d) and (%d,%d) -> %d", seed, shard, prev[0], prev[1], s)
 			}
 			seen[s] = [2]int64{seed, int64(shard)}
 		}
 	}
-	if ShardSeed(1, 0) == 1 {
+	if workload.ShardSeed(1, 0) == 1 {
 		t.Error("ShardSeed(1, 0) must not pass the seed through unmixed")
 	}
 }
@@ -45,7 +49,7 @@ func TestNumShards(t *testing.T) {
 		{40, 0, 1}, // size 0 selects the default
 	}
 	for _, c := range cases {
-		if got := NumShards(c.n, c.size); got != c.want {
+		if got := workload.NumShards(c.n, c.size); got != c.want {
 			t.Errorf("NumShards(%d, %d) = %d, want %d", c.n, c.size, got, c.want)
 		}
 	}
@@ -82,7 +86,7 @@ func TestShardedGenerationWindowsDisjoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := generateSharded("TPC-B", 9, 0.05, NumShards(24, 8), 24, 8, 2)
+	b, err := generateSharded("TPC-B", 9, 0.05, workload.NumShards(24, 8), 24, 8, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,5 +115,42 @@ func TestShardedGenerationValidTraces(t *testing.T) {
 func TestShardedGenerationUnknownWorkload(t *testing.T) {
 	if _, err := generateSharded("TPC-Z", 1, 1, 0, 10, 8, 2); err == nil {
 		t.Error("unknown workload must error")
+	}
+}
+
+// TestStreamShardedMatchesSet is the oracle for StreamSharded's claim that
+// fn observes the same trace sequence the merged set would contain, on a
+// later window (baseShard > 0) whose length is not a multiple of the shard
+// size. synth:phase-shift's schedule follows the absolute trace index, so
+// it also checks that both paths start each shard at the same offset.
+func TestStreamShardedMatchesSet(t *testing.T) {
+	const seed, scale, base, n, size = 5, 0.02, 3, 21, 8
+	for _, name := range []string{"TPC-B", "TPC-C", "TPC-E", "synth:zipf-hot-rw", "synth:uniform-ro", "synth:phase-shift"} {
+		_, build, err := synth.Workload(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		set, err := workload.GenerateSetShardedWith(context.Background(), build, seed, scale, base, n, size, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []*trace.Trace
+		err = workload.StreamSharded(context.Background(), build, seed, scale, base, n, size, func(i int, tr *trace.Trace) {
+			if i != len(got) {
+				t.Fatalf("%s: streamed index %d, want %d", name, i, len(got))
+			}
+			got = append(got, tr)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(set.Traces) {
+			t.Fatalf("%s: streamed %d traces, set has %d", name, len(got), len(set.Traces))
+		}
+		for i, tr := range got {
+			if !reflect.DeepEqual(tr, set.Traces[i]) {
+				t.Errorf("%s: streamed trace %d differs from the set's", name, i)
+			}
+		}
 	}
 }

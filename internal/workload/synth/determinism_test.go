@@ -20,6 +20,20 @@ func encode(t *testing.T, s *trace.Set) []byte {
 	return buf.Bytes()
 }
 
+// generate runs spec's sharded recipe.
+func generate(t *testing.T, spec Spec, seed int64, scale float64, baseShard, n, shardSize, workers int) *trace.Set {
+	t.Helper()
+	build, err := Compile(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := workload.GenerateSetShardedWith(context.Background(), build, seed, scale, baseShard, n, shardSize, workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 // TestSynthWorkerCountByteIdentity is the subsystem's headline determinism
 // guarantee (mirroring TestSweepWorkerCountByteIdentity): sharded
 // generation of every preset — including the multi-phase one — must be
@@ -27,20 +41,13 @@ func encode(t *testing.T, s *trace.Set) []byte {
 func TestSynthWorkerCountByteIdentity(t *testing.T) {
 	for _, name := range Presets() {
 		spec, _ := Preset(name)
-		ref, err := GenerateSetSharded(context.Background(), spec, 9, 0.02, 0, 40, 16, 1)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
+		ref := generate(t, spec, 9, 0.02, 0, 40, 16, 1)
 		if len(ref.Traces) != 40 {
 			t.Fatalf("%s: got %d traces, want 40", name, len(ref.Traces))
 		}
 		want := encode(t, ref)
 		for _, workers := range []int{2, 3, 8} {
-			s, err := GenerateSetSharded(context.Background(), spec, 9, 0.02, 0, 40, 16, workers)
-			if err != nil {
-				t.Fatalf("%s workers=%d: %v", name, workers, err)
-			}
-			if !bytes.Equal(encode(t, s), want) {
+			if !bytes.Equal(encode(t, generate(t, spec, 9, 0.02, 0, 40, 16, workers)), want) {
 				t.Errorf("%s: output with %d workers diverges from serial", name, workers)
 			}
 		}
@@ -51,14 +58,8 @@ func TestSynthWorkerCountByteIdentity(t *testing.T) {
 // windows of a synthetic workload must differ, like the TPC path's.
 func TestSynthShardedWindowsDisjoint(t *testing.T) {
 	spec, _ := Preset("zipf-hot-rw")
-	a, err := GenerateSetSharded(context.Background(), spec, 9, 0.02, 0, 24, 8, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := GenerateSetSharded(context.Background(), spec, 9, 0.02, workload.NumShards(24, 8), 24, 8, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := generate(t, spec, 9, 0.02, 0, 24, 8, 2)
+	b := generate(t, spec, 9, 0.02, workload.NumShards(24, 8), 24, 8, 2)
 	if a.Digest() == b.Digest() {
 		t.Error("profiling and evaluation windows produced identical synth sets")
 	}
@@ -74,14 +75,8 @@ func TestSynthShardedWindowsDisjoint(t *testing.T) {
 // phase B write-heavy.
 func TestSynthPhasePositionIndependentOfSharding(t *testing.T) {
 	spec, _ := Preset("phase-shift")
-	big, err := GenerateSetSharded(context.Background(), spec, 4, 0.02, 0, 64, 64, 1) // one shard
-	if err != nil {
-		t.Fatal(err)
-	}
-	small, err := GenerateSetSharded(context.Background(), spec, 4, 0.02, 0, 64, 16, 4) // four shards
-	if err != nil {
-		t.Fatal(err)
-	}
+	big := generate(t, spec, 4, 0.02, 0, 64, 64, 1)   // one shard
+	small := generate(t, spec, 4, 0.02, 0, 64, 16, 4) // four shards
 	// Different shard sizes give different per-shard databases and rng
 	// streams, so traces differ — but the *phase* at each index must match:
 	// compare per-index write-op presence profiles in aggregate windows.

@@ -13,12 +13,15 @@
 // time-varying behavior — and the shipped presets (Presets) mark the
 // corners where instruction chasing wins and loses.
 //
-// Compilation is fully deterministic per seed, and sharded generation
-// (GenerateSetSharded) is worker-count independent exactly like the TPC
-// path: shard s draws its randomness from workload.ShardSeed(seed, s) and
-// its phase schedule from the absolute trace index s*shardSize + i, so the
-// merged set is bit-for-bit identical for every worker count. Workloads are
-// addressable by encoded name ("synth:<preset>[+z<theta>][+w<frac>]
-// [+h<keys>]", see ParseName), which is how the sweep grid (internal/sweep)
-// and the benchmark harness (internal/bench) reach them.
+// Compilation is fully deterministic per seed. Compile turns a spec into a
+// workload.Constructor, so synthetic workloads run the one shard recipe of
+// workload.GenerateSetShardedWith exactly like the TPC benchmarks: shard s
+// draws its randomness from workload.ShardSeed(seed, s) and its phase
+// schedule from the absolute trace index it starts at, so the merged set is
+// bit-for-bit identical for every worker count. Workloads are addressable
+// by encoded name ("synth:<preset>[+z<theta>][+w<frac>][+h<keys>]", see
+// ParseName; presets in any letter case). This package is the lowest one
+// that sees both name spaces, so it holds the one workload-name resolver,
+// Workload, through which sweep grids, bench configs, the serving daemon,
+// cmd/tracegen and the addict facade reach every workload.
 package synth

@@ -27,6 +27,7 @@ func FuzzParseName(f *testing.F) {
 		"synth:uniform-ro+h64", "synth:hotset-write+h8", "synth:zipf-hot-rw+z1e-3",
 		"synth:uniform-ro+z", "synth:uniform-ro+zNaN", "synth:uniform-ro+w0.2+w0.5",
 		"synth:", "", "+", "synth:phase-shift+w1",
+		"synth:Zipf-Hot-RW", "synth:UNIFORM-RO+w.5", "Phase-Shift+w1", "SYNTH:long-txn",
 	} {
 		f.Add(name)
 	}
@@ -97,11 +98,12 @@ func FuzzSynthSpec(f *testing.F) {
 			d.OpsMax > fuzzMaxOps || len(d.Phases) > fuzzMaxPhases {
 			return
 		}
-		build, err := ShardBuilder(spec, 1, fuzzScale, 2)
+		build, err := Compile(spec)
 		if err != nil {
-			t.Fatalf("ShardBuilder rejected a validated spec: %v", err)
+			t.Fatalf("Compile rejected a validated spec: %v", err)
 		}
-		set := workload.GenerateSet(build(0), 2)
+		// Shard 0's start offset: the phase lookup sees negative indexes.
+		set := workload.GenerateSet(build(1, fuzzScale, -workload.ShardWarmup), 2)
 		if len(set.Traces) != 2 {
 			t.Fatalf("generated %d traces, want 2", len(set.Traces))
 		}

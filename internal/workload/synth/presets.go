@@ -102,9 +102,10 @@ func Presets() []string {
 	return names
 }
 
-// Preset returns a shipped preset spec by bare name ("zipf-hot-rw").
+// Preset returns a shipped preset spec by bare name ("zipf-hot-rw"), in
+// any letter case.
 func Preset(name string) (Spec, bool) {
-	s, ok := presets[name]
+	s, ok := presets[strings.ToLower(name)]
 	return s, ok
 }
 
@@ -147,9 +148,10 @@ func EncodeName(preset string, theta, writeFrac float64, hotKeys int) string {
 // with optional "+z<theta>" (zipfian skew exponent), "+w<frac>" (base
 // write fraction), and "+h<keys>" (hot-set size, selects the hotset
 // distribution) overrides — into its spec. A bare preset name (no prefix)
-// is accepted too, for command-line convenience. Overrides replace the
-// preset's base values; z and h are mutually exclusive (they select
-// different distributions). The spec's Name is the canonical encoded form.
+// is accepted too, for command-line convenience, and the preset name may
+// come in any letter case. Overrides replace the preset's base values; z
+// and h are mutually exclusive (they select different distributions). The
+// spec's Name is the canonical encoded form, with the preset lowercase.
 func ParseName(name string) (Spec, error) {
 	trimmed := strings.TrimPrefix(name, NamePrefix)
 	parts := strings.Split(trimmed, "+")
@@ -216,7 +218,7 @@ func ParseName(name string) (Spec, error) {
 	if seen['h'] {
 		hot = spec.Skew.HotKeys
 	}
-	spec.Name = EncodeName(parts[0], theta, write, hot)
+	spec.Name = EncodeName(strings.ToLower(parts[0]), theta, write, hot)
 	if err := spec.withDefaults().Validate(); err != nil {
 		return Spec{}, err
 	}

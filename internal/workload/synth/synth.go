@@ -1,15 +1,14 @@
 package synth
 
 import (
-	"context"
 	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 
 	"addict/internal/codemap"
 	"addict/internal/storage"
-	"addict/internal/trace"
 	"addict/internal/workload"
 )
 
@@ -310,9 +309,8 @@ type bench struct {
 	period int64
 
 	// g is the absolute index of the next transaction in the global trace
-	// stream. Shards start it at shard*shardSize - workload.ShardWarmup so
-	// that after the warm-up the traced window continues the stream exactly
-	// where shard boundaries place it.
+	// stream, starting at the constructor's first (see
+	// workload.Constructor).
 	g int64
 
 	// nextKey[t] is the next fresh insert key of table t (base rows and
@@ -329,7 +327,7 @@ func New(spec Spec, seed int64, scale float64) (*workload.Benchmark, error) {
 
 // newBench is New plus the global stream position the instance starts at
 // (non-zero only for generation shards).
-func newBench(spec Spec, seed int64, scale float64, start int64) (*workload.Benchmark, error) {
+func newBench(spec Spec, seed int64, scale float64, first int64) (*workload.Benchmark, error) {
 	spec = spec.withDefaults()
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -348,7 +346,7 @@ func newBench(spec Spec, seed int64, scale float64, start int64) (*workload.Benc
 		rng:     rand.New(rand.NewSource(workload.ShardSeed(seed, -1))),
 		m:       storage.NewManager(codemap.NewLayout()),
 		rows:    rows,
-		g:       start,
+		g:       first,
 		nextKey: make([]uint64, spec.Tables),
 	}
 
@@ -511,44 +509,17 @@ func (w *bench) scan(txn *storage.Txn, tbl *storage.Table, p phaseParams) {
 	w.m.IndexScan(txn, tbl.Index(0), lo, lo+uint64(w.spec.ScanLen)-1, true, true, w.spec.ScanLen)
 }
 
-// GenerateSetSharded generates n traces of the synthetic workload as
-// independent warm-started shards on up to `workers` goroutines, merged in
-// shard order — the synth counterpart of the TPC path through
-// workload.GenerateSetShardedWith, with the identical byte-identity and
-// cancellation contract: shard s draws its randomness from
-// workload.ShardSeed(seed, s) and populates its own database, and the
-// phase schedule follows the absolute trace index s*shardSize + i, so the
-// result depends only on (spec, seed, scale, baseShard, n, shardSize),
-// never on workers.
-//
-// shardSize <= 0 selects workload.DefaultShardSize; workers < 1 runs
-// serially.
-func GenerateSetSharded(ctx context.Context, spec Spec, seed int64, scale float64, baseShard, n, shardSize, workers int) (*trace.Set, error) {
-	build, err := ShardBuilder(spec, seed, scale, shardSize)
-	if err != nil {
-		return nil, err
-	}
-	return workload.GenerateSetShardedWith(ctx, build, baseShard, n, shardSize, workers)
-}
-
-// ShardBuilder validates spec and returns the per-shard constructor of its
-// sharded recipe — the build argument GenerateSetSharded hands to
-// workload.GenerateSetShardedWith. Shard s gets seed ShardSeed(seed, s)
-// and starts its global stream position at s*shardSize - ShardWarmup, so
-// its traced window lines up with the phase schedule.
-//
-// shardSize <= 0 selects workload.DefaultShardSize.
-func ShardBuilder(spec Spec, seed int64, scale float64, shardSize int) (func(shard int) *workload.Benchmark, error) {
+// Compile validates spec and returns its constructor for the shard recipe
+// (workload.GenerateSetShardedWith, workload.StreamSharded): an instance
+// built with first f runs global transaction f first, so the phase
+// schedule follows the absolute trace index whatever the sharding.
+func Compile(spec Spec) (workload.Constructor, error) {
 	spec = spec.withDefaults()
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	if shardSize <= 0 {
-		shardSize = workload.DefaultShardSize
-	}
-	return func(shard int) *workload.Benchmark {
-		start := int64(shard)*int64(shardSize) - workload.ShardWarmup
-		b, err := newBench(spec, workload.ShardSeed(seed, shard), scale, start)
+	return func(seed int64, scale float64, first int64) *workload.Benchmark {
+		b, err := newBench(spec, seed, scale, first)
 		if err != nil {
 			// The spec was validated above; a failure here is a population
 			// bug, not an input error.
@@ -556,4 +527,30 @@ func ShardBuilder(spec Spec, seed int64, scale float64, shardSize int) (func(sha
 		}
 		return b
 	}, nil
+}
+
+// Workload resolves a workload name to its canonical spelling and its
+// constructor: the TPC benchmarks through workload.Builder ("TPC-B",
+// "TPC-C", "TPC-E"), encoded synthetic names ("synth:<preset>[+z<theta>]
+// [+w<frac>][+h<keys>]") through ParseName. It is the one resolver every
+// by-name consumer uses — sweep grids, bench configs, the serving daemon,
+// cmd/tracegen and the addict facade — so a name accepted anywhere is
+// accepted everywhere, and every spelling of one workload keys one set of
+// unit IDs, cache entries and store files under its canonical name.
+func Workload(name string) (string, workload.Constructor, error) {
+	if build, err := workload.Builder(name); err == nil {
+		// Builder also takes "tpcb"-style spellings; each ends in its
+		// benchmark's letter.
+		canon := "TPC-" + strings.ToUpper(name[len(name)-1:])
+		return canon, func(seed int64, scale float64, _ int64) *workload.Benchmark { return build(seed, scale) }, nil
+	}
+	if !IsName(name) {
+		return "", nil, fmt.Errorf("workload: unknown workload %q (want TPC-B, TPC-C, TPC-E, or a synth: name)", name)
+	}
+	spec, err := ParseName(name)
+	if err != nil {
+		return "", nil, err
+	}
+	build, err := Compile(spec)
+	return spec.Name, build, err
 }

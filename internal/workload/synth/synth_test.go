@@ -273,7 +273,7 @@ func TestParseName(t *testing.T) {
 	}
 
 	// Every spelling of a value lands on one canonical name.
-	for _, alias := range []string{"synth:uniform-ro+w.5", "synth:uniform-ro+w0.50"} {
+	for _, alias := range []string{"synth:uniform-ro+w.5", "synth:uniform-ro+w0.50", "synth:Uniform-RO+w.5", "UNIFORM-ro+w0.5"} {
 		got, err := ParseName(alias)
 		if err != nil {
 			t.Fatalf("ParseName(%q): %v", alias, err)
