@@ -41,8 +41,8 @@
 // count; shared artifacts (trace sets, profiles, replay results) are
 // single-flight memoized in one concurrency-safe session cache; and the
 // simulator itself is a deterministic discrete-event engine with a total
-// (time, thread-ID) order. Engine.ScheduleAll and Engine.ScheduleSet
-// replay under the paper's four mechanisms concurrently, and
+// (time, thread-ID) order. Engine.ScheduleSet replays a caller-supplied
+// trace set under the paper's four mechanisms concurrently, and
 // Engine.GenerateTraces exposes the worker-count-independent trace
 // generator; cmd/addict-bench drives the pool via its -parallel flag.
 //
@@ -58,19 +58,20 @@
 //
 // # Synthetic workloads
 //
-// Beyond the three TPC mixes, SynthBenchmark compiles a declarative
-// SynthSpec — table count/sizes, uniform/zipfian/hot-set key skew,
-// read/write mix, ops-per-transaction distribution, transaction-type count
-// with shared or private code paths, and multi-phase schedules that shift
-// skew and mix mid-trace — into an ordinary Workload over a generated
-// population. Synthetic workloads are addressable by encoded name
-// ("synth:<preset>[+z<theta>][+w<frac>][+h<keys>]", see
+// Beyond the three TPC mixes, a declarative SynthSpec — table
+// count/sizes, uniform/zipfian/hot-set key skew, read/write mix,
+// ops-per-transaction distribution, transaction-type count with shared or
+// private code paths, and multi-phase schedules that shift skew and mix
+// mid-trace — compiles into an ordinary workload over a generated
+// population (Engine.SynthTraces). Synthetic workloads are addressable by
+// encoded name ("synth:<preset>[+z<theta>][+w<frac>][+h<keys>]", see
 // ParseSynthWorkload) in sweep grids, bench configs, and cmd/tracegen
-// -synth; generation is sharded and byte-identical for every worker count
-// (Engine.SynthTraces), phase schedules included.
+// -synth; generation is sharded and byte-identical for every worker
+// count, phase schedules included.
 //
-// See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-// paper-versus-measured record of every table and figure.
+// See DESIGN.md for the system inventory and the paper-versus-measured
+// discussion, and internal/exp/testdata/ for the golden report of every
+// table and figure.
 package addict
 
 import (
@@ -82,7 +83,6 @@ import (
 	"addict/internal/core"
 	"addict/internal/exp"
 	"addict/internal/pool"
-	"addict/internal/power"
 	"addict/internal/sched"
 	"addict/internal/sim"
 	"addict/internal/stats"
@@ -129,7 +129,7 @@ const (
 )
 
 // Mechanisms lists the paper's four mechanisms in its presentation order —
-// the figure experiments' evaluation axis (and Engine.ScheduleAll's).
+// the figure experiments' evaluation axis (and Engine.ScheduleSet's).
 var Mechanisms = sched.Mechanisms
 
 // AllMechanisms lists every implemented mechanism family: the paper's four
@@ -151,9 +151,6 @@ type MachineConfig = sim.Config
 
 // Result is the outcome of replaying a trace set under a mechanism.
 type Result = sim.Result
-
-// PowerReport is the McPAT-substitute power analysis (Figure 8b).
-type PowerReport = power.Report
 
 // StorageManager is the instrumented mini-Shore-MT storage manager; use it
 // to build custom workloads (tables, B+tree indexes, the five database
@@ -198,20 +195,6 @@ func NewTPCC(seed int64, scale float64) *Workload { return workload.NewTPCC(seed
 // customers, 20k initial trades).
 func NewTPCE(seed int64, scale float64) *Workload { return workload.NewTPCE(seed, scale) }
 
-// NewWorkload builds a benchmark by name: the TPC names ("TPC-B",
-// "TPC-C", "TPC-E") or an encoded synthetic workload
-// ("synth:<preset>[+z<theta>][+w<frac>][+h<keys>]"). One name resolver
-// backs every by-name consumer (sweep grids, bench configs, cmd/tracegen,
-// the serving daemon, this facade), so a name accepted anywhere is
-// accepted everywhere.
-func NewWorkload(name string, seed int64, scale float64) (*Workload, error) {
-	_, build, err := synth.Workload(name)
-	if err != nil {
-		return nil, err
-	}
-	return build(seed, scale, 0), nil
-}
-
 // NewStorageManager returns a storage manager on the standard code layout,
 // ready for table creation and population — the substrate for custom
 // workloads.
@@ -252,19 +235,8 @@ func SynthPresets() []string { return synth.Presets() }
 // bench configs (BenchConfig.Workloads), and cmd/tracegen -synth.
 func ParseSynthWorkload(name string) (SynthSpec, error) { return synth.ParseName(name) }
 
-// SynthBenchmark compiles a synthetic-workload spec into a populated
-// benchmark, deterministic in (spec, seed, scale) — the synthetic
-// counterpart of NewTPCB/NewTPCC/NewTPCE.
-func SynthBenchmark(spec SynthSpec, seed int64, scale float64) (*Workload, error) {
-	return synth.New(spec, seed, scale)
-}
-
 // GenerateTraces collects n transaction traces from the workload.
 func GenerateTraces(w *Workload, n int) *TraceSet { return workload.GenerateSet(w, n) }
-
-// StreamTraces generates n traces one at a time without retaining them —
-// the memory-bounded path for large stability runs.
-func StreamTraces(w *Workload, n int, fn func(i int, t *Trace)) { workload.Stream(w, n, fn) }
 
 // FindMigrationPoints runs Algorithm 1 over profiling traces with the
 // Table 1 L1-I geometry and the storage manager's no-migrate zones
@@ -300,9 +272,6 @@ func Schedule(mech Mechanism, s *TraceSet, opts Options) (Result, error) {
 	}
 	return sched.Run(mech, s, sched.Config{Machine: machine, BatchSize: opts.BatchSize, Profile: opts.Profile})
 }
-
-// AnalyzePower computes the activity-based power report of a run.
-func AnalyzePower(r Result) PowerReport { return power.Analyze(r, power.DefaultWeights()) }
 
 // DefaultExperimentParams returns the paper-faithful evaluation setup
 // (1000 profiling + 1000 evaluation traces, 10000 for stability).
@@ -392,17 +361,6 @@ func CompareBench(baseline, current *BenchReport) (*BenchFile, error) {
 	return bench.Compare(baseline, current)
 }
 
-// GateBenchReports evaluates the per-cell, machine-independent regression
-// gate between two recorded reports: every cell's events/sec is normalized
-// by the same report's Baseline-mechanism cell on the same workload, so
-// the recording machines' absolute speed cancels out of the gated ratio,
-// and the gate fails on the worst cell rather than the aggregate. The
-// error covers pairs that cannot be judged (incomparable reports, missing
-// reference cells); a judged regression is a Verdict with Pass == false.
-func GateBenchReports(baseline, current *BenchReport, cfg BenchGateConfig) (*BenchVerdict, error) {
-	return bench.Gate(baseline, current, cfg)
-}
-
 // ReadBenchFile parses a BENCH_*.json file (or a bare report).
 func ReadBenchFile(r io.Reader) (*BenchFile, error) { return bench.ReadFile(r) }
 
@@ -419,19 +377,6 @@ func WriteProfile(w io.Writer, p *Profile) error { return core.WriteProfile(w, p
 
 // ReadProfile reloads a persisted profile.
 func ReadProfile(r io.Reader) (*Profile, error) { return core.ReadProfile(r) }
-
-// ScheduleOnline is ADDICT's pure-dynamic deployment: the first rampUp
-// transactions run under traditional scheduling while Algorithm 1 profiles
-// them, then the rest migrate over the learned points (Section 3.1.3).
-// Returns the combined run and the learned profile.
-func ScheduleOnline(s *TraceSet, rampUp int, opts Options) (Result, *Profile, error) {
-	machine := sim.Shallow()
-	if opts.Machine != nil {
-		machine = *opts.Machine
-	}
-	cfg := sched.Config{Machine: machine, BatchSize: opts.BatchSize}
-	return sched.RunOnline(s, cfg, rampUp, codemap.NewLayout().NoMigrate)
-}
 
 // OverlapBuckets computes the Figure 2 frequency-bucket shares for a group
 // of per-instance footprints.

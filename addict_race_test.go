@@ -58,8 +58,9 @@ func TestConcurrentScheduleDeterministic(t *testing.T) {
 	}
 }
 
-// TestScheduleAllMatchesSerialSchedule: the concurrent facade must return
-// exactly what four serial Schedule calls return.
+// TestScheduleAllMatchesSerialSchedule: the concurrent facade
+// (Engine.ScheduleSet) must return exactly what four serial Schedule calls
+// return.
 func TestScheduleAllMatchesSerialSchedule(t *testing.T) {
 	w := addict.NewTPCC(3, 0.05)
 	profSet := addict.GenerateTraces(w, 60)
@@ -72,7 +73,7 @@ func TestScheduleAllMatchesSerialSchedule(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(all) != len(addict.Mechanisms) {
-		t.Fatalf("ScheduleAll returned %d results, want %d", len(all), len(addict.Mechanisms))
+		t.Fatalf("ScheduleSet returned %d results, want %d", len(all), len(addict.Mechanisms))
 	}
 	for _, mech := range addict.Mechanisms {
 		serial, err := addict.Schedule(mech, evalSet, opts)
@@ -82,13 +83,13 @@ func TestScheduleAllMatchesSerialSchedule(t *testing.T) {
 		got := all[mech]
 		if got.Makespan != serial.Makespan || got.TotalLatency != serial.TotalLatency ||
 			got.Machine.L1IMisses != serial.Machine.L1IMisses {
-			t.Errorf("%s: ScheduleAll makespan %d != serial %d", mech, got.Makespan, serial.Makespan)
+			t.Errorf("%s: ScheduleSet makespan %d != serial %d", mech, got.Makespan, serial.Makespan)
 		}
 	}
 }
 
 // TestScheduleAllRequiresProfile: ADDICT's missing-profile error must
-// surface through the concurrent path.
+// surface through the concurrent path (Engine.ScheduleSet).
 func TestScheduleAllRequiresProfile(t *testing.T) {
 	w := addict.NewTPCB(3, 0.05)
 	set := addict.GenerateTraces(w, 20)

@@ -28,20 +28,18 @@ func TestPublicPipeline(t *testing.T) {
 	if res.Machine.MPKI(res.Machine.L1IMisses) >= base.Machine.MPKI(base.Machine.L1IMisses) {
 		t.Error("ADDICT did not reduce L1-I MPKI through the public API")
 	}
-	pw := addict.AnalyzePower(res)
-	if pw.AvgCorePower <= 0 {
-		t.Error("power report empty")
-	}
 }
 
-func TestNewWorkloadByName(t *testing.T) {
+func TestGenerateTracesByName(t *testing.T) {
+	e := addict.NewEngine(addict.WithSeed(1), addict.WithScale(0.02), addict.WithWorkers(1))
+	ctx := context.Background()
 	for _, name := range []string{"TPC-B", "TPC-C", "TPC-E"} {
-		w, err := addict.NewWorkload(name, 1, 0.02)
-		if err != nil || w.Name() != name {
-			t.Errorf("NewWorkload(%q) = %v, %v", name, w, err)
+		s, err := e.GenerateTraces(ctx, name, 2)
+		if err != nil || s.Workload != name || len(s.Traces) != 2 {
+			t.Errorf("GenerateTraces(%q) = %v, %v", name, s, err)
 		}
 	}
-	if _, err := addict.NewWorkload("TPC-X", 1, 1); err == nil {
+	if _, err := e.GenerateTraces(ctx, "TPC-X", 1); err == nil {
 		t.Error("unknown workload accepted")
 	}
 }
@@ -109,20 +107,14 @@ func TestSynthFacade(t *testing.T) {
 		t.Error("unknown preset accepted")
 	}
 
-	w, err := addict.SynthBenchmark(spec, 7, 0.02)
-	if err != nil {
-		t.Fatal(err)
-	}
-	set := addict.GenerateTraces(w, 10)
-	if len(set.Traces) != 10 || set.Workload != "synth:zipf-hot-rw+w0.2" {
-		t.Fatalf("got %q with %d traces", set.Workload, len(set.Traces))
-	}
-
 	ctx := context.Background()
-	serial, err := addict.NewEngine(addict.WithSeed(7), addict.WithScale(0.02),
-		addict.WithWorkers(1)).SynthTraces(ctx, spec, 30)
+	serialEngine := addict.NewEngine(addict.WithSeed(7), addict.WithScale(0.02), addict.WithWorkers(1))
+	serial, err := serialEngine.SynthTraces(ctx, spec, 30)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(serial.Traces) != 30 || serial.Workload != "synth:zipf-hot-rw+w0.2" {
+		t.Fatalf("got %q with %d traces", serial.Workload, len(serial.Traces))
 	}
 	parallel, err := addict.NewEngine(addict.WithSeed(7), addict.WithScale(0.02),
 		addict.WithWorkers(4)).SynthTraces(ctx, spec, 30)
@@ -133,7 +125,7 @@ func TestSynthFacade(t *testing.T) {
 		t.Error("sharded synth generation depends on worker count")
 	}
 
-	if _, err := addict.SynthBenchmark(addict.SynthSpec{Rows: 1}, 1, 1); err == nil {
+	if _, err := serialEngine.SynthTraces(ctx, addict.SynthSpec{Rows: 1}, 1); err == nil {
 		t.Error("invalid synth spec accepted")
 	}
 }
@@ -210,21 +202,6 @@ func TestProfilePersistence(t *testing.T) {
 	if r1.Makespan != r2.Makespan || r1.Migrations != r2.Migrations {
 		t.Errorf("reloaded profile schedules differently: %d/%d vs %d/%d",
 			r1.Makespan, r1.Migrations, r2.Makespan, r2.Migrations)
-	}
-}
-
-func TestScheduleOnline(t *testing.T) {
-	w := addict.NewTPCB(1, 0.05)
-	set := addict.GenerateTraces(w, 120)
-	res, prof, err := addict.ScheduleOnline(set, 40, addict.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if prof == nil || res.Migrations == 0 {
-		t.Error("online scheduling learned nothing or never migrated")
-	}
-	if _, _, err := addict.ScheduleOnline(set, 0, addict.Options{}); err == nil {
-		t.Error("invalid ramp-up accepted")
 	}
 }
 

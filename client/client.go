@@ -163,7 +163,8 @@ type SweepRow struct {
 
 // DistRequest asks the server to execute a sweep distributed: the serving
 // process coordinates, contributes LocalWorkers in-process workers
-// (server-defaulted to 1 when 0), and listens for remote addict-sweep
+// (server-defaulted to 1 when 0, capped at the server's -workers), and
+// listens for remote addict-sweep
 // -join workers on Listen (server-chosen loopback port when empty). The
 // streamed rows are byte-identical to the same spec swept serially.
 type DistRequest struct {

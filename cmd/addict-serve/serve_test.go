@@ -541,6 +541,42 @@ func TestSweepDistributedMode(t *testing.T) {
 	}
 }
 
+// TestDistLocalWorkersCappedAtSessionWorkers: a request body cannot start
+// more in-process workers than the session's worker bound (2 here), and
+// the rows are the serial engine's bytes either way.
+func TestDistLocalWorkersCappedAtSessionWorkers(t *testing.T) {
+	s, c := newTestServer(t, 0)
+	ctx := context.Background()
+	spec := addict.SweepSpec{Workloads: []string{"TPC-B"}, Mechanisms: []string{"Baseline", "ADDICT"}}
+	var want bytes.Buffer
+	if err := s.eng.Sweep(ctx, &want, spec, "jsonl"); err != nil {
+		t.Fatal(err)
+	}
+	body, _ := json.Marshal(struct {
+		Spec addict.SweepSpec   `json:"spec"`
+		Dist client.DistRequest `json:"dist"`
+	}{spec, client.DistRequest{LocalWorkers: 64}})
+	resp, err := http.Post(c.BaseURL()+"/v1/sweep", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	got, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want.Bytes()) {
+		t.Errorf("distributed bytes differ from serial engine output:\n got: %q\nwant: %q", got, want.Bytes())
+	}
+	m, err := c.Metrics(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Dist == nil || !m.Dist.Done || len(m.Dist.Workers) > 2 {
+		t.Fatalf("want a finished run with at most 2 local workers in the dist summary, got %+v", m.Dist)
+	}
+}
+
 // TestMetricsEndpoint: /metrics re-renders the expvar counters as
 // Prometheus text exposition — deterministic, parseable lines covering
 // the scalar counters, the per-endpoint maps, and the flattened cache

@@ -87,7 +87,7 @@ func main() {
 		storeBudget = flag.Int64("store-budget", 0, "on-disk store size budget in bytes (<=0 = unbounded)")
 
 		serveWorkers = flag.String("serve-workers", "", "coordinate a distributed sweep: listen address for workers (e.g. :8391)")
-		localWorkers = flag.Int("local-workers", 1, "with -serve-workers: in-process workers the coordinator contributes (0 = remote only)")
+		localWorkers = flag.Int("local-workers", 1, "with -serve-workers: in-process workers the coordinator contributes, at most -parallel (0 = remote only)")
 		leaseTimeout = flag.Duration("lease-timeout", 0, "with -serve-workers: crash-detection lease timeout (0 = default 60s)")
 		distSummary  = flag.String("dist-summary", "", "with -serve-workers: write per-worker counters as JSON to this file after the run")
 		joinURL      = flag.String("join", "", "work for the coordinator at this URL (grid/spec come from it; -store and -parallel apply)")

@@ -39,7 +39,9 @@ type DistConfig struct {
 	OnListen func(addr string)
 	// LocalWorkers is how many in-process workers to run alongside the
 	// coordinator (they compute on the session's own cache, store and
-	// worker bound). 0 means the grid waits entirely for remote workers.
+	// worker bound), capped at the session's worker bound (WithWorkers);
+	// the merged rows never depend on it. 0 means the grid waits entirely
+	// for remote workers.
 	LocalWorkers int
 	// LeaseTimeout is how long a worker may hold a unit before it is
 	// presumed crashed and the unit requeued (0 = 60s). The rest of the
@@ -68,6 +70,7 @@ func (e *Engine) SweepDistributed(ctx context.Context, out io.Writer, spec Sweep
 		return DistSummary{}, err
 	}
 	e.inheritBase(&spec.Seed, &spec.Scale, &spec.ProfileTraces, &spec.EvalTraces)
+	cfg.LocalWorkers = min(cfg.LocalWorkers, e.workers)
 	c, err := dist.NewCoordinator(spec, dist.Options{LeaseTimeout: cfg.LeaseTimeout})
 	if err != nil {
 		return DistSummary{}, err

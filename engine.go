@@ -157,18 +157,6 @@ func (e *Engine) CacheStats() CacheStats {
 // treat a requested store as mandatory should fail fast on this.
 func (e *Engine) StoreErr() error { return e.storeErr }
 
-// Seed returns the session seed.
-func (e *Engine) Seed() int64 { return e.seed }
-
-// Scale returns the session database scale factor.
-func (e *Engine) Scale() float64 { return e.scale }
-
-// Workers returns the session's resolved worker bound.
-func (e *Engine) Workers() int { return e.workers }
-
-// Machine returns the session's simulated hardware.
-func (e *Engine) Machine() MachineConfig { return e.machine }
-
 // ExperimentParams returns the session parameters as an evaluation-harness
 // setup — what Experiments runs with.
 func (e *Engine) ExperimentParams() ExperimentParams {
@@ -191,12 +179,6 @@ func (e *Engine) Traces(ctx context.Context, workloadName string) (*TraceSet, er
 	return e.arts.EvalSet(ctx, workloadName)
 }
 
-// ProfilingTraces returns the session's profiling trace window (the
-// paper's "first 1000") — the disjoint window Profile learns from, cached.
-func (e *Engine) ProfilingTraces(ctx context.Context, workloadName string) (*TraceSet, error) {
-	return e.arts.ProfileSet(ctx, workloadName)
-}
-
 // Profile returns Algorithm 1's migration points for a workload over the
 // session's profiling window and machine — cached per (workload, L1-I
 // geometry).
@@ -213,32 +195,16 @@ func (e *Engine) Schedule(ctx context.Context, mech Mechanism, workloadName stri
 	return e.arts.Result(ctx, workloadName, mech, e.machine)
 }
 
-// ScheduleAll replays the workload's evaluation window under every
-// mechanism concurrently (bounded by the session workers) and returns the
-// per-mechanism results, all cached.
-func (e *Engine) ScheduleAll(ctx context.Context, workloadName string) (map[Mechanism]Result, error) {
-	return e.eachMechanism(ctx, func(mech Mechanism) (Result, error) {
-		return e.Schedule(ctx, mech, workloadName)
-	})
-}
-
-// ScheduleSet replays a caller-supplied trace set under every mechanism
-// concurrently (bounded by the session workers) — the uncached counterpart
-// of ScheduleAll for sets that did not come from this session.
-// Options.Profile is required (ADDICT needs its migration points).
+// ScheduleSet replays a caller-supplied trace set under the paper's four
+// mechanisms concurrently (bounded by the session workers) and returns the
+// per-mechanism results, uncached — the counterpart of Schedule for sets
+// that did not come from this session. Options.Profile is required (ADDICT
+// needs its migration points).
 func (e *Engine) ScheduleSet(ctx context.Context, s *TraceSet, opts Options) (map[Mechanism]Result, error) {
-	return e.eachMechanism(ctx, func(mech Mechanism) (Result, error) {
-		return Schedule(mech, s, opts)
-	})
-}
-
-// eachMechanism runs one replay per mechanism on the session pool and
-// assembles the per-mechanism result map.
-func (e *Engine) eachMechanism(ctx context.Context, run func(mech Mechanism) (Result, error)) (map[Mechanism]Result, error) {
 	results := make([]Result, len(Mechanisms))
 	errs := make([]error, len(Mechanisms))
 	if err := pool.RunCtx(ctx, e.workers, len(Mechanisms), func(i int) {
-		results[i], errs[i] = run(Mechanisms[i])
+		results[i], errs[i] = Schedule(Mechanisms[i], s, opts)
 	}); err != nil {
 		return nil, err
 	}

@@ -132,16 +132,19 @@ func TestEngineSessionReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	all, err := e.ScheduleAll(ctx, "TPC-B")
+	before := e.CacheStats()
+	r2, err := e.Schedule(ctx, ADDICT, "TPC-B")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if all[ADDICT].Makespan != r.Makespan {
-		t.Error("ScheduleAll does not reuse the cached Schedule result")
+	after := e.CacheStats()
+	if after.Misses != before.Misses || after.Hits <= before.Hits || r2.Makespan != r.Makespan {
+		t.Errorf("second Schedule does not reuse the cached result: misses %d -> %d, hits %d -> %d",
+			before.Misses, after.Misses, before.Hits, after.Hits)
 	}
 
 	// The profiling and evaluation windows must stay disjoint.
-	ps, err := e.ProfilingTraces(ctx, "TPC-B")
+	ps, err := e.arts.ProfileSet(ctx, "TPC-B")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,12 +288,12 @@ func TestEngineUnknownNames(t *testing.T) {
 	if _, err := e.Schedule(ctx, Baseline, "nope"); err == nil {
 		t.Error("Schedule accepted an unknown name")
 	}
-	if _, err := NewWorkload("nope", 1, 1); err == nil {
-		t.Error("NewWorkload accepted an unknown name")
+	if _, err := e.GenerateTraces(ctx, "nope", 1); err == nil {
+		t.Error("GenerateTraces accepted an unknown name")
 	}
 	// The synth name space resolves everywhere too.
-	if _, err := NewWorkload("synth:uniform-ro", 1, 0.02); err != nil {
-		t.Errorf("NewWorkload rejected a synth name: %v", err)
+	if _, err := e.GenerateTraces(ctx, "synth:uniform-ro", 1); err != nil {
+		t.Errorf("GenerateTraces rejected a synth name: %v", err)
 	}
 	if _, err := e.Traces(ctx, "synth:uniform-ro"); err != nil {
 		t.Errorf("Traces rejected a synth name: %v", err)

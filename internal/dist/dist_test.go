@@ -7,6 +7,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -476,6 +477,61 @@ func TestWorkerRejectsV1Coordinator(t *testing.T) {
 	}
 	if n := leases.Load(); n != 0 {
 		t.Errorf("worker sent %d lease requests to a v1 coordinator, want 0", n)
+	}
+}
+
+// TestJoinOutlastsSlowCoordinatorStart: a worker started before its
+// coordinator has bound the port keeps retrying the join past the 3 s of
+// backoff that lease and complete requests get, and completes every unit
+// once the coordinator comes up 3.5 s later (about 6.5 s of wall time:
+// the join's next try lands 6.2 s after the first).
+func TestJoinOutlastsSlowCoordinatorStart(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close()
+
+	spec := testSpec()
+	c, err := NewCoordinator(spec, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	s := spec.Resolved()
+	cache := sweep.NewArtifacts(s.Seed, s.Scale, s.ProfileTraces, s.EvalTraces, 1, 0, nil)
+	type outcome struct {
+		completed int
+		err       error
+	}
+	worker := make(chan outcome, 1)
+	go func() {
+		n, err := Work(ctx, "http://"+addr, WorkerOptions{Cache: cache})
+		worker <- outcome{n, err}
+	}()
+
+	time.Sleep(3500 * time.Millisecond)
+	ln, err = net.Listen("tcp", addr)
+	if err != nil {
+		t.Fatalf("rebinding the reserved port: %v", err)
+	}
+	srv := &http.Server{Handler: c.Handler()}
+	go srv.Serve(ln)
+	defer srv.Close()
+	runErr := make(chan error, 1)
+	go func() { runErr <- c.Run(ctx, nullEmitter{}) }()
+
+	o := <-worker
+	if o.err != nil {
+		t.Fatalf("worker gave up before the coordinator started: %v", o.err)
+	}
+	if err := <-runErr; err != nil {
+		t.Fatalf("coordinator run: %v", err)
+	}
+	if sum := c.Summary(); o.completed != sum.Units || sum.Completed != sum.Units {
+		t.Errorf("worker completed %d, coordinator %d of %d units", o.completed, sum.Completed, sum.Units)
 	}
 }
 

@@ -35,6 +35,14 @@ type WorkerOptions struct {
 // encode) would repeat on every retry.
 const workerRetries = 4
 
+// joinRetries is the join's own, longer budget on the same backoff
+// schedule (0.2, 0.4, 0.8, 1.6, 3.2 s, then 5 s a try: 26.2 s of waiting
+// in all), so a worker launched alongside its coordinator outlasts the
+// coordinator's start-up instead of failing with "connection refused".
+// Lease and complete requests go to a coordinator that has already
+// answered, and keep workerRetries.
+const joinRetries = 9
+
 // Work runs one worker against the coordinator at baseURL until the grid
 // is done (returns the number of units this worker completed), the
 // coordinator aborts the run, or ctx is cancelled. It joins, expands the
@@ -54,7 +62,8 @@ func work(ctx context.Context, baseURL string, opts WorkerOptions) (id string, c
 	tr := wire.Transport{Retries: workerRetries}
 
 	var join joinResponse
-	if err := tr.PostJSON(ctx, base+pathJoin, joinRequest{Name: opts.Name}, &join); err != nil {
+	joinTr := wire.Transport{Retries: joinRetries}
+	if err := joinTr.PostJSON(ctx, base+pathJoin, joinRequest{Name: opts.Name}, &join); err != nil {
 		return "", 0, fmt.Errorf("dist: join: %w", err)
 	}
 	id = join.WorkerID

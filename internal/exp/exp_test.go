@@ -53,8 +53,8 @@ func TestFig1ShapeHolds(t *testing.T) {
 		}
 		// Within 15 percentage points of the paper's label; dashed-path
 		// edges get extra slack at this tiny scale (splits and page
-		// allocations are rare events — EXPERIMENTS.md records full-scale
-		// numbers).
+		// allocations are rare events — testdata/fig1.golden records the
+		// quick-size numbers next to the paper's).
 		tol := 0.15
 		if e.Dashed || e.Child == "create index entry" || e.Child == "create record" {
 			tol = 0.30

@@ -56,6 +56,4 @@
 // the paper's simulator. The steady-state replay loop allocates nothing
 // for any family (bench.SteadyStateAllocsPerEvent), and
 // TestPinnedReplayCounters pins each family's exact machine counters.
-// online.go adds the pure-dynamic deployment of Section 3.1.3 (profile
-// while serving, then migrate).
 package sched

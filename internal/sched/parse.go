@@ -21,9 +21,6 @@ func ParseMechanism(name string) (Mechanism, error) {
 	return "", unknownMechanism(name)
 }
 
-// MechanismNames renders AllMechanisms for error messages and docs.
-func MechanismNames() string { return strings.Join(mechanismNames(), ", ") }
-
 func mechanismNames() []string {
 	names := make([]string, len(AllMechanisms))
 	for i, m := range AllMechanisms {
@@ -35,9 +32,10 @@ func mechanismNames() []string {
 // unknownMechanism builds the unknown-name error, with a did-you-mean
 // suggestion when some known mechanism is within edit distance.
 func unknownMechanism(name string) error {
-	if near := suggest.Nearest(name, mechanismNames()); near != "" {
-		return fmt.Errorf("sched: unknown mechanism %q (did you mean %q? have %s)",
-			name, near, MechanismNames())
+	names := mechanismNames()
+	have := strings.Join(names, ", ")
+	if near := suggest.Nearest(name, names); near != "" {
+		return fmt.Errorf("sched: unknown mechanism %q (did you mean %q? have %s)", name, near, have)
 	}
-	return fmt.Errorf("sched: unknown mechanism %q (have %s)", name, MechanismNames())
+	return fmt.Errorf("sched: unknown mechanism %q (have %s)", name, have)
 }

@@ -24,7 +24,7 @@ const (
 )
 
 // Mechanisms lists the paper's four mechanisms in its presentation order.
-// The figure experiments (5-9) and Engine.ScheduleAll compare exactly this
+// The figure experiments (5-9) and Engine.ScheduleSet compare exactly this
 // set, reproducing the paper's evaluation axis.
 var Mechanisms = []Mechanism{Baseline, STREX, SLICC, ADDICT}
 
@@ -48,8 +48,8 @@ type Config struct {
 	// independently of the batch size (sweep axis: thread admission).
 	// 0 keeps each mechanism's default: the batch size for SLICC, ADDICT
 	// and CHAIN; unbounded (concurrency limited by the core queues) for
-	// STREX, HTMSPEC and online ADDICT, and for Baseline unless BatchSize
-	// models the load.
+	// STREX and HTMSPEC, and for Baseline unless BatchSize models the
+	// load.
 	AdmitLimit int
 	// Profile supplies ADDICT's migration points (required for ADDICT).
 	Profile *core.Profile
@@ -112,15 +112,11 @@ func Run(mech Mechanism, s *trace.Set, cfg Config) (sim.Result, error) {
 	if mech != Baseline {
 		ordered = batchByType(s.Traces, cfg.batchSize())
 	}
-	return replay(cfg, h, ordered, limit), nil
-}
-
-// replay is the one executor construction: a fresh machine, threads in
-// ordered order stamped with their batches, the in-flight bound (the
-// explicit AdmitLimit over the mechanism's default), and the hooks bound
-// to the threads. Batch numbers steer only STREX, SLICC and CHAIN
-// placement and STREX's yield; the other hooks never read them.
-func replay(cfg Config, h hooks, ordered []*trace.Trace, limit int) sim.Result {
+	// A fresh machine, threads in ordered order stamped with their
+	// batches, the in-flight bound (the explicit AdmitLimit over the
+	// mechanism's default), and the hooks bound to the threads. Batch
+	// numbers steer only STREX, SLICC and CHAIN placement and STREX's
+	// yield; the other hooks never read them.
 	ex := sim.NewExecutor(sim.NewMachine(cfg.Machine), h, ordered)
 	if cfg.AdmitLimit > 0 {
 		limit = cfg.AdmitLimit
@@ -128,7 +124,7 @@ func replay(cfg Config, h hooks, ordered []*trace.Trace, limit int) sim.Result {
 	ex.AdmitLimit = limit
 	applyBatches(ex.Threads(), ordered, cfg.batchSize())
 	h.bind(ex)
-	return ex.Run()
+	return ex.Run(), nil
 }
 
 // batchByType reorders traces so same-type transactions are grouped into

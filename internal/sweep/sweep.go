@@ -227,8 +227,8 @@ func (s Spec) synthNames() ([]string, error) {
 	return names, nil
 }
 
-// BaseMachine returns the spec's base machine configuration.
-func (s Spec) BaseMachine() sim.Config {
+// baseMachine returns the spec's base machine configuration.
+func (s Spec) baseMachine() sim.Config {
 	if s.Deep {
 		return sim.Deep()
 	}
@@ -255,7 +255,7 @@ func orZero[T any](axis []T) []T {
 // here instead of mid-run, and every workload name is resolved there to
 // its canonical spelling (synth.Workload), which the units carry.
 func (s Spec) Expand() ([]Unit, error) {
-	return s.ExpandOn(s.BaseMachine())
+	return s.ExpandOn(s.baseMachine())
 }
 
 // validate rejects values the downstream layers would otherwise silently

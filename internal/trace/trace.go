@@ -329,22 +329,6 @@ type Set struct {
 	Traces []*Trace
 }
 
-// ByType groups trace indices by transaction type.
-func (s *Set) ByType() map[TxnType][]int {
-	m := make(map[TxnType][]int)
-	for i, t := range s.Traces {
-		m[t.Type] = append(m[t.Type], i)
-	}
-	return m
-}
-
-// Slice returns a new Set sharing the same metadata but holding only
-// Traces[lo:hi]. It mirrors the paper's trace batching ("the first 1000 ...
-// the next batch of 1000", Section 4.1).
-func (s *Set) Slice(lo, hi int) *Set {
-	return &Set{Workload: s.Workload, TypeNames: s.TypeNames, Traces: s.Traces[lo:hi]}
-}
-
 // TypeName returns the name of a transaction type, falling back to a numeric
 // form for unknown types.
 func (s *Set) TypeName(tt TxnType) string {

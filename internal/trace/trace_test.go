@@ -236,27 +236,8 @@ func TestBufferAlignsAddresses(t *testing.T) {
 	}
 }
 
-func TestSetByTypeAndSlice(t *testing.T) {
-	s := &Set{
-		Workload:  "TPC-X",
-		TypeNames: []string{"A", "B"},
-		Traces: []*Trace{
-			mkTrace(0, []OpType{OpIndexProbe}, 1),
-			mkTrace(1, []OpType{OpIndexProbe}, 1),
-			mkTrace(0, []OpType{OpIndexProbe}, 1),
-		},
-	}
-	byType := s.ByType()
-	if !reflect.DeepEqual(byType[0], []int{0, 2}) {
-		t.Errorf("ByType[0] = %v, want [0 2]", byType[0])
-	}
-	if !reflect.DeepEqual(byType[1], []int{1}) {
-		t.Errorf("ByType[1] = %v, want [1]", byType[1])
-	}
-	sub := s.Slice(1, 3)
-	if len(sub.Traces) != 2 || sub.Workload != "TPC-X" {
-		t.Errorf("Slice: got %d traces, workload %q", len(sub.Traces), sub.Workload)
-	}
+func TestSetTypeName(t *testing.T) {
+	s := &Set{Workload: "TPC-X", TypeNames: []string{"A", "B"}}
 	if s.TypeName(0) != "A" || s.TypeName(9) != "txn9" {
 		t.Errorf("TypeName fallback broken: %q %q", s.TypeName(0), s.TypeName(9))
 	}

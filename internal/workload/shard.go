@@ -143,7 +143,7 @@ func StreamSharded(ctx context.Context, build Constructor, seed int64, scale flo
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		Stream(warmShard(build, seed, scale, baseShard+s, shardSize), count, func(_ int, t *trace.Trace) {
+		stream(warmShard(build, seed, scale, baseShard+s, shardSize), count, func(t *trace.Trace) {
 			fn(idx, t)
 			idx++
 		})

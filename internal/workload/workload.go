@@ -145,24 +145,24 @@ func (b *Benchmark) NextTxn() trace.TxnType {
 }
 
 // GenerateSet collects n transaction traces into a Set (the paper's trace
-// batches, Section 4.1).
+// batches, Section 4.1). The memory-bounded path for long stability runs
+// is StreamSharded, which discards each trace after its callback.
 func GenerateSet(b *Benchmark, n int) *trace.Set {
 	s := &trace.Set{Workload: b.name, TypeNames: b.TypeNames()}
-	Stream(b, n, func(_ int, t *trace.Trace) { s.Traces = append(s.Traces, t) })
+	stream(b, n, func(t *trace.Trace) { s.Traces = append(s.Traces, t) })
 	return s
 }
 
-// Stream generates n traces one at a time, calling fn on each and then
-// discarding it — the memory-bounded path for the 11,000-trace stability
-// experiment (Section 4.2).
-func Stream(b *Benchmark, n int, fn func(i int, t *trace.Trace)) {
+// stream records n transactions one at a time, handing each trace to fn
+// — the one recording loop under GenerateSet and StreamSharded.
+func stream(b *Benchmark, n int, fn func(t *trace.Trace)) {
 	buf := trace.NewBuffer()
 	prev := b.m.Recorder()
 	b.m.SetRecorder(buf)
 	defer b.m.SetRecorder(prev)
 	for i := 0; i < n; i++ {
 		b.NextTxn()
-		fn(i, buf.Take()[0])
+		fn(buf.Take()[0])
 	}
 }
 

@@ -226,22 +226,6 @@ func TestInstructionVsDataOverlap(t *testing.T) {
 	}
 }
 
-func TestStreamMatchesGenerateSet(t *testing.T) {
-	var streamed []int
-	Stream(NewTPCB(9, testScale), 15, func(i int, tr *trace.Trace) {
-		streamed = append(streamed, len(tr.Events))
-	})
-	s := GenerateSet(NewTPCB(9, testScale), 15)
-	if len(streamed) != len(s.Traces) {
-		t.Fatal("Stream count mismatch")
-	}
-	for i := range streamed {
-		if streamed[i] != len(s.Traces[i].Events) {
-			t.Errorf("trace %d: stream %d events vs set %d", i, streamed[i], len(s.Traces[i].Events))
-		}
-	}
-}
-
 func TestBuilder(t *testing.T) {
 	for _, name := range []string{"TPC-B", "tpcc", "TPC-E"} {
 		f, err := Builder(name)
